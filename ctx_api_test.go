@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -180,14 +181,16 @@ func TestFacadeCrossValidateContext(t *testing.T) {
 // Variant satellite fixes must not reappear here).
 func TestFacadeOptionsMergeCallerHooks(t *testing.T) {
 	tb := ctxFixture(t)
-	called := 0
+	// BuildContext's parallel stages call Progress from several
+	// workers at once, so the count must be atomic.
+	var called atomic.Int64
 	cfg := C1()
-	cfg.Run = &runopt.Hooks{Progress: func(Phase, int, int) { called++ }}
+	cfg.Run = &runopt.Hooks{Progress: func(Phase, int, int) { called.Add(1) }}
 	// WithDeadlineCheckEvery must not drop the caller's Progress...
 	if _, err := BuildContext(context.Background(), tb, cfg, WithDeadlineCheckEvery(4)); err != nil {
 		t.Fatal(err)
 	}
-	if called == 0 {
+	if called.Load() == 0 {
 		t.Fatal("WithDeadlineCheckEvery clobbered the caller's Progress hook")
 	}
 	// ...and must not mutate the caller's struct either.

@@ -12,26 +12,27 @@ import (
 // published signature: a refactor that changes any of them breaks this
 // package before it breaks a caller.
 var (
-	_ func(*hypermine.Model, hypermine.EngineOptions) (*hypermine.Engine, error)                                              = hypermine.NewEngine
-	_ func() hypermine.DominatorSpec                                                                                          = hypermine.DefaultDominatorSpec
-	_ func(*hypermine.Engine, context.Context, *hypermine.EngineRequest) (*hypermine.EngineResponse, error)                   = (*hypermine.Engine).Do
-	_ func(*hypermine.Engine, context.Context) (*hypermine.SimilarityGraph, error)                                            = (*hypermine.Engine).SimilarityGraph
-	_ func(*hypermine.Engine, context.Context, hypermine.DominatorSpec) (*hypermine.DominatorResult, error)                   = (*hypermine.Engine).Dominator
-	_ func(*hypermine.Engine, context.Context) (*hypermine.ABC, error)                                                        = (*hypermine.Engine).Classifier
-	_ func(*hypermine.Engine, context.Context, hypermine.DominatorSpec) (*hypermine.ABC, error)                               = (*hypermine.Engine).ClassifierFor
-	_ func(*hypermine.Engine, context.Context) ([]int, error)                                                                 = (*hypermine.Engine).Targets
-	_ func(*hypermine.Engine, context.Context, int, hypermine.MineOptions) ([]hypermine.ScoredRule, error)                    = (*hypermine.Engine).Rules
-	_ func(*hypermine.Engine, context.Context, []hypermine.Value, int) (hypermine.Value, float64, error)                      = (*hypermine.Engine).Predict
-	_ func(*hypermine.Engine, context.Context, []hypermine.Value, int, []hypermine.Value, []float64) error                    = (*hypermine.Engine).PredictBatch
-	_ func(*hypermine.Engine, context.Context, hypermine.EngineWarmup) error                                                  = (*hypermine.Engine).Warmup
-	_ func(*hypermine.Engine) hypermine.EngineStats                                                                           = (*hypermine.Engine).Stats
-	_ func(*hypermine.Engine) int64                                                                                           = (*hypermine.Engine).ResidentCost
-	_ func(*hypermine.Engine) *hypermine.Model                                                                                = (*hypermine.Engine).Model
-	_ func(*hypermine.ServedModel) *hypermine.Engine                                                                          = (*hypermine.ServedModel).Engine
-	_ hypermine.EngineWarmup                                                                                                  = hypermine.EngineWarmupAll
-	_ = hypermine.EngineWarmupNone | hypermine.EngineWarmupIndex | hypermine.EngineWarmupSimilarity |
-		hypermine.EngineWarmupDominator | hypermine.EngineWarmupClassifier
+	_ func(*hypermine.Model, hypermine.EngineOptions) (*hypermine.Engine, error)                            = hypermine.NewEngine
+	_ func() hypermine.DominatorSpec                                                                        = hypermine.DefaultDominatorSpec
+	_ func(*hypermine.Engine, context.Context, *hypermine.EngineRequest) (*hypermine.EngineResponse, error) = (*hypermine.Engine).Do
+	_ func(*hypermine.Engine, context.Context) (*hypermine.SimilarityGraph, error)                          = (*hypermine.Engine).SimilarityGraph
+	_ func(*hypermine.Engine, context.Context, hypermine.DominatorSpec) (*hypermine.DominatorResult, error) = (*hypermine.Engine).Dominator
+	_ func(*hypermine.Engine, context.Context) (*hypermine.ABC, error)                                      = (*hypermine.Engine).Classifier
+	_ func(*hypermine.Engine, context.Context, hypermine.DominatorSpec) (*hypermine.ABC, error)             = (*hypermine.Engine).ClassifierFor
+	_ func(*hypermine.Engine, context.Context) ([]int, error)                                               = (*hypermine.Engine).Targets
+	_ func(*hypermine.Engine, context.Context, int, hypermine.MineOptions) ([]hypermine.ScoredRule, error)  = (*hypermine.Engine).Rules
+	_ func(*hypermine.Engine, context.Context, []hypermine.Value, int) (hypermine.Value, float64, error)    = (*hypermine.Engine).Predict
+	_ func(*hypermine.Engine, context.Context, []hypermine.Value, int, []hypermine.Value, []float64) error  = (*hypermine.Engine).PredictBatch
+	_ func(*hypermine.Engine, context.Context, hypermine.EngineWarmup) error                                = (*hypermine.Engine).Warmup
+	_ func(*hypermine.Engine) hypermine.EngineStats                                                         = (*hypermine.Engine).Stats
+	_ func(*hypermine.Engine) int64                                                                         = (*hypermine.Engine).ResidentCost
+	_ func(*hypermine.Engine) *hypermine.Model                                                              = (*hypermine.Engine).Model
+	_ func(*hypermine.ServedModel) *hypermine.Engine                                                        = (*hypermine.ServedModel).Engine
+	_ hypermine.EngineWarmup                                                                                = hypermine.EngineWarmupAll
 )
+
+var _ = hypermine.EngineWarmupNone | hypermine.EngineWarmupIndex | hypermine.EngineWarmupSimilarity |
+	hypermine.EngineWarmupDominator | hypermine.EngineWarmupClassifier
 
 // The request/response variants must stay plain comparable-field data
 // (name-based, JSON-stable); DominatorSpec must stay usable as a map

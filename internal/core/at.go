@@ -113,26 +113,36 @@ const MaxTail = 3
 // (tail, {head}). Tail must have between one and MaxTail distinct
 // attributes, all distinct from head.
 func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationTable, error) {
+	at := &AssociationTable{}
+	if err := at.fill(tb, tail, head); err != nil {
+		return nil, err
+	}
+	return at, nil
+}
+
+// fill makes at the association table of (tail, {head}), reusing the
+// slices at already holds where they are large enough.
+func (at *AssociationTable) fill(tb *table.Table, tail []int, head int) error {
 	if len(tail) < 1 || len(tail) > MaxTail {
-		return nil, fmt.Errorf("core: tail size %d outside 1..%d", len(tail), MaxTail)
+		return fmt.Errorf("core: tail size %d outside 1..%d", len(tail), MaxTail)
 	}
 	for _, a := range tail {
 		if a < 0 || a >= tb.NumAttrs() {
-			return nil, fmt.Errorf("core: tail attribute %d out of range", a)
+			return fmt.Errorf("core: tail attribute %d out of range", a)
 		}
 		if a == head {
-			return nil, fmt.Errorf("core: attribute %d in both tail and head", a)
+			return fmt.Errorf("core: attribute %d in both tail and head", a)
 		}
 	}
 	if head < 0 || head >= tb.NumAttrs() {
-		return nil, fmt.Errorf("core: head attribute %d out of range", head)
+		return fmt.Errorf("core: head attribute %d out of range", head)
 	}
 	k := tb.K()
-	st := append([]int(nil), tail...)
+	st := append(at.Tail[:0], tail...)
 	sort.Ints(st)
 	for i := 1; i < len(st); i++ {
 		if st[i] == st[i-1] {
-			return nil, fmt.Errorf("core: duplicate tail attribute %d", st[i])
+			return fmt.Errorf("core: duplicate tail attribute %d", st[i])
 		}
 	}
 	m := tb.NumRows()
@@ -140,14 +150,9 @@ func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationT
 	for range st {
 		rows *= k
 	}
-	at := &AssociationTable{
-		Tail:       st,
-		Head:       head,
-		K:          k,
-		M:          m,
-		Counts:     make([]int32, rows),
-		HeadCounts: make([]int32, rows*k),
-	}
+	at.Tail, at.Head, at.K, at.M = st, head, k, m
+	at.Counts = zeroed(at.Counts, rows)
+	at.HeadCounts = zeroed(at.HeadCounts, rows*k)
 	hc := tb.Column(head)
 	switch len(st) {
 	case 1:
@@ -172,7 +177,18 @@ func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationT
 			at.HeadCounts[row*k+int(hc[i]-1)]++
 		}
 	}
-	return at, nil
+	return nil
+}
+
+// zeroed returns s resized to n zeroed entries, reallocating only when
+// its capacity is short.
+func zeroed(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NullACV returns ACV(empty-set, {head}) = Maj(head)/M, the baseline of

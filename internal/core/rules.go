@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
@@ -42,6 +43,8 @@ type MineOptions struct {
 // model pointing at the head attribute: one rule per nonempty
 // association-table row, with the row's most frequent head value as
 // the consequent. Rules are returned ranked by Support*Confidence.
+// The returned rules share backing slabs for their Items: treat them
+// as read-only.
 //
 // MineRules is the v1 form of MineRulesContext with a background
 // context; the two are bit-identical when never canceled.
@@ -64,64 +67,99 @@ func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions) 
 	prog := runopt.NewMeter(runopt.PhaseRules, len(m.H.In(head)), opt.Run.Func())
 	baseCounts := m.Table.ValueCounts(head)
 	n := m.Table.NumRows()
-	var out []ScoredRule
+	// Rank compact candidates first and build Items only for the rules
+	// that survive the MaxRules cap.
+	var cands []ruleCand
+	var at AssociationTable // one table's counts, refilled per edge
 	for _, ei := range m.H.In(head) {
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
 		e := m.H.Edge(int(ei))
-		at, err := BuildAssociationTable(m.Table, e.Tail, head)
-		if err != nil {
+		if err := at.fill(m.Table, e.Tail, head); err != nil {
 			return nil, err
 		}
-		vals := make([]table.Value, len(at.Tail))
-		var walk func(depth, row int)
-		walk = func(depth, row int) {
-			if depth == len(at.Tail) {
-				supp := at.Support(row)
-				if supp == 0 || supp < opt.MinSupport {
-					return
-				}
-				conf := at.Confidence(row)
-				if conf < opt.MinConfidence {
-					return
-				}
-				best, _ := at.Best(row)
-				x := make([]Item, len(at.Tail))
-				for i, a := range at.Tail {
-					x[i] = Item{Attr: a, Val: vals[i]}
-				}
-				r := ScoredRule{
-					Rule:       Rule{X: x, Y: []Item{{Attr: head, Val: best}}},
-					Support:    supp,
-					Confidence: conf,
-				}
-				if base := float64(baseCounts[best-1]) / float64(n); base > 0 {
-					r.Lift = conf / base
-				}
-				out = append(out, r)
-				return
-			}
-			for v := 1; v <= at.K; v++ {
-				vals[depth] = table.Value(v)
-				walk(depth+1, row*at.K+(v-1))
-			}
-		}
-		walk(0, 0)
+		cands = appendRuleCands(cands, &at, e.Tail, opt, baseCounts, n)
 		prog.Tick(1)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		si := out[i].Support * out[i].Confidence
-		sj := out[j].Support * out[j].Confidence
-		if si != sj {
-			return si > sj
+	slices.SortStableFunc(cands, func(a, b ruleCand) int {
+		if sa, sb := a.supp*a.conf, b.supp*b.conf; sa != sb {
+			return cmp.Compare(sb, sa)
 		}
-		return out[i].Confidence > out[j].Confidence
+		return cmp.Compare(b.conf, a.conf)
 	})
-	if opt.MaxRules > 0 && len(out) > opt.MaxRules {
-		out = out[:opt.MaxRules]
+	if opt.MaxRules > 0 && len(cands) > opt.MaxRules {
+		cands = cands[:opt.MaxRules]
 	}
-	return out, nil
+	return materializeRules(cands, head, m.Table.K()), nil
+}
+
+// ruleCand is a mined rule before materialization: the edge's
+// canonical tail, the association-table row that encodes the tail
+// values, and the row's consequent and quality measures.
+type ruleCand struct {
+	tail             []int
+	row              int
+	best             table.Value
+	supp, conf, lift float64
+}
+
+// appendRuleCands appends a candidate for every row of at that passes
+// the opt thresholds. tail is the edge's canonical tail (the same ids
+// as at.Tail, which is refilled for the next edge); baseCounts and n
+// give the head values' base rates for lift.
+func appendRuleCands(cands []ruleCand, at *AssociationTable, tail []int, opt MineOptions, baseCounts []int, n int) []ruleCand {
+	for row := range at.NumRows() {
+		supp := at.Support(row)
+		if supp == 0 || supp < opt.MinSupport {
+			continue
+		}
+		conf := at.Confidence(row)
+		if conf < opt.MinConfidence {
+			continue
+		}
+		best, _ := at.Best(row)
+		c := ruleCand{tail: tail, row: row, best: best, supp: supp, conf: conf}
+		if base := float64(baseCounts[best-1]) / float64(n); base > 0 {
+			c.lift = conf / base
+		}
+		cands = append(cands, c)
+	}
+	return cands
+}
+
+// materializeRules builds the ScoredRules of cands. All antecedent
+// Items share one slab and all consequents another, so the result
+// costs three allocations however many rules it holds.
+func materializeRules(cands []ruleCand, head, k int) []ScoredRule {
+	if len(cands) == 0 {
+		return nil
+	}
+	nx := 0
+	for _, c := range cands {
+		nx += len(c.tail)
+	}
+	xs, ys := make([]Item, nx), make([]Item, len(cands))
+	out := make([]ScoredRule, len(cands))
+	for i, c := range cands {
+		x := xs[:len(c.tail):len(c.tail)]
+		xs = xs[len(c.tail):]
+		// Row indexes are the tail values in base K, last attribute
+		// least significant (see AssociationTable).
+		row := c.row
+		for j := len(c.tail) - 1; j >= 0; j-- {
+			x[j] = Item{Attr: c.tail[j], Val: table.Value(row%k + 1)}
+			row /= k
+		}
+		ys[i] = Item{Attr: head, Val: c.best}
+		out[i] = ScoredRule{
+			Rule:       Rule{X: x, Y: ys[i : i+1 : i+1]},
+			Support:    c.supp,
+			Confidence: c.conf,
+			Lift:       c.lift,
+		}
+	}
+	return out
 }
 
 // FormatRule renders a rule with the table's attribute names, e.g.

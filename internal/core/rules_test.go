@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"hypermine/internal/table"
 )
 
 func TestMineRulesInterestDB(t *testing.T) {
@@ -131,5 +136,147 @@ func TestReadModelJSONRejectsCorrupt(t *testing.T) {
 	badEdge := `{"config":{},"k":2,"attrs":["A","B"],"rows":[[1,1]],"edges":[{"tail":[0],"head":[0],"weight":1}],"edgeACV":[0,0,0,0]}`
 	if _, err := ReadModelJSON(strings.NewReader(badEdge)); err == nil {
 		t.Error("want error for overlapping edge")
+	}
+}
+
+// mineRulesOracle is the reference rule miner MineRules must match: a
+// recursive walk over every tail-value combination of each hyperedge's
+// association table, one fully materialized ScoredRule per surviving
+// row, a stable sort by Support*Confidence (ties by Confidence), and
+// truncation to MaxRules last.
+func mineRulesOracle(t *testing.T, m *Model, head int, opt MineOptions) []ScoredRule {
+	t.Helper()
+	baseCounts := m.Table.ValueCounts(head)
+	n := m.Table.NumRows()
+	var out []ScoredRule
+	for _, ei := range m.H.In(head) {
+		at, err := BuildAssociationTable(m.Table, m.H.Edge(int(ei)).Tail, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]table.Value, len(at.Tail))
+		var walk func(depth, row int)
+		walk = func(depth, row int) {
+			if depth == len(at.Tail) {
+				supp := at.Support(row)
+				if supp == 0 || supp < opt.MinSupport {
+					return
+				}
+				conf := at.Confidence(row)
+				if conf < opt.MinConfidence {
+					return
+				}
+				best, _ := at.Best(row)
+				x := make([]Item, len(at.Tail))
+				for i, a := range at.Tail {
+					x[i] = Item{Attr: a, Val: vals[i]}
+				}
+				r := ScoredRule{
+					Rule:       Rule{X: x, Y: []Item{{Attr: head, Val: best}}},
+					Support:    supp,
+					Confidence: conf,
+				}
+				if base := float64(baseCounts[best-1]) / float64(n); base > 0 {
+					r.Lift = conf / base
+				}
+				out = append(out, r)
+				return
+			}
+			for v := 1; v <= at.K; v++ {
+				vals[depth] = table.Value(v)
+				walk(depth+1, row*at.K+(v-1))
+			}
+		}
+		walk(0, 0)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		si := out[i].Support * out[i].Confidence
+		sj := out[j].Support * out[j].Confidence
+		if si != sj {
+			return si > sj
+		}
+		return out[i].Confidence > out[j].Confidence
+	})
+	if opt.MaxRules > 0 && len(out) > opt.MaxRules {
+		out = out[:opt.MaxRules]
+	}
+	return out
+}
+
+// TestMineRulesMatchesOracle: on seeded random models with tails of
+// one to three attributes, MineRules equals the reference miner for
+// every head, cap and threshold, and its result holds no spare
+// capacity (a capped answer cached by the engine must not pin the
+// dropped candidates).
+func TestMineRulesMatchesOracle(t *testing.T) {
+	cfgs := []Config{
+		{GammaEdge: 1.0, GammaPair: 1.0, MaxTailSize: 2},
+		{GammaEdge: 1.0, GammaPair: 1.0, GammaTriple: 1.0, MaxTailSize: 3},
+	}
+	opts := []MineOptions{{}, {MinSupport: 0.05, MinConfidence: 0.4}, {MinSupport: 0.2, MinConfidence: 0.6}}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := randTable(t, rng, 5+int(seed), 2+int(seed%3), 150+40*int(seed))
+		m, err := Build(tb, cfgs[seed%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for head := 0; head < tb.NumAttrs(); head++ {
+			for _, opt := range opts {
+				for _, maxRules := range []int{0, 1, 10, 1_000_000} {
+					opt.MaxRules = maxRules
+					got, err := MineRules(m, head, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := mineRulesOracle(t, m, head, opt); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d head %d %+v: MineRules differs from the oracle\ngot  %d rules %+v\nwant %d rules %+v",
+							seed, head, opt, len(got), got, len(want), want)
+					}
+					if cap(got) != len(got) {
+						t.Fatalf("seed %d head %d %+v: cap %d != len %d", seed, head, opt, cap(got), len(got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMineRulesAllocsIndependentOfDropped: MineRules materializes only
+// the rules it returns, so keeping one rule costs as many allocations
+// as keeping all of them, and far fewer than the candidates dropped.
+func TestMineRulesAllocsIndependentOfDropped(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m, err := Build(randTable(t, rng, 8, 3, 400), Config{GammaEdge: 1.0, GammaPair: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := 0
+	for v := range m.Table.NumAttrs() {
+		if len(m.H.In(v)) > len(m.H.In(head)) {
+			head = v
+		}
+	}
+	all, err := MineRules(m, head, MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) < 200 {
+		t.Fatalf("fixture mines only %d candidates; the guard needs many", len(all))
+	}
+	allocs := func(maxRules int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := MineRules(m, head, MineOptions{MaxRules: maxRules}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	top1, keepAll := allocs(1), allocs(0)
+	t.Logf("%d candidates: top-1 %v allocations, all %v", len(all), top1, keepAll)
+	if top1 != keepAll {
+		t.Errorf("top-1 costs %v allocations, keeping all %d rules %v: allocations track the rules kept", top1, len(all), keepAll)
+	}
+	if dropped := len(all) - 1; top1 > float64(dropped)/8 {
+		t.Errorf("top-1 costs %v allocations for %d dropped candidates", top1, dropped)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sort"
 
 	"hypermine/internal/hypergraph"
 	"hypermine/internal/table"
@@ -339,19 +340,31 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tail, head []int
+	// Every tail and head lands in one slab, sized exactly by a
+	// counting pre-pass (each id takes at least one byte, so the size
+	// is capped by the section). The graph keeps capped sub-slices of
+	// it, and delta generations go on sharing them, so an oversized
+	// slab would stay live for as long as the model line does. The
+	// same pass counts vertex degrees, so the graph's incidence lists
+	// are sized once too.
+	ids, outDeg, inDeg := sec.scanEdges(numEdges, nAttrs)
+	h.Reserve(min(numEdges, sec.remaining()/minEdgeBytes), outDeg, inDeg)
+	slab := make([]int, 0, min(ids, sec.remaining()))
 	for i := 0; i < numEdges; i++ {
-		if tail, err = sec.readIDs(tail, "tail"); err != nil {
+		a := len(slab)
+		if slab, err = sec.appendIDs(slab, "tail"); err != nil {
 			return nil, fmt.Errorf("core: snapshot edge %d: %w", i, err)
 		}
-		if head, err = sec.readIDs(head, "head"); err != nil {
+		b := len(slab)
+		if slab, err = sec.appendIDs(slab, "head"); err != nil {
 			return nil, fmt.Errorf("core: snapshot edge %d: %w", i, err)
 		}
 		w, err := sec.float64()
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot edge %d: %w", i, err)
 		}
-		if err := h.AddEdge(tail, head, w); err != nil {
+		tail, head := slab[a:b:b], slab[b:len(slab):len(slab)]
+		if err := addDecodedEdge(h, tail, head, w); err != nil {
 			return nil, fmt.Errorf("core: snapshot edge %d: %w", i, err)
 		}
 	}
@@ -406,13 +419,48 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	return &Model{Table: tb, Config: cfg, H: h, EdgeACV: acv, RowsOmitted: !hasRows}, nil
 }
 
-// readIDs decodes a count-prefixed vertex id list into buf.
-func (r *snapReader) readIDs(buf []int, what string) ([]int, error) {
+// minEdgeBytes is the smallest encoding of one edge: a tail count and
+// one id, a head count and one id, and the 8-byte weight.
+const minEdgeBytes = 12
+
+// scanEdges returns how many vertex ids the next numEdges edges hold,
+// and for each of the nv vertices how many tails and heads list it,
+// without consuming the edges. It stops at the first framing error and
+// leaves reporting it to the decoding pass; out-of-range ids are left
+// for validation to reject.
+func (r snapReader) scanEdges(numEdges, nv int) (ids int, outDeg, inDeg []int) {
+	deg := make([]int, 2*nv)
+	outDeg, inDeg = deg[:nv], deg[nv:]
+	for i := 0; i < numEdges; i++ {
+		for _, d := range [2][]int{outDeg, inDeg} {
+			n, err := r.count("id")
+			if err != nil {
+				return ids, outDeg, inDeg
+			}
+			for range n {
+				v, err := r.uvarint()
+				if err != nil {
+					return ids, outDeg, inDeg
+				}
+				if v < uint64(nv) {
+					d[v]++
+				}
+			}
+			ids += n
+		}
+		if _, err := r.float64(); err != nil {
+			return ids, outDeg, inDeg
+		}
+	}
+	return ids, outDeg, inDeg
+}
+
+// appendIDs decodes a count-prefixed vertex id list onto buf.
+func (r *snapReader) appendIDs(buf []int, what string) ([]int, error) {
 	n, err := r.count(what)
 	if err != nil {
 		return nil, err
 	}
-	buf = buf[:0]
 	for i := 0; i < n; i++ {
 		v, err := r.uvarint()
 		if err != nil {
@@ -421,4 +469,16 @@ func (r *snapReader) readIDs(buf []int, what string) ([]int, error) {
 		buf = append(buf, int(v))
 	}
 	return buf, nil
+}
+
+// addDecodedEdge stores a decoded edge without copying its id slices.
+// WriteSnapshot emits canonical (sorted) sets, so every edge it wrote
+// takes that path. An unsorted set goes through AddEdge, which
+// validates it in file order and stores sorted copies, so such input
+// is accepted or rejected exactly as before, with the same error text.
+func addDecodedEdge(h *hypergraph.H, tail, head []int, w float64) error {
+	if !sort.IntsAreSorted(tail) || !sort.IntsAreSorted(head) {
+		return h.AddEdge(tail, head, w)
+	}
+	return h.AddEdgeShared(tail, head, w)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"strings"
@@ -255,4 +256,75 @@ func TestReadSnapshotRejectsCorruptInputs(t *testing.T) {
 			t.Fatalf("error = %v, want version complaint", err)
 		}
 	})
+}
+
+// TestReadSnapshotSortsUnsortedSets: the decoder stores WriteSnapshot's
+// sorted sets without copying them, and still accepts a snapshot whose
+// tail lists a set out of order, storing it canonically.
+func TestReadSnapshotSortsUnsortedSets(t *testing.T) {
+	m, err := Build(interestDB(t), Config{GammaEdge: 1.0, GammaPair: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, m, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	body := raw[:len(raw)-4]
+
+	// Walk to the edges section and swap the ids of the first
+	// two-attribute tail (ids this small are one-byte uvarints).
+	sr := &snapReader{b: body, off: 4}
+	for range 2 { // version, flags
+		if _, err := sr.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, what := range []string{"schema", "config"} {
+		if _, err := sr.section(what); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sec, err := sr.section("edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	numEdges, err := sec.count("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := -1
+	for i := 0; i < numEdges && swapped < 0; i++ {
+		if len(m.H.Edge(i).Tail) == 2 {
+			if _, err := sec.uvarint(); err != nil {
+				t.Fatal(err)
+			}
+			sec.b[sec.off], sec.b[sec.off+1] = sec.b[sec.off+1], sec.b[sec.off]
+			swapped = i
+			break
+		}
+		if _, err := sec.appendIDs(nil, "tail"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sec.appendIDs(nil, "head"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sec.float64(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if swapped < 0 {
+		t.Fatal("fixture has no two-attribute tail")
+	}
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
+
+	back, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("unsorted tail of edge %d rejected: %v", swapped, err)
+	}
+	modelsEquivalent(t, m, back)
+	if err := back.H.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -46,7 +46,7 @@ func geneDB(t *testing.T) *table.Table {
 	return tb
 }
 
-func interestDB(t *testing.T) *table.Table {
+func interestDB(t testing.TB) *table.Table {
 	t.Helper()
 	tb, err := table.FromRows([]string{"R", "P", "M", "E"}, 3, [][]table.Value{
 		{3, 3, 1, 2},

@@ -142,13 +142,15 @@ func validateTargets(h *hypergraph.H, s []int) error {
 	return nil
 }
 
-// headGain counts targets in S - Covered that become covered through
-// hyperedges once dom (with candidate additions) is the dominator.
-func headGainFor(h *hypergraph.H, inS, covered, inDom []bool, added []int) (int, []int) {
+// headGain appends to gained (from length zero) the targets in
+// S - Covered that become covered through hyperedges once dom (with
+// the candidate additions) is the dominator, and returns it. Callers
+// pass the previous result back in as scratch.
+func headGain(h *hypergraph.H, inS, covered, inDom []bool, added, gained []int) []int {
 	for _, v := range added {
 		inDom[v] = true
 	}
-	var gained []int
+	gained = gained[:0]
 	for _, v := range added {
 		for _, ei := range h.Out(v) {
 			e := h.Edge(int(ei))
@@ -176,7 +178,7 @@ func headGainFor(h *hypergraph.H, inS, covered, inDom []bool, added []int) (int,
 	for _, v := range gained {
 		covered[v] = false
 	}
-	return len(gained), gained
+	return gained
 }
 
 // DominatorGreedyDS is Algorithm 5: the adaptation of the greedy graph
@@ -295,6 +297,7 @@ func dominatorGreedyDS(ctx context.Context, h *hypergraph.H, s []int, opt Option
 			}
 		}
 	}
+	var gained []int // headGain scratch
 	for remaining > 0 {
 		bestU, bestAlpha := -1, -1.0
 		for u := 0; u < n; u++ {
@@ -315,7 +318,8 @@ func dominatorGreedyDS(ctx context.Context, h *hypergraph.H, s []int, opt Option
 		if bestU < 0 {
 			break
 		}
-		gain, gained := headGainFor(h, inS, covered, inDom, []int{bestU})
+		gained = headGain(h, inS, covered, inDom, []int{bestU}, gained)
+		gain := len(gained)
 		selfGain := 0
 		if inS[bestU] && !covered[bestU] {
 			selfGain = 1
@@ -339,7 +343,8 @@ func dominatorGreedyDS(ctx context.Context, h *hypergraph.H, s []int, opt Option
 			if bestU < 0 {
 				break
 			}
-			gain, gained = headGainFor(h, inS, covered, inDom, []int{bestU})
+			gained = headGain(h, inS, covered, inDom, []int{bestU}, gained)
+			gain = len(gained)
 		}
 		inDom[bestU] = true
 		res.DomSet = append(res.DomSet, bestU)
@@ -423,7 +428,7 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 		}
 		if key, ok := hypergraph.PackTailKey(e.Tail); ok {
 			if _, dup := pool[key]; !dup {
-				pool[key] = tailCandidate{members: append([]int(nil), e.Tail...)}
+				pool[key] = tailCandidate{members: e.Tail}
 			}
 			continue
 		}
@@ -432,7 +437,7 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 		}
 		key := hypergraph.EdgeKey(e.Tail, e.Tail[:1])
 		if _, dup := poolS[key]; !dup {
-			poolS[key] = tailCandidate{members: append([]int(nil), e.Tail...)}
+			poolS[key] = tailCandidate{members: e.Tail}
 		}
 	}
 	cands := make([]tailCandidate, 0, len(pool)+len(poolS))
@@ -445,6 +450,7 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 	sort.Slice(cands, func(i, j int) bool { return lessIntSlice(cands[i].members, cands[j].members) })
 
 	remaining := len(s)
+	var added, gained []int // diffMembers / headGain scratch
 	for remaining > 0 && len(cands) > 0 {
 		bestIdx, bestAlpha := -1, 0
 		bestNew := 0 // |t* - DomSet| of the current best (Enhancement 1)
@@ -467,7 +473,9 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 					alpha++
 				}
 			}
-			hg, _ := headGainFor(h, inS, covered, inDom, diffMembers(c.members, inDom))
+			added = diffMembers(c.members, inDom, added)
+			gained = headGain(h, inS, covered, inDom, added, gained)
+			hg := len(gained)
 			alpha += hg
 			if alpha == 0 {
 				continue // Line 18: discard ineffective sets
@@ -491,8 +499,9 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 			break
 		}
 		chosen := cands[bestIdx]
-		added := diffMembers(chosen.members, inDom)
-		hg, gained := headGainFor(h, inS, covered, inDom, added)
+		added = diffMembers(chosen.members, inDom, added)
+		gained = headGain(h, inS, covered, inDom, added, gained)
+		hg := len(gained)
 		if !opt.Complete && hg == 0 {
 			// The alpha-best candidate only self-covers. Fall back to
 			// the best hyperedge-covering candidate if one exists;
@@ -502,8 +511,9 @@ func DominatorSetCoverContext(ctx context.Context, h *hypergraph.H, s []int, opt
 				break
 			}
 			chosen = cands[bestHGIdx]
-			added = diffMembers(chosen.members, inDom)
-			hg, gained = headGainFor(h, inS, covered, inDom, added)
+			added = diffMembers(chosen.members, inDom, added)
+			gained = headGain(h, inS, covered, inDom, added, gained)
+			hg = len(gained)
 			if hg == 0 {
 				break
 			}
@@ -562,14 +572,16 @@ func subsetOf(members []int, in []bool) bool {
 	return true
 }
 
-func diffMembers(members []int, inDom []bool) []int {
-	var out []int
+// diffMembers appends to dst (from length zero) the members outside
+// the dominator and returns it.
+func diffMembers(members []int, inDom []bool, dst []int) []int {
+	dst = dst[:0]
 	for _, v := range members {
 		if !inDom[v] {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
 func lessIntSlice(a, b []int) bool {

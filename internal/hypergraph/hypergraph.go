@@ -18,8 +18,10 @@ import (
 )
 
 // Edge is a directed hyperedge (T, H) with a weight. Tail and Head are
-// sorted slices of vertex ids and are canonical: they never alias
-// caller memory once the edge is stored.
+// sorted slices of vertex ids and are canonical. AddEdge stores private
+// copies; AddEdgeShared stores slices the graph shares with their owner
+// (a donor graph, or the snapshot decoder's id slab). Either way they
+// are read-only once the edge is stored.
 type Edge struct {
 	Tail   []int
 	Head   []int
@@ -170,6 +172,33 @@ func validSets(nv int, tail, head []int) error {
 	return nil
 }
 
+// Reserve sizes an empty graph for n edges, so a caller that knows
+// its edges up front grows nothing while adding them: the edge list
+// and the packed key index hold n, and vertex v's incidence lists,
+// carved from one slab, hold outDeg[v] and inDeg[v] edges (the number
+// of tails and heads that will list v). It is a hint: it does nothing
+// once the graph has edges, degree slices of the wrong length leave
+// the incidence lists to grow, and adding more edges still works.
+func (h *H) Reserve(n int, outDeg, inDeg []int) {
+	if len(h.edges) > 0 {
+		return
+	}
+	h.edges = make([]Edge, 0, n)
+	h.pkeys = make(map[uint64]int32, n)
+	if len(outDeg) != len(h.names) || len(inDeg) != len(h.names) {
+		return
+	}
+	total := 0
+	for v := range h.names {
+		total += outDeg[v] + inDeg[v]
+	}
+	slab := make([]int32, total)
+	for v := range h.names {
+		h.out[v], slab = slab[:0:outDeg[v]], slab[outDeg[v]:]
+		h.in[v], slab = slab[:0:inDeg[v]], slab[inDeg[v]:]
+	}
+}
+
 // AddEdge inserts the directed hyperedge (tail, head) with the given
 // weight. It enforces Definition 2.9 (nonempty, disjoint sets) and
 // rejects duplicate (tail, head) pairs.
@@ -200,14 +229,17 @@ func (h *H) AddEdge(tail, head []int, weight float64) error {
 	return nil
 }
 
-// AddEdgeShared is AddEdge for canonical slices owned by another H:
-// tail and head must already be sorted ascending, and they are stored
-// without copying. The incremental re-miner in internal/delta uses it
-// to structurally share the vertex-id slices of edges that persist
-// across a delta update, so a republished model costs only the edges
-// that actually changed. The caller must never mutate the slices after
-// the call (the donor H's invariants also forbid it, so sharing edges
-// between immutable models is safe).
+// AddEdgeShared is AddEdge for canonical slices the caller hands over
+// without a copy: tail and head must already be sorted ascending, and
+// they are stored as given. Two owners use it. The incremental
+// re-miner in internal/delta shares the vertex-id slices of edges that
+// persist across a delta update with the previous model's H, so a
+// republished model costs only the edges that actually changed. The
+// snapshot decoder in internal/core stores capped sub-slices of one
+// id slab per snapshot, so a decode costs one allocation for all
+// edges instead of two per edge. The caller must never mutate the
+// slices after the call (the donor H's invariants also forbid it, so
+// sharing edges between immutable models is safe).
 func (h *H) AddEdgeShared(tail, head []int, weight float64) error {
 	if err := validSets(len(h.names), tail, head); err != nil {
 		return err

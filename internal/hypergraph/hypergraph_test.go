@@ -58,6 +58,29 @@ func TestAddEdgeInvariants(t *testing.T) {
 	}
 }
 
+// TestReserve: Reserve only sizes an empty graph; on a graph with
+// edges it must keep every index entry, and degree hints that run
+// short must not let one vertex's incidence list overwrite another's.
+func TestReserve(t *testing.T) {
+	h := newH(t, "A", "B", "C")
+	h.Reserve(2, []int{1, 0, 0}, []int{0, 1, 0})
+	if err := h.AddEdge([]int{0}, []int{1}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	h.Reserve(8, nil, nil)
+	for _, e := range []struct{ tail, head []int }{{[]int{0}, []int{2}}, {[]int{1, 0}, []int{2}}} {
+		if err := h.AddEdge(e.tail, e.head, 0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if i, ok := h.Lookup([]int{0}, []int{1}); !ok || i != 0 {
+		t.Fatalf("Lookup after Reserve = %d, %v", i, ok)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEdgeKeyCanonical(t *testing.T) {
 	if EdgeKey([]int{2, 1}, []int{3}) != EdgeKey([]int{1, 2}, []int{3}) {
 		t.Error("tail order should not matter")

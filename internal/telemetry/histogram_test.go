@@ -11,12 +11,12 @@ import (
 
 func TestHistogramObserveBuckets(t *testing.T) {
 	h := &Histogram{}
-	h.Observe(50 * time.Nanosecond)       // bucket 0 (<=100ns)
-	h.Observe(100 * time.Nanosecond)      // bucket 0 (inclusive bound)
-	h.Observe(101 * time.Nanosecond)      // bucket 1
-	h.Observe(time.Millisecond)           // mid ladder
-	h.Observe(time.Minute)                // +Inf overflow
-	h.Observe(-5 * time.Nanosecond)       // clamps to 0, bucket 0
+	h.Observe(50 * time.Nanosecond)  // bucket 0 (<=100ns)
+	h.Observe(100 * time.Nanosecond) // bucket 0 (inclusive bound)
+	h.Observe(101 * time.Nanosecond) // bucket 1
+	h.Observe(time.Millisecond)      // mid ladder
+	h.Observe(time.Minute)           // +Inf overflow
+	h.Observe(-5 * time.Nanosecond)  // clamps to 0, bucket 0
 	snap := h.Snapshot()
 	if snap.Count != 6 {
 		t.Fatalf("count = %d, want 6", snap.Count)

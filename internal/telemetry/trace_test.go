@@ -35,14 +35,14 @@ func TestTraceparentRoundTrip(t *testing.T) {
 func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",        // too short
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",    // too long
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // version ff
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",     // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",     // zero span id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",     // uppercase hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // wrong separator
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // bad version hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // too short
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // too long
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // version ff
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
+		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // wrong separator
+		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad version hex
 	}
 	for _, h := range bad {
 		if _, ok := ParseTraceparent(h); ok {
