@@ -1,8 +1,9 @@
 package hypermine
 
 // One benchmark per table and figure of the paper's evaluation
-// chapter (see DESIGN.md §4 for the experiment index), plus ablation
-// benchmarks for the design choices called out in DESIGN.md §5.
+// chapter (cmd/experiments lists the experiment index), plus ablation
+// benchmarks for the builder and dominator variants that
+// experiments.RunAblations compares.
 //
 // The benchmarks run the same experiment code as cmd/experiments, at
 // the reduced QuickParams size so `go test -bench=.` completes in
@@ -179,7 +180,7 @@ func BenchmarkAprioriBaselineMine(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) ---
+// --- Ablation benchmarks (experiments.RunAblations) ---
 
 func benchBuild(b *testing.B, cfg core.Config) {
 	e := benchEnvironment(b)

@@ -1,13 +1,13 @@
 // Command loadgen replays deterministic query mixes against a
 // hypermined server and writes the results as machine-readable JSON
-// for the repo's BENCH_* perf trajectory.
+// (to stdout unless -out names a file).
 //
 // Two modes:
 //
 //   - Self-hosted (default): builds the shared benchfix serving model,
-//     measures binary-snapshot vs JSON model load, boots an in-process
-//     hypermined server on loopback, and replays the mix against it —
-//     hot-reloading the model mid-run to prove serving continuity.
+//     boots an in-process hypermined server on loopback, and replays
+//     the mix against it — hot-reloading the model mid-run to prove
+//     serving continuity.
 //   - Remote (-addr): replays the mix against an already running
 //     hypermined (used by the CI serving smoke).
 //
@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/loadgen [-addr URL -model NAME] [-n 2000] [-quick] [-out BENCH_3.json] [-cancel-every N]
+//	go run ./cmd/loadgen [-addr URL -model NAME] [-n 2000] [-quick] [-out FILE.json] [-cancel-every N]
 //
 // With -cancel-every N, every Nth request is replaced by a heavy rules
 // query issued under a short client-side deadline — a client that goes
@@ -80,7 +80,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"hypermine/internal/admit"
@@ -91,14 +90,6 @@ import (
 	"hypermine/internal/server"
 	"hypermine/internal/telemetry"
 )
-
-type loadReport struct {
-	ReadJSONNs     float64 `json:"read_json_ns"`
-	ReadSnapshotNs float64 `json:"read_snapshot_ns"`
-	Speedup        float64 `json:"speedup"`
-	JSONBytes      int     `json:"json_bytes"`
-	SnapshotBytes  int     `json:"snapshot_bytes"`
-}
 
 type endpointReport struct {
 	Endpoint string  `json:"endpoint"`
@@ -128,7 +119,6 @@ type report struct {
 		Edges int `json:"edges"`
 		K     int `json:"k"`
 	} `json:"model"`
-	Load  *loadReport      `json:"load,omitempty"`
 	Serve []endpointReport `json:"serve"`
 	Total struct {
 		Requests int     `json:"requests"`
@@ -281,7 +271,7 @@ func main() {
 	reloads := flag.Int("reloads", 3, "hot reloads during the run (self-hosted mode)")
 	attrs := flag.Int("attrs", 30, "self-hosted model attributes")
 	rows := flag.Int("rows", 20000, "self-hosted model rows")
-	out := flag.String("out", "BENCH_3.json", "output JSON path ('-' for stdout only)")
+	out := flag.String("out", "-", "output JSON path ('-' for stdout only)")
 	quick := flag.Bool("quick", false, "shrink workloads for CI smoke runs")
 	cancelEvery := flag.Int("cancel-every", 0,
 		"replace every Nth request with a rules query under a short client-side deadline (0 = off)")
@@ -344,7 +334,7 @@ func main() {
 			})
 		}
 		var err error
-		baseURL, snapPath, err = selfHost(rep, *model, *attrs, *rows, ctl)
+		baseURL, snapPath, err = selfHost(*model, *attrs, *rows, ctl)
 		if err != nil {
 			fatal(err)
 		}
@@ -491,53 +481,24 @@ func sampleTrace(baseURL string) error {
 	return nil
 }
 
-// selfHost builds the benchfix model, measures both load paths, saves
-// a snapshot for mid-run reloads, and boots an in-process server —
-// with the given admission controller in front when ctl is non-nil.
-func selfHost(rep *report, name string, attrs, rows int, ctl *admit.Controller) (baseURL, snapPath string, err error) {
+// selfHost builds the benchfix model, saves a snapshot for mid-run
+// reloads, and boots an in-process server — with the given admission
+// controller in front when ctl is non-nil.
+func selfHost(name string, attrs, rows int, ctl *admit.Controller) (baseURL, snapPath string, err error) {
 	fmt.Printf("building %dx%d serving model...\n", rows, attrs)
 	m := benchfix.ModelWorkload(attrs, rows)
 
-	var jbuf, bbuf bytes.Buffer
-	if err := m.WriteJSON(&jbuf); err != nil {
+	var snap bytes.Buffer
+	if err := core.WriteSnapshot(&snap, m, core.SaveOptions{}); err != nil {
 		return "", "", err
 	}
-	if err := core.WriteSnapshot(&bbuf, m, core.SaveOptions{}); err != nil {
-		return "", "", err
-	}
-	jraw, braw := jbuf.Bytes(), bbuf.Bytes()
-
-	jr := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ReadModelJSON(bytes.NewReader(jraw)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	br := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ReadSnapshot(bytes.NewReader(braw)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ld := &loadReport{
-		ReadJSONNs:     float64(jr.T.Nanoseconds()) / float64(jr.N),
-		ReadSnapshotNs: float64(br.T.Nanoseconds()) / float64(br.N),
-		JSONBytes:      len(jraw),
-		SnapshotBytes:  len(braw),
-	}
-	ld.Speedup = ld.ReadJSONNs / ld.ReadSnapshotNs
-	rep.Load = ld
-	fmt.Printf("model load: json %.2fms (%d bytes), snapshot %.2fms (%d bytes) -> %.1fx\n",
-		ld.ReadJSONNs/1e6, ld.JSONBytes, ld.ReadSnapshotNs/1e6, ld.SnapshotBytes, ld.Speedup)
 
 	dir, err := os.MkdirTemp("", "loadgen")
 	if err != nil {
 		return "", "", err
 	}
 	snapPath = filepath.Join(dir, "model.snap")
-	if err := os.WriteFile(snapPath, braw, 0o644); err != nil {
+	if err := os.WriteFile(snapPath, snap.Bytes(), 0o644); err != nil {
 		return "", "", err
 	}
 

@@ -3,6 +3,8 @@ package admit
 import (
 	"context"
 	"testing"
+
+	"hypermine/internal/testutil"
 )
 
 func newBenchController() *Controller {
@@ -29,5 +31,26 @@ func BenchmarkTicket(b *testing.B) {
 			b.Fatalf("rejected: %v %v", rej, err)
 		}
 		tk.Done(OutcomeOK)
+	}
+}
+
+// TestTicketNoAlloc pins the admission round trip, with every
+// mechanism active, at zero heap allocations: the serving path admits
+// into a stack ticket on every query.
+func TestTicketNoAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	c := newBenchController()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		var tk Ticket
+		if admitted, rej, err := c.AdmitInto(ctx, &tk, "bench", "bench", Cheap); !admitted {
+			t.Fatalf("rejected: %v %v", rej, err)
+		}
+		tk.Done(OutcomeOK)
+	})
+	if allocs != 0 {
+		t.Fatalf("AdmitInto+Done allocates %v per op, want 0", allocs)
 	}
 }

@@ -1,7 +1,9 @@
 // Package benchfix holds the deterministic workload builders shared by
-// the package benchmarks and the cmd/bench runner, so the BENCH_*.json
-// perf trajectory and `go test -bench` always measure the exact same
-// workloads (no hand-mirrored fixtures to drift apart).
+// the package benchmarks, the fleet sim and its router overhead bar
+// (TestRouterOverheadBar), and cmd/loadgen, so they all measure the
+// exact same workloads (no hand-mirrored fixtures to drift apart).
+// End-to-end numbers come from perfbench; perf limits are enforced by
+// the Test…Bar tests beside the code they pin.
 package benchfix
 
 import (

@@ -14,7 +14,7 @@ import (
 )
 
 // CandidateStrategy selects which 2-to-1 tail pairs the builder
-// evaluates. This is an ablation knob (DESIGN.md §5).
+// evaluates. This is an ablation knob (experiments.RunAblations).
 type CandidateStrategy int
 
 const (

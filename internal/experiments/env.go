@@ -2,7 +2,8 @@
 // paper's evaluation chapter (Chapter 5) on the synthetic S&P-style
 // universe. Each experiment has a Run function returning a typed
 // report with a Render method; cmd/experiments and the repository's
-// benchmarks drive them. The per-experiment index lives in DESIGN.md.
+// benchmarks drive them. The per-experiment index is the runner list
+// in cmd/experiments.
 package experiments
 
 import (

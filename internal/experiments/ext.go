@@ -120,8 +120,8 @@ func (r *Ext3to1Report) Render(w io.Writer) error {
 	return nil
 }
 
-// AblationReport quantifies the design choices of DESIGN.md §5 on the
-// shared environment: model size and build time under each builder
+// AblationReport quantifies the builder and dominator design choices on
+// the shared environment: model size and build time under each builder
 // variant, and dominator size/time per algorithm variant.
 type AblationReport struct {
 	Builder   []AblationBuildRow
@@ -208,7 +208,7 @@ func RunAblations(e *Env) (*AblationReport, error) {
 
 // Render writes both ablation tables.
 func (r *AblationReport) Render(w io.Writer) error {
-	fmt.Fprintln(w, "== Ablations (DESIGN.md §5) ==")
+	fmt.Fprintln(w, "== Ablations ==")
 	fmt.Fprintln(w, "builder variant              edges     time")
 	for _, row := range r.Builder {
 		fmt.Fprintf(w, "  %-26s %7d  %v\n", row.Variant, row.Edges, row.Elapsed.Round(time.Millisecond))

@@ -64,9 +64,9 @@ func NewCluster(n, replicas, vnodes int) (*Cluster, error) {
 }
 
 // NewClusterWithClient is NewCluster with a caller-supplied HTTP
-// client (nil = the deterministic keep-alive-free default). The bench
-// suite passes a pooled client so router forwarding overhead is
-// measured without per-request TCP setup.
+// client (nil = the deterministic keep-alive-free default). perfbench
+// and TestRouterOverheadBar pass a pooled client so router forwarding
+// overhead is measured without per-request TCP setup.
 func NewClusterWithClient(n, replicas, vnodes int, client *http.Client) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: need at least one node, got %d", n)

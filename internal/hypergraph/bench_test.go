@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hypermine/internal/benchfix"
-	"hypermine/internal/hypergraph"
 )
 
 // BenchmarkLookup measures the packed-key probe on restricted-model
@@ -33,27 +32,6 @@ func BenchmarkLookupMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := h.Lookup(tail, head); ok {
 			b.Fatal("phantom edge")
-		}
-	}
-}
-
-// BenchmarkLookupLegacyStringKey is the pre-PR-2 probe — EdgeKey string
-// formatting plus a string map — kept as the before/after reference for
-// BENCH_2.json.
-func BenchmarkLookupLegacyStringKey(b *testing.B) {
-	h := benchfix.RandomHypergraph(7, 80, 4000, 3)
-	legacy := make(map[string]int32, h.NumEdges())
-	for i := 0; i < h.NumEdges(); i++ {
-		e := h.Edge(i)
-		legacy[hypergraph.EdgeKey(e.Tail, e.Head)] = int32(i)
-	}
-	n := h.NumEdges()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := h.Edge(i % n)
-		if _, ok := legacy[hypergraph.EdgeKey(e.Tail, e.Head)]; !ok {
-			b.Fatal("edge vanished")
 		}
 	}
 }

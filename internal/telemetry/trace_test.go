@@ -255,6 +255,11 @@ func TestColdSampledPathNoAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { _ = TraceIDFrom(ctx) }); n != 0 {
 		t.Fatalf("TraceIDFrom allocates %v per op", n)
 	}
+	// The fetch every traced request makes: a context carrying a trace.
+	tctx := ContextWithTrace(ctx, tr.Start(TraceID{Hi: 3, Lo: 4}, "classify", "m", "t"))
+	if n := testing.AllocsPerRun(1000, func() { _ = TraceIDFrom(tctx) }); n != 0 {
+		t.Fatalf("TraceIDFrom on a traced context allocates %v per op", n)
+	}
 	var nilActive *Active
 	if n := testing.AllocsPerRun(1000, func() { nilActive.AddSpan("edges", 0, 1) }); n != 0 {
 		t.Fatalf("nil AddSpan allocates %v per op", n)

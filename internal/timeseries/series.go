@@ -3,7 +3,7 @@
 // discretization of §5.1.1, and a synthetic S&P-500-style universe
 // generator that substitutes for the paper's Yahoo Finance data.
 //
-// Substitution note (see DESIGN.md): the paper's pipeline consumes only
+// Substitution note: the paper's pipeline consumes only
 // the fractional day-over-day changes and their cross-correlation
 // structure. The generator produces returns from a market + sector +
 // sub-sector factor model, which yields the same qualitative structure
