@@ -5,59 +5,55 @@
 // Two modes:
 //
 //   - Self-hosted (default): builds the shared benchfix serving model,
-//     boots an in-process hypermined server on loopback, and replays
-//     the mix against it — hot-reloading the model mid-run to prove
-//     serving continuity.
+//     boots an in-process hypermined server on loopback with tracing
+//     on, and replays the mix against it — hot-reloading the model
+//     mid-run to prove serving continuity.
 //   - Remote (-addr): replays the mix against an already running
 //     hypermined (used by the CI serving smoke).
 //
-// In both modes every classify request is drawn from a fixed pool of
-// deterministic queries and each response is compared byte-for-byte
-// against the first response to the same query, so the run fails if
-// serving answers drift — including across hot reloads.
+// loadgen only drives traffic. Every exchange is recorded in an
+// internal/check History, and the run fails unless check finds the
+// serving contract held: identical answers per request and
+// generation, no stale or phantom generations, monotonic generations,
+// the X-Model-Generation header, no lost acked write, the 429/503
+// Retry-After contract, and well-formed X-Trace-Id headers. A hot
+// reload re-PUTs the same snapshot bytes, so loadgen declares the new
+// generation an alias of the old one and identity holds across it.
 //
 // Usage:
 //
-//	go run ./cmd/loadgen [-addr URL -model NAME] [-n 2000] [-quick] [-out FILE.json] [-cancel-every N]
+//	go run ./cmd/loadgen [-addr URL -model NAME] [-n 2000] [-quick] [-out FILE.json] [-cancel-every N] [-mix default|batch|overload|churn]
 //
-// With -cancel-every N, every Nth request is replaced by a heavy rules
-// query issued under a short client-side deadline — a client that goes
-// away mid-request. The run then verifies the server survived the
-// burst (healthz + a fresh query succeed, zero identity mismatches on
-// the normal traffic) and reports how many aborts the server actually
-// observed (from /stats). The server-observed count depends on how
-// fast the host delivers the disconnect: on a busy single-core
-// machine a sub-10ms handler often finishes before the abort is
-// noticed, so the deterministic proof of in-flight abort lives in the
-// internal/server unit tests; this scenario proves survival and
-// answer integrity under the burst.
+// The mixes:
 //
-// With -mix overload, loadgen becomes the fault-injecting overload
-// harness for the admission-control subsystem: a deterministic
-// concurrency ramp (2 -> 32 workers) drives a server with tiny gates
-// past capacity while slow clients stall half-open connections against
-// the accept loop and (self-hosted) the model hot-reloads between
-// waves. Every response must be either byte-identical to the unloaded
-// serial baseline (admitted) or a well-formed rejection (429/503 with
-// an integral Retry-After >= 1); the run fails on any violation, on
-// zero shed traffic (the ramp must actually saturate), or if /healthz
-// stops answering during saturation. In self-hosted mode the in-process
-// server is configured with gates cheap=2/queue=4, expensive=1/queue=2;
-// in remote mode boot hypermined with -gate-*/-queue-* flags sized
-// below the ramp.
+//   - default: a serial weighted replay of classify, classify:batch,
+//     similar, rules and dominators over pools of deterministic bodies.
+//   - batch: the same workload multiplexed into typed batches on
+//     :query.
+//   - overload: the fault-injecting harness for admission control. A
+//     deterministic concurrency ramp (2 -> 32 workers) drives a server
+//     with tiny gates past capacity while slow clients stall half-open
+//     connections and (self-hosted) the model hot-reloads between
+//     waves. Shed answers are observed raw, never retried. The run
+//     fails if nothing was shed, if /healthz stopped answering during
+//     saturation, or if the server's shed counter is below what the
+//     client saw. Self-hosted gates are cheap=2/queue=4,
+//     expensive=1/queue=2; in remote mode boot hypermined with
+//     -gate-*/-queue-* flags sized below the ramp.
+//   - churn: four query workers replay a pool while a driver POSTs a
+//     deterministic schedule of 8 :append batches between fixed query
+//     counts, then reads the model's final state, which check holds
+//     to the last ack.
 //
-// With -mix churn, loadgen exercises the incremental mining pipeline:
-// concurrent query workers replay the deterministic classify pool
-// while the driver POSTs a deterministic schedule of :append batches
-// between fixed query counts. Every response is attributed to a
-// generation via its X-Model-Generation header and checked two ways —
-// identity (responses to the same query at the same generation must be
-// byte-identical) and coherence (a response's generation may never be
-// older than the latest append acknowledged before the request was
-// sent, and each worker's observed generations are monotonic). The run
-// fails on any identity mismatch, stale generation, missing header, or
-// if the final generation/row count disagrees with the appends
-// performed.
+// With -cancel-every N, every Nth request of a default or batch replay
+// is replaced by a heavy rules query issued under a short client-side
+// deadline — a client that goes away mid-request. The run then
+// verifies the server survived the burst (healthz and a fresh query
+// answer) and reports how many aborts the server observed (from
+// /stats). That count depends on how fast the host delivers the
+// disconnect: on a busy single-core machine a sub-10ms handler often
+// finishes first, so the deterministic proof of in-flight abort lives
+// in the internal/server unit tests.
 package main
 
 import (
@@ -72,8 +68,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -84,11 +78,25 @@ import (
 
 	"hypermine/internal/admit"
 	"hypermine/internal/benchfix"
+	"hypermine/internal/check"
 	"hypermine/internal/core"
-	"hypermine/internal/fleet/sim"
 	"hypermine/internal/registry"
 	"hypermine/internal/server"
 	"hypermine/internal/telemetry"
+)
+
+const (
+	// seed drives every generated body and mix pick.
+	seed = 7
+	// reloads is the number of self-hosted hot reloads per run.
+	reloads = 3
+	// poolSize is the number of distinct classify bodies each mix
+	// replays, so every body repeats many times at every generation.
+	poolSize = 32
+	// Bounded Retry-After backoff for every mix except overload, which
+	// measures the shedding contract itself and observes rejections raw.
+	maxBackoffRetries = 5
+	backoffCap        = 2 * time.Second
 )
 
 type endpointReport struct {
@@ -99,13 +107,6 @@ type endpointReport struct {
 	P90Ns    int64   `json:"p90_ns"`
 	P99Ns    int64   `json:"p99_ns"`
 	MaxNs    int64   `json:"max_ns"`
-}
-
-// traceClientReport summarizes the X-Trace-Id contract as seen from
-// the client side; nil when the server has tracing off.
-type traceClientReport struct {
-	TracedResponses int `json:"traced_responses"`
-	BadTraceIDs     int `json:"bad_trace_ids"`
 }
 
 type report struct {
@@ -125,12 +126,10 @@ type report struct {
 		WallNs   int64   `json:"wall_ns"`
 		QPS      float64 `json:"qps"`
 	} `json:"total"`
-	Mix                string `json:"mix"`
-	Reloads            int    `json:"reloads"`
-	IdentityMismatches int    `json:"identity_mismatches"`
-	// Trace reports X-Trace-Id coverage across all responses; nil when
-	// the server never sent the header (tracing off).
-	Trace *traceClientReport `json:"trace,omitempty"`
+	Mix     string `json:"mix"`
+	Reloads int    `json:"reloads"`
+	// Check is internal/check's verdict on every recorded exchange.
+	Check *check.Report `json:"check"`
 	// Cancel reports the client-side timeout injection scenario
 	// (-cancel-every); nil when disabled.
 	Cancel *cancelReport `json:"cancel,omitempty"`
@@ -138,58 +137,16 @@ type report struct {
 	Overload *overloadReport `json:"overload,omitempty"`
 	// Churn reports the -mix churn append/query scenario; nil otherwise.
 	Churn *churnReport `json:"churn,omitempty"`
-	// Fleet reports the -mix fleet routed-cluster scenario; nil otherwise.
-	Fleet *fleetReport `json:"fleet,omitempty"`
 	// RetryBackoffs counts requests that were retried after honoring a
-	// Retry-After hint on a 429/503 (all mixes except overload, which
-	// measures shedding and must observe rejections raw).
+	// Retry-After hint on a 429/503.
 	RetryBackoffs int `json:"retry_backoffs"`
-}
-
-// fleetReport summarizes the -mix fleet scenario: the default query mix
-// driven through a self-hosted 3-node fleet router while the model's
-// primary owner is killed, written around, and restarted.
-type fleetReport struct {
-	Nodes    int    `json:"nodes"`
-	Replicas int    `json:"replicas"`
-	Victim   string `json:"victim"` // the primary owner that gets killed
-	Kills    int    `json:"kills"`
-	Restarts int    `json:"restarts"`
-	// WritesThroughRouter counts snapshot PUTs routed through the fleet
-	// router (one with the fleet healthy, one during the outage —
-	// exercising write failover).
-	WritesThroughRouter int `json:"writes_through_router"`
-	// MissingGenHeaders counts routed query responses without
-	// X-Model-Generation; must be zero.
-	MissingGenHeaders int   `json:"missing_generation_headers"`
-	RouterForwards    int64 `json:"router_forwards"`
-	RouterFailovers   int64 `json:"router_failovers"`
-	FinalGeneration   int64 `json:"final_generation"`
-	// GenerationAgreed: after the restart converged, every owner in the
-	// model's replica set served the same generation.
-	GenerationAgreed bool `json:"generation_agreed"`
-	// ReadyAfterRestart: every node answered /readyz 200 at the end.
-	ReadyAfterRestart bool `json:"ready_after_restart"`
 }
 
 // churnReport summarizes the append/query interleaving scenario.
 type churnReport struct {
-	Appends      int `json:"appends"`
+	Appends      int `json:"appends"` // acked
 	AppendedRows int `json:"appended_rows"`
-	// Generations is the number of distinct generations observed in
-	// query responses (initial + one per published append).
-	Generations int `json:"generations"`
-	Queries     int `json:"queries"`
-	// StaleResponses counts responses whose generation was older than
-	// the newest append acknowledged before the request was sent;
-	// MissingGenHeaders counts responses without X-Model-Generation;
-	// NonMonotonic counts per-worker generation regressions. All three
-	// must be zero.
-	StaleResponses    int   `json:"stale_responses"`
-	MissingGenHeaders int   `json:"missing_generation_headers"`
-	NonMonotonic      int   `json:"non_monotonic_generations"`
-	FinalGeneration   int64 `json:"final_generation"`
-	FinalRows         int   `json:"final_rows"`
+	Queries      int `json:"queries"`
 }
 
 // overloadReport summarizes the fault-injecting overload scenario.
@@ -202,9 +159,6 @@ type overloadReport struct {
 	HealthzDuringOK bool `json:"healthz_during_saturation_ok"`
 	Admitted        int  `json:"admitted"`
 	Shed            int  `json:"shed"`
-	// BadRejections counts rejections violating the contract (wrong
-	// status, missing or non-integral Retry-After); must be zero.
-	BadRejections int `json:"bad_rejections"`
 	// ServerShed is the server's own shed counter from /stats after
 	// the run (cumulative for the process, so >= Shed on a shared
 	// server).
@@ -230,27 +184,6 @@ type cancelReport struct {
 	SurvivedBurst  bool  `json:"survived_burst"`
 }
 
-// traceIDRe is the X-Trace-Id wire contract: 32 lowercase hex digits.
-var traceIDRe = regexp.MustCompile(`^[0-9a-f]{32}$`)
-
-// tracedSeen / tracedBad count responses carrying an X-Trace-Id and
-// those whose ID violates the contract (wrong shape, or the invalid
-// all-zero ID). Package-level atomics so every request path — serial
-// replay, overload workers, doOnce — feeds the same tally.
-var tracedSeen, tracedBad atomic.Int64
-
-// noteTraceID verifies the X-Trace-Id header on one response.
-func noteTraceID(h http.Header) {
-	tid := h.Get("X-Trace-Id")
-	if tid == "" {
-		return
-	}
-	tracedSeen.Add(1)
-	if !traceIDRe.MatchString(tid) || tid == strings.Repeat("0", 32) {
-		tracedBad.Add(1)
-	}
-}
-
 // modelInfo is the subset of the /v1/models/{name} response the
 // generator needs.
 type modelInfo struct {
@@ -267,35 +200,30 @@ func main() {
 	addr := flag.String("addr", "", "base URL of a running hypermined ('' = self-hosted)")
 	model := flag.String("model", "bench", "model name to query")
 	n := flag.Int("n", 2000, "total requests")
-	seed := flag.Int64("seed", 7, "query-mix seed")
-	reloads := flag.Int("reloads", 3, "hot reloads during the run (self-hosted mode)")
-	attrs := flag.Int("attrs", 30, "self-hosted model attributes")
-	rows := flag.Int("rows", 20000, "self-hosted model rows")
 	out := flag.String("out", "-", "output JSON path ('-' for stdout only)")
 	quick := flag.Bool("quick", false, "shrink workloads for CI smoke runs")
 	cancelEvery := flag.Int("cancel-every", 0,
 		"replace every Nth request with a rules query under a short client-side deadline (0 = off)")
 	mixName := flag.String("mix", "default",
-		"query mix: default (dedicated endpoints), batch (multiplexed typed batches via :query), overload (fault-injecting saturation ramp), churn (concurrent queries during :append republishes), or fleet (default mix through a self-hosted 3-node fleet router with a kill/restart mid-run)")
-	traceSample := flag.Bool("trace-sample", false,
-		"after the run, fetch /debug/traces and pretty-print one retained trace's span tree")
+		"query mix: default (dedicated endpoints), batch (multiplexed typed batches via :query), overload (fault-injecting saturation ramp), or churn (concurrent queries during :append republishes)")
 	flag.Parse()
 
 	switch *mixName {
-	case "default", "batch", "overload", "churn", "fleet":
+	case "default", "batch", "overload", "churn":
 	default:
-		fatal(fmt.Errorf("unknown -mix %q (want default, batch, overload, churn, or fleet)", *mixName))
+		fatal(fmt.Errorf("unknown -mix %q (want default, batch, overload, or churn)", *mixName))
 	}
 
+	attrs, rows := 30, 20000
 	if *quick {
-		*n, *attrs, *rows = 400, 12, 1500
+		*n, attrs, rows = 400, 12, 1500
 		if *mixName == "overload" {
 			// The saturation stimulus is cold rules mining; on this
 			// model size one mine holds the expensive gate ~15ms, long
 			// enough for the other workers to pile up behind it even
 			// on a single-core host. The 12x1500 quick model mines in
 			// ~1ms and never saturates anything.
-			*attrs, *rows = 24, 10000
+			attrs, rows = 24, 10000
 		}
 	}
 
@@ -303,6 +231,7 @@ func main() {
 		PR:         3,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
+		Mix:        *mixName,
 		Note: "serving-path benchmark over real HTTP on loopback; latencies are " +
 			"end-to-end (client encode + HTTP + handler + decode). Single-core " +
 			"host: concurrency correctness is proven by race-enabled registry/server " +
@@ -310,20 +239,15 @@ func main() {
 			"not by parallel speedup numbers.",
 	}
 
-	var snapPath string
-	var cluster *sim.Cluster
-	baseURL := *addr
-	if *mixName == "fleet" {
-		if baseURL != "" {
-			fatal(errors.New("-mix fleet self-hosts its own cluster; -addr is not supported"))
-		}
-		var err error
-		cluster, baseURL, snapPath, err = startFleet(rep, *model, *attrs, *rows)
-		if err != nil {
-			fatal(err)
-		}
-		defer cluster.Close()
-	} else if baseURL == "" {
+	r := &run{
+		h:       &check.History{},
+		client:  &http.Client{},
+		base:    strings.TrimRight(*addr, "/"),
+		model:   *model,
+		rng:     rand.New(rand.NewSource(seed)),
+		latency: map[string][]int64{},
+	}
+	if r.base == "" {
 		// The overload mix needs something to saturate: tiny gates so
 		// the ramp's upper rungs exceed capacity + queue by design.
 		var ctl *admit.Controller
@@ -333,60 +257,37 @@ func main() {
 				ExpensiveCapacity: 1, ExpensiveQueue: 2,
 			})
 		}
-		var err error
-		baseURL, snapPath, err = selfHost(*model, *attrs, *rows, ctl)
-		if err != nil {
+		if err := r.selfHost(attrs, rows, ctl); err != nil {
 			fatal(err)
 		}
-	} else {
-		*reloads = 0 // remote servers are not reloaded from here
 	}
-	baseURL = strings.TrimRight(baseURL, "/")
 
-	info, err := fetchInfo(baseURL, *model)
+	info, err := r.fetchInfo("setup")
 	if err != nil {
 		fatal(err)
 	}
+	r.info = info
 	rep.Model.Attrs, rep.Model.Rows, rep.Model.Edges, rep.Model.K = info.Attrs, info.Rows, info.Edges, info.K
 	if !info.Classify || len(info.Targets) == 0 {
 		fatal(fmt.Errorf("model %q cannot classify; loadgen needs a classifiable model", *model))
 	}
 
-	rep.Mix = *mixName
 	switch *mixName {
 	case "overload":
-		if err := runOverload(rep, baseURL, *model, info, *n, *seed, *reloads, snapPath); err != nil {
-			fatal(err)
-		}
+		err = r.overload(rep, *n)
 	case "churn":
-		if err := runChurn(rep, baseURL, *model, info, *n, *seed); err != nil {
-			fatal(err)
-		}
-	case "fleet":
-		if err := runFleet(rep, cluster, baseURL, *model, info, *n, *seed, snapPath); err != nil {
-			fatal(err)
-		}
+		err = r.churn(rep, *n)
 	default:
-		if err := replay(rep, baseURL, *model, info, *n, *seed, *reloads, snapPath, *cancelEvery, *mixName); err != nil {
-			fatal(err)
-		}
+		err = r.replay(rep, *n, *cancelEvery, *mixName == "batch")
+	}
+	if err != nil {
+		fatal(err)
 	}
 
-	if seen, bad := tracedSeen.Load(), tracedBad.Load(); seen > 0 || bad > 0 {
-		rep.Trace = &traceClientReport{TracedResponses: int(seen), BadTraceIDs: int(bad)}
-		fmt.Printf("trace IDs: %d responses carried X-Trace-Id, %d malformed\n", seen, bad)
-	}
-
-	if *traceSample {
-		if err := sampleTrace(baseURL); err != nil {
-			fatal(err)
-		}
-	}
-
-	rep.RetryBackoffs = int(backoffWaits.Load())
-	if rep.RetryBackoffs > 0 {
-		fmt.Printf("backoff: honored Retry-After %d times\n", rep.RetryBackoffs)
-	}
+	rep.Check = r.h.Check()
+	rep.RetryBackoffs = int(r.backoffs.Load())
+	fmt.Printf("check: %d outcomes (%d shed, %d traced), violations %+v, %d Retry-After backoffs\n",
+		rep.Check.Outcomes, rep.Check.Shed, rep.Check.Traced, rep.Check.Violations, rep.RetryBackoffs)
 
 	js, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -401,388 +302,172 @@ func main() {
 	} else {
 		os.Stdout.Write(js)
 	}
-	if rep.IdentityMismatches > 0 {
-		fatal(fmt.Errorf("%d identity mismatches", rep.IdentityMismatches))
+	if err := rep.Check.Err(); err != nil {
+		fatal(err)
 	}
-	if rep.Trace != nil && rep.Trace.BadTraceIDs > 0 {
-		fatal(fmt.Errorf("%d malformed X-Trace-Id headers", rep.Trace.BadTraceIDs))
-	}
-	// The self-hosted server runs with tracing on (as hypermined does by
-	// default), so every response must have carried a trace ID. (The
-	// fleet mix's nodes run without a tracer, like the sim's.)
-	if *addr == "" && *mixName != "fleet" && (rep.Trace == nil || rep.Trace.TracedResponses == 0) {
+	// The self-hosted server runs with tracing on, as hypermined does
+	// by default, so its answers must have carried trace IDs.
+	if *addr == "" && rep.Check.Traced == 0 {
 		fatal(errors.New("self-hosted server returned no X-Trace-Id headers"))
 	}
 }
 
-// sampleTrace fetches /debug/traces and pretty-prints the slowest
-// retained trace's span tree — the operator's view of where a slow
-// request spent its time.
-func sampleTrace(baseURL string) error {
-	resp, err := http.Get(baseURL + "/debug/traces")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		fmt.Println("trace sample: server has tracing off (/debug/traces not mounted)")
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("GET /debug/traces: %d: %s", resp.StatusCode, raw)
-	}
-	var traces struct {
-		SlowThresholdNs int64              `json:"slow_threshold_ns"`
-		Slow            []*telemetry.Trace `json:"slow"`
-		Recent          []*telemetry.Trace `json:"recent"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		return err
-	}
-	// Prefer the slowest trace that has spans to attribute; fall back to
-	// the slowest overall.
-	var pick *telemetry.Trace
-	for _, tr := range append(append([]*telemetry.Trace{}, traces.Slow...), traces.Recent...) {
-		switch {
-		case pick == nil:
-			pick = tr
-		case len(tr.Spans) > 0 && len(pick.Spans) == 0:
-			pick = tr
-		case (len(tr.Spans) > 0) == (len(pick.Spans) > 0) && tr.Duration > pick.Duration:
-			pick = tr
-		}
-	}
-	if pick == nil {
-		fmt.Println("trace sample: no traces retained yet")
-		return nil
-	}
-	fmt.Printf("trace sample (slow threshold %s):\n", time.Duration(traces.SlowThresholdNs))
-	fmt.Printf("%s  kind=%s model=%s tenant=%s status=%d retained=%s  %s\n",
-		pick.ID, pick.Kind, pick.Model, pick.Tenant, pick.Status, pick.Reason, pick.Duration.Round(time.Microsecond))
-	for i, sp := range pick.Spans {
-		branch := "├─"
-		if i == len(pick.Spans)-1 {
-			branch = "└─"
-		}
-		fmt.Printf("  %s %-12s +%-12s %s\n", branch, sp.Phase,
-			time.Duration(sp.StartNs).Round(time.Microsecond),
-			time.Duration(sp.DurationNs).Round(time.Microsecond))
-	}
-	if len(pick.Spans) == 0 {
-		fmt.Println("  └─ (no phase spans: the time went to warm reads or queue wait)")
-	}
-	if pick.Dropped > 0 {
-		fmt.Printf("  … %d more spans dropped at the per-trace cap\n", pick.Dropped)
-	}
-	if pick.Err != "" {
-		fmt.Printf("  error: %s\n", pick.Err)
-	}
-	return nil
+// run is one loadgen run: where it sends, what it records, and the
+// deterministic source every generated body draws from.
+type run struct {
+	h      *check.History
+	client *http.Client
+	base   string // server base URL
+	model  string
+	info   *modelInfo
+	rng    *rand.Rand
+	// snap holds the self-hosted snapshot bytes that hot reloads re-PUT
+	// (nil in remote mode: remote servers are not reloaded from here);
+	// gen is the model's generation as last read or reloaded.
+	snap []byte
+	gen  int64
+
+	mu       sync.Mutex // guards latency
+	latency  map[string][]int64
+	backoffs atomic.Int64
 }
 
-// selfHost builds the benchfix model, saves a snapshot for mid-run
-// reloads, and boots an in-process server — with the given admission
-// controller in front when ctl is non-nil.
-func selfHost(name string, attrs, rows int, ctl *admit.Controller) (baseURL, snapPath string, err error) {
+// selfHost builds the benchfix model and boots an in-process server
+// with tracing on (as hypermined runs by default) — with the given
+// admission controller in front when ctl is non-nil.
+func (r *run) selfHost(attrs, rows int, ctl *admit.Controller) error {
 	fmt.Printf("building %dx%d serving model...\n", rows, attrs)
 	m := benchfix.ModelWorkload(attrs, rows)
-
 	var snap bytes.Buffer
 	if err := core.WriteSnapshot(&snap, m, core.SaveOptions{}); err != nil {
-		return "", "", err
+		return err
 	}
-
-	dir, err := os.MkdirTemp("", "loadgen")
-	if err != nil {
-		return "", "", err
-	}
-	snapPath = filepath.Join(dir, "model.snap")
-	if err := os.WriteFile(snapPath, snap.Bytes(), 0o644); err != nil {
-		return "", "", err
-	}
+	r.snap = snap.Bytes()
 
 	regOpts := registry.Options{}
 	if ctl != nil {
 		regOpts.LoadHook = ctl.RecordLoad
 	}
 	reg := registry.New(regOpts)
-	if _, err := reg.Load(name, m); err != nil {
-		return "", "", err
+	if _, err := reg.Load(r.model, m); err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", "", err
+		return err
 	}
-	// Tracing on, as hypermined runs it by default. The low slow
-	// threshold guarantees the cold rules mines land in the always-kept
-	// ring, so -trace-sample has a span tree to show.
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SlowThreshold: time.Millisecond})
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{})
 	go func() {
 		_ = http.Serve(ln, server.New(reg,
 			server.WithAdmission(ctl), server.WithTracer(tracer)).Handler())
 	}()
-	return "http://" + ln.Addr().String(), snapPath, nil
+	r.base = "http://" + ln.Addr().String()
+	return nil
 }
 
-func fetchInfo(baseURL, model string) (*modelInfo, error) {
-	resp, err := http.Get(baseURL + "/v1/models/" + model)
-	if err != nil {
-		return nil, err
+// send records one exchange, timing it under endpoint when that is
+// non-empty. With backoff it retries a 429/503 after its Retry-After
+// (at most maxBackoffRetries times, each wait capped at backoffCap);
+// every attempt is recorded, so check sees the rejections too.
+func (r *run) send(endpoint string, o check.Outcome, backoff bool) check.Outcome {
+	t0 := time.Now()
+	for attempt := 0; ; attempt++ {
+		got := r.h.Do(r.client, r.base, o)
+		retriable := got.Status == http.StatusTooManyRequests || got.Status == http.StatusServiceUnavailable
+		if !backoff || !retriable || attempt >= maxBackoffRetries {
+			if endpoint != "" && got.Status == http.StatusOK {
+				r.mu.Lock()
+				r.latency[endpoint] = append(r.latency[endpoint], time.Since(t0).Nanoseconds())
+				r.mu.Unlock()
+			}
+			return got
+		}
+		wait := backoffCap
+		if secs, err := strconv.Atoi(got.RetryAfter); err == nil && secs >= 0 && time.Duration(secs)*time.Second < wait {
+			wait = time.Duration(secs) * time.Second
+		}
+		r.backoffs.Add(1)
+		time.Sleep(wait)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("GET /v1/models/%s: %d: %s", model, resp.StatusCode, raw)
+}
+
+// scoped is an exchange with the run's model, for send.
+func (r *run) scoped(client, method, path string, body []byte) check.Outcome {
+	return check.Outcome{Client: client, Model: r.model, Method: method, Path: path, Body: body}
+}
+
+// fetchInfo reads the model detail, recorded as a state read.
+func (r *run) fetchInfo(client string) (*modelInfo, error) {
+	o := r.scoped(client, http.MethodGet, "/v1/models/"+r.model, nil)
+	o.Kind = check.State
+	o = r.send("", o, true)
+	if o.Status != http.StatusOK {
+		return nil, fmt.Errorf("GET /v1/models/%s: %d %s%s", r.model, o.Status, o.Err, o.Resp)
 	}
 	var info modelInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := json.Unmarshal(o.Resp, &info); err != nil {
 		return nil, err
 	}
+	r.gen = o.Gen
 	return &info, nil
 }
 
-// query is one pre-generated request.
-type query struct {
-	endpoint string // mix key
-	method   string
-	url      string
-	body     []byte
-	identity int // >= 0: index into the identity table (classify pool)
+// reload re-PUTs the self-hosted snapshot. The bytes are the ones the
+// model already serves, so the new generation is declared an alias.
+func (r *run) reload(client string) error {
+	o := r.scoped(client, http.MethodPut, "/v1/models/"+r.model, r.snap)
+	o.Kind = check.Write
+	o = r.send("", o, true)
+	if o.Status != http.StatusOK {
+		return fmt.Errorf("hot reload: %d %s%s", o.Status, o.Err, o.Resp)
+	}
+	r.h.Alias(r.model, o.Gen, r.gen)
+	r.gen = o.Gen
+	return nil
 }
 
-// replay generates the deterministic mix and drives it serially,
-// recording per-endpoint latencies and identity mismatches.
-func replay(rep *report, baseURL, model string, info *modelInfo, n int, seed int64, reloads int, snapPath string, cancelEvery int, mixName string) error {
-	rng := rand.New(rand.NewSource(seed))
-
-	// Pool of 32 deterministic classify bodies; each remembers its
-	// first response for byte-identity checking.
-	const poolSize = 32
-	type pooled struct {
-		single []byte
-		batch  []byte
-	}
-	pool := make([]pooled, poolSize)
-	for i := range pool {
+// classifyBody draws one classify request: a value per dominator
+// attribute (single) or batchRows rows of them (batch), then a target.
+func (r *run) classifyBody(batchRows int) map[string]any {
+	req := map[string]any{}
+	if batchRows == 0 {
 		values := map[string]int{}
-		for _, a := range info.Dominator {
-			values[a] = 1 + rng.Intn(info.K)
+		for _, a := range r.info.Dominator {
+			values[a] = 1 + r.rng.Intn(r.info.K)
 		}
-		single, err := json.Marshal(map[string]any{
-			"target": info.Targets[rng.Intn(len(info.Targets))],
-			"values": values,
-		})
-		if err != nil {
-			return err
-		}
-		batchRows := make([][]int, 8)
-		for r := range batchRows {
-			row := make([]int, len(info.Dominator))
-			for j := range row {
-				row[j] = 1 + rng.Intn(info.K)
-			}
-			batchRows[r] = row
-		}
-		batch, err := json.Marshal(map[string]any{
-			"target": info.Targets[rng.Intn(len(info.Targets))],
-			"rows":   batchRows,
-		})
-		if err != nil {
-			return err
-		}
-		pool[i] = pooled{single: single, batch: batch}
-	}
-
-	// Weighted mix: classification dominates, as in a serving workload.
-	type mixEntry struct {
-		name   string
-		weight int
-		build  func(i int) query
-	}
-	var mix []mixEntry
-	if mixName == "batch" {
-		// One multiplexed typed batch per request, POSTed to :query:
-		// three single classifies, one batch classify, a similarity
-		// pair, a ranking, the dominator, and (on every 4th pool slot)
-		// a rules query — the whole default mix in one round trip.
-		// Bodies are deterministic and identity-checked like the
-		// classify pool.
-		batchPool := make([][]byte, poolSize)
-		for i := range batchPool {
-			var items []map[string]any
-			for c := 0; c < 3; c++ {
-				values := map[string]any{}
-				for _, a := range info.Dominator {
-					values[a] = 1 + rng.Intn(info.K)
-				}
-				items = append(items, map[string]any{"classify": map[string]any{
-					"target": info.Targets[rng.Intn(len(info.Targets))],
-					"values": values,
-				}})
-			}
-			batchRows := make([][]int, 4)
-			for r := range batchRows {
-				row := make([]int, len(info.Dominator))
-				for j := range row {
-					row[j] = 1 + rng.Intn(info.K)
-				}
-				batchRows[r] = row
-			}
-			items = append(items,
-				map[string]any{"classify": map[string]any{
-					"target": info.Targets[rng.Intn(len(info.Targets))],
-					"rows":   batchRows,
-				}},
-				map[string]any{"similar": map[string]any{
-					"a": info.Dominator[i%len(info.Dominator)],
-					"b": info.Dominator[(i+1)%len(info.Dominator)],
-				}},
-				map[string]any{"similar": map[string]any{
-					"a":   info.Dominator[i%len(info.Dominator)],
-					"top": 5,
-				}},
-				map[string]any{"dominators": map[string]any{}},
-			)
-			if i%4 == 0 {
-				items = append(items, map[string]any{"rules": map[string]any{
-					"head": info.Targets[i%len(info.Targets)],
-					"top":  5,
-				}})
-			}
-			body, err := json.Marshal(map[string]any{"batch": items})
-			if err != nil {
-				return err
-			}
-			batchPool[i] = body
-		}
-		mix = []mixEntry{
-			{"query_batch", 1, func(i int) query {
-				p := i % poolSize
-				return query{"query_batch", http.MethodPost,
-					baseURL + "/v1/models/" + model + ":query", batchPool[p], p}
-			}},
-		}
+		req["values"] = values
 	} else {
-		mix = []mixEntry{
-			{"classify", 8, func(i int) query {
-				p := i % poolSize
-				return query{"classify", http.MethodPost,
-					baseURL + "/v1/models/" + model + "/classify", pool[p].single, p}
-			}},
-			{"classify_batch", 2, func(i int) query {
-				p := i % poolSize
-				return query{"classify_batch", http.MethodPost,
-					baseURL + "/v1/models/" + model + "/classify:batch", pool[p].batch, poolSize + p}
-			}},
-			{"similar", 2, func(i int) query {
-				a := info.Dominator[i%len(info.Dominator)]
-				return query{"similar", http.MethodGet,
-					fmt.Sprintf("%s/v1/models/%s/similar?a=%s&top=5", baseURL, model, a), nil, -1}
-			}},
-			{"rules", 1, func(i int) query {
-				head := info.Targets[i%len(info.Targets)]
-				return query{"rules", http.MethodGet,
-					fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=5", baseURL, model, head), nil, -1}
-			}},
-			{"dominators", 1, func(i int) query {
-				return query{"dominators", http.MethodGet,
-					baseURL + "/v1/models/" + model + "/dominators", nil, -1}
-			}},
-		}
-	}
-	totalWeight := 0
-	for _, e := range mix {
-		totalWeight += e.weight
-	}
-	queries := make([]query, n)
-	for i := range queries {
-		pick := rng.Intn(totalWeight)
-		for _, e := range mix {
-			if pick < e.weight {
-				queries[i] = e.build(i)
-				break
+		rows := make([][]int, batchRows)
+		for i := range rows {
+			rows[i] = make([]int, len(r.info.Dominator))
+			for j := range rows[i] {
+				rows[i][j] = 1 + r.rng.Intn(r.info.K)
 			}
-			pick -= e.weight
 		}
+		req["rows"] = rows
 	}
+	req["target"] = r.info.Targets[r.rng.Intn(len(r.info.Targets))]
+	return req
+}
 
-	// Replay. Identity table: first response bytes per pooled body.
-	identity := make([][]byte, 2*poolSize)
-	latency := map[string][]int64{}
-	client := &http.Client{}
-	reloadEvery := 0
-	if reloads > 0 {
-		reloadEvery = n / (reloads + 1)
+// classifyPool marshals poolSize classify bodies.
+func (r *run) classifyPool(batchRows int) [][]byte {
+	pool := make([][]byte, poolSize)
+	for i := range pool {
+		pool[i], _ = json.Marshal(r.classifyBody(batchRows)) // plain maps of strings and ints
 	}
-	var cr *cancelReport
-	if cancelEvery > 0 {
-		cr = &cancelReport{Every: cancelEvery}
-		rep.Cancel = cr
-	}
-	start := time.Now()
-	for i, q := range queries {
-		if reloadEvery > 0 && i > 0 && i%reloadEvery == 0 && rep.Reloads < reloads {
-			if err := putSnapshot(client, baseURL, model, snapPath); err != nil {
-				return fmt.Errorf("hot reload %d: %w", rep.Reloads+1, err)
-			}
-			rep.Reloads++
-		}
-		if cr != nil && i > 0 && i%cancelEvery == 0 {
-			// Inject an abandoned client: a heavy rules query whose
-			// client-side deadline expires mid-request. Its outcome is
-			// counted, never identity-checked or latency-recorded.
-			cr.Injected++
-			url := fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=50",
-				baseURL, model, info.Targets[i%len(info.Targets)])
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-			if err != nil {
-				cancel()
-				return err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
-					cr.ClientTimeouts++
-				}
-			} else {
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			cancel()
-			continue
-		}
-		t0 := time.Now()
-		code, _, raw, err := sendWithBackoff(client, q.method, q.url, "", q.body)
-		elapsed := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("%s %s: %d: %s", q.method, q.url, code, raw)
-		}
-		latency[q.endpoint] = append(latency[q.endpoint], elapsed)
-		if q.endpoint == "query_batch" && bytes.Contains(raw, []byte(`"error"`)) {
-			return fmt.Errorf("batch response carries a sub-request error: %s", raw)
-		}
-		if q.identity >= 0 {
-			if identity[q.identity] == nil {
-				identity[q.identity] = raw
-			} else if !bytes.Equal(identity[q.identity], raw) {
-				rep.IdentityMismatches++
-			}
-		}
-	}
-	wall := time.Since(start)
+	return pool
+}
 
-	names := make([]string, 0, len(latency))
-	for name := range latency {
+// summarize folds the recorded latencies into the report.
+func (r *run) summarize(rep *report, served int, wall time.Duration) {
+	names := make([]string, 0, len(r.latency))
+	for name := range r.latency {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ls := latency[name]
+		ls := r.latency[name]
 		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 		var sum int64
 		for _, l := range ls {
@@ -802,128 +487,228 @@ func replay(rep *report, baseURL, model string, info *modelInfo, n int, seed int
 			name, er.Requests, er.MeanNs/1e3, float64(er.P50Ns)/1e3, float64(er.P90Ns)/1e3,
 			float64(er.P99Ns)/1e3, float64(er.MaxNs)/1e3)
 	}
+	rep.Total.Requests = served
+	rep.Total.WallNs = wall.Nanoseconds()
+	rep.Total.QPS = float64(served) / wall.Seconds()
+}
+
+// query is one pre-generated request of a replay.
+type query struct {
+	endpoint, method, path string
+	body                   []byte
+}
+
+// replay generates the deterministic default or batch mix and drives
+// it serially, hot-reloading between equal slices when self-hosted.
+func (r *run) replay(rep *report, n, cancelEvery int, batch bool) error {
+	info, model := r.info, r.model
+
+	// Weighted mix: classification dominates, as in a serving workload.
+	type mixEntry struct {
+		weight int
+		build  func(i int) query
+	}
+	var mix []mixEntry
+	if batch {
+		// One multiplexed typed batch per request, POSTed to :query:
+		// three single classifies, one batch classify, a similarity
+		// pair, a ranking, the dominator, and (on every 4th pool slot)
+		// a rules query — the whole default mix in one round trip.
+		batchPool := make([][]byte, poolSize)
+		for i := range batchPool {
+			items := []map[string]any{
+				{"classify": r.classifyBody(0)},
+				{"classify": r.classifyBody(0)},
+				{"classify": r.classifyBody(0)},
+				{"classify": r.classifyBody(4)},
+				{"similar": map[string]any{
+					"a": info.Dominator[i%len(info.Dominator)],
+					"b": info.Dominator[(i+1)%len(info.Dominator)],
+				}},
+				{"similar": map[string]any{"a": info.Dominator[i%len(info.Dominator)], "top": 5}},
+				{"dominators": map[string]any{}},
+			}
+			if i%4 == 0 {
+				items = append(items, map[string]any{"rules": map[string]any{
+					"head": info.Targets[i%len(info.Targets)], "top": 5,
+				}})
+			}
+			batchPool[i], _ = json.Marshal(map[string]any{"batch": items})
+		}
+		mix = []mixEntry{{1, func(i int) query {
+			return query{"query_batch", http.MethodPost, "/v1/models/" + model + ":query", batchPool[i%poolSize]}
+		}}}
+	} else {
+		singles, batches := r.classifyPool(0), r.classifyPool(8)
+		mix = []mixEntry{
+			{8, func(i int) query {
+				return query{"classify", http.MethodPost, "/v1/models/" + model + "/classify", singles[i%poolSize]}
+			}},
+			{2, func(i int) query {
+				return query{"classify_batch", http.MethodPost, "/v1/models/" + model + "/classify:batch", batches[i%poolSize]}
+			}},
+			{2, func(i int) query {
+				return query{"similar", http.MethodGet,
+					fmt.Sprintf("/v1/models/%s/similar?a=%s&top=5", model, info.Dominator[i%len(info.Dominator)]), nil}
+			}},
+			{1, func(i int) query {
+				return query{"rules", http.MethodGet,
+					fmt.Sprintf("/v1/models/%s/rules?head=%s&top=5", model, info.Targets[i%len(info.Targets)]), nil}
+			}},
+			{1, func(i int) query {
+				return query{"dominators", http.MethodGet, "/v1/models/" + model + "/dominators", nil}
+			}},
+		}
+	}
+	totalWeight := 0
+	for _, e := range mix {
+		totalWeight += e.weight
+	}
+	queries := make([]query, n)
+	for i := range queries {
+		pick := r.rng.Intn(totalWeight)
+		for _, e := range mix {
+			if pick < e.weight {
+				queries[i] = e.build(i)
+				break
+			}
+			pick -= e.weight
+		}
+	}
+
+	reloadEvery := 0
+	if r.snap != nil {
+		reloadEvery = n / (reloads + 1)
+	}
+	var cr *cancelReport
+	if cancelEvery > 0 {
+		cr = &cancelReport{Every: cancelEvery}
+		rep.Cancel = cr
+	}
+	start := time.Now()
+	for i, q := range queries {
+		if reloadEvery > 0 && i > 0 && i%reloadEvery == 0 && rep.Reloads < reloads {
+			if err := r.reload("replay"); err != nil {
+				return err
+			}
+			rep.Reloads++
+		}
+		if cr != nil && i > 0 && i%cancelEvery == 0 {
+			// Inject an abandoned client: a heavy rules query whose
+			// client-side deadline expires mid-request. Its outcome is
+			// counted, never recorded or latency-timed.
+			cr.Injected++
+			if r.abandon(i) {
+				cr.ClientTimeouts++
+			}
+			continue
+		}
+		r.send(q.endpoint, r.scoped("replay", q.method, q.path, q.body), true)
+	}
+	wall := time.Since(start)
+
 	// QPS counts only requests actually served to completion: injected
 	// abandoned clients are excluded so runs with and without
-	// -cancel-every stay comparable across the BENCH trajectory.
+	// -cancel-every stay comparable.
 	served := n
 	if cr != nil {
 		served -= cr.Injected
 	}
-	rep.Total.Requests = served
-	rep.Total.WallNs = wall.Nanoseconds()
-	rep.Total.QPS = float64(served) / wall.Seconds()
-	fmt.Printf("total: %d requests in %s (%.0f qps), %d hot reloads, %d identity mismatches\n",
-		served, wall.Round(time.Millisecond), rep.Total.QPS, rep.Reloads, rep.IdentityMismatches)
-	if cr != nil {
-		// Survival check: after the abort burst the server must still
-		// answer both the liveness probe and a real query, and /stats
-		// reports how many aborts it observed.
-		healthOK := false
-		if resp, err := http.Get(baseURL + "/healthz"); err == nil {
-			healthOK = resp.StatusCode == http.StatusOK
-			resp.Body.Close()
-		}
-		queryOK := false
-		if resp, err := http.Get(baseURL + "/v1/models/" + model); err == nil {
-			queryOK = resp.StatusCode == http.StatusOK
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cr.SurvivedBurst = healthOK && queryOK
-		var stats struct {
-			Timeouts int64 `json:"timeouts"`
-			Canceled int64 `json:"canceled"`
-		}
-		if resp, err := http.Get(baseURL + "/stats"); err == nil {
-			if resp.StatusCode == http.StatusOK {
-				_ = json.NewDecoder(resp.Body).Decode(&stats)
-			}
-			resp.Body.Close()
-		}
-		cr.ServerCanceled, cr.ServerTimeouts = stats.Canceled, stats.Timeouts
-		fmt.Printf("cancel scenario: %d injected, %d client timeouts, server observed %d canceled + %d timed out, survived=%v\n",
-			cr.Injected, cr.ClientTimeouts, cr.ServerCanceled, cr.ServerTimeouts, cr.SurvivedBurst)
-		if !cr.SurvivedBurst {
-			return errors.New("server did not survive the cancellation burst")
-		}
+	r.summarize(rep, served, wall)
+	fmt.Printf("total: %d requests in %s (%.0f qps), %d hot reloads\n",
+		served, wall.Round(time.Millisecond), rep.Total.QPS, rep.Reloads)
+	if cr == nil {
+		return nil
+	}
+	// Survival check: after the abort burst the server must still
+	// answer both the liveness probe and a real query, and /stats
+	// reports how many aborts it observed.
+	health := r.send("", check.Outcome{Client: "replay", Method: http.MethodGet, Path: "/healthz"}, true)
+	detail := r.send("", r.scoped("replay", http.MethodGet, "/v1/models/"+model+"/dominators", nil), true)
+	cr.SurvivedBurst = health.Status == http.StatusOK && detail.Status == http.StatusOK
+	var stats struct {
+		Timeouts int64 `json:"timeouts"`
+		Canceled int64 `json:"canceled"`
+	}
+	r.stats(&stats)
+	cr.ServerCanceled, cr.ServerTimeouts = stats.Canceled, stats.Timeouts
+	fmt.Printf("cancel scenario: %d injected, %d client timeouts, server observed %d canceled + %d timed out, survived=%v\n",
+		cr.Injected, cr.ClientTimeouts, cr.ServerCanceled, cr.ServerTimeouts, cr.SurvivedBurst)
+	if !cr.SurvivedBurst {
+		return errors.New("server did not survive the cancellation burst")
 	}
 	return nil
 }
 
-// runOverload drives the fault-injecting overload scenario: a
-// deterministic concurrency ramp past gate capacity, slow-client
-// stalls, and mid-run hot reloads, with per-response invariants —
-// admitted answers byte-identical to the unloaded baseline, rejections
-// carrying the correct status and Retry-After.
-func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, seed int64, reloads int, snapPath string) error {
-	rng := rand.New(rand.NewSource(seed))
+// abandon sends a heavy rules query under a 1ms client deadline and
+// reports whether the deadline, not the server, ended it.
+func (r *run) abandon(i int) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	url := fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=50", r.base, r.model, r.info.Targets[i%len(r.info.Targets)])
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return false
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return errors.Is(err, context.DeadlineExceeded)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return false
+}
 
+// stats decodes the server's /stats counters into out; a failed scrape
+// leaves out zero.
+func (r *run) stats(out any) {
+	resp, err := r.client.Get(r.base + "/stats")
+	if err != nil {
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		_ = json.NewDecoder(resp.Body).Decode(out)
+	}
+}
+
+// overload drives the fault-injecting scenario: an unloaded baseline
+// pass, then a deterministic concurrency ramp past gate capacity with
+// slow-client stalls and hot reloads between waves.
+func (r *run) overload(rep *report, n int) error {
 	// Deterministic request pool: classify singles (cheap class), the
 	// dominator read (cheap), and a few rules queries (expensive). The
 	// pool is small so every request replays many times and any drift
 	// is caught.
-	const poolSize = 32
-	type oq struct {
-		method, url string
-		body        []byte
-		key         int
+	var pool []check.Outcome
+	for _, body := range r.classifyPool(0) {
+		pool = append(pool, r.scoped("", http.MethodPost, "/v1/models/"+r.model+"/classify", body))
 	}
-	var pool []oq
-	for i := 0; i < poolSize; i++ {
-		values := map[string]int{}
-		for _, a := range info.Dominator {
-			values[a] = 1 + rng.Intn(info.K)
-		}
-		body, err := json.Marshal(map[string]any{
-			"target": info.Targets[rng.Intn(len(info.Targets))],
-			"values": values,
-		})
-		if err != nil {
-			return err
-		}
-		pool = append(pool, oq{http.MethodPost, baseURL + "/v1/models/" + model + "/classify", body, i})
-	}
-	pool = append(pool, oq{http.MethodGet, baseURL + "/v1/models/" + model + "/dominators", nil, poolSize})
-	for i := 0; i < 4 && i < len(info.Targets); i++ {
-		pool = append(pool, oq{http.MethodGet,
-			fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=5", baseURL, model, info.Targets[i]),
-			nil, poolSize + 1 + i})
+	pool = append(pool, r.scoped("", http.MethodGet, "/v1/models/"+r.model+"/dominators", nil))
+	for i := 0; i < 4 && i < len(r.info.Targets); i++ {
+		pool = append(pool, r.scoped("", http.MethodGet,
+			fmt.Sprintf("/v1/models/%s/rules?head=%s&top=5", r.model, r.info.Targets[i]), nil))
 	}
 
 	// Unloaded serial baseline: one clean pass over the pool. This also
 	// warms every lazy artifact, so admitted overload answers have no
 	// first-build variance to hide behind.
-	client := &http.Client{}
-	baseline := make([][]byte, poolSize+1+4)
 	for _, q := range pool {
-		code, raw, _, err := doOnce(client, q.method, q.url, q.body)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("baseline %s: %d: %s", q.url, code, raw)
-		}
-		baseline[q.key] = raw
+		q.Client = "baseline"
+		r.send("", q, false)
 	}
 
 	ov := &overloadReport{Gates: "cheap=2/4 expensive=1/2 (self-hosted defaults)"}
 	rep.Overload = ov
 	waves := []int{2, 4, 8, 16, 32}
-	perWave := n / len(waves)
-	if perWave < len(pool) {
-		perWave = len(pool)
-	}
+	perWave := max(n/len(waves), len(pool))
 
-	var mismatches, badRej atomic.Int64
 	var stimSeq atomic.Int64
 	healthzOK := true
 	for wi, conc := range waves {
-		// Hot reload between waves (self-hosted): the invariants must
-		// hold across generations — the rebuilt artifacts answer
-		// byte-identically.
-		if snapPath != "" && wi > 0 && ov.Reloads < reloads {
-			if err := putSnapshot(client, baseURL, model, snapPath); err != nil {
-				return fmt.Errorf("hot reload: %w", err)
+		if r.snap != nil && wi > 0 && ov.Reloads < reloads {
+			if err := r.reload("driver"); err != nil {
+				return err
 			}
 			ov.Reloads++
 		}
@@ -933,34 +718,16 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 		// (the handler never starts) and must not block the accept
 		// loop — the concurrent healthz probes below prove the server
 		// keeps serving around them.
-		stop, stalls := startStalls(baseURL, conc/8)
+		stop, stalls := startStalls(r.base, conc/8)
 		ov.StallConns += stalls
 
 		var admitted, shed atomic.Int64
-		// check applies the per-response invariants; identityKey < 0
-		// skips the byte-identity comparison (stimulus queries are
-		// unique by construction and have no baseline).
-		check := func(code int, raw []byte, retry string, identityKey int, err error) {
-			if err != nil {
-				badRej.Add(1)
-				fmt.Fprintf(os.Stderr, "overload: transport error: %v\n", err)
-				return
-			}
-			switch {
-			case code == http.StatusOK:
+		tally := func(o check.Outcome) {
+			switch o = r.send("", o, false); o.Status {
+			case http.StatusOK:
 				admitted.Add(1)
-				if identityKey >= 0 && !bytes.Equal(raw, baseline[identityKey]) {
-					mismatches.Add(1)
-				}
-			case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 				shed.Add(1)
-				if secs, err := strconv.Atoi(retry); err != nil || secs < 1 {
-					badRej.Add(1)
-					fmt.Fprintf(os.Stderr, "overload: %d rejection with Retry-After %q\n", code, retry)
-				}
-			default:
-				badRej.Add(1)
-				fmt.Fprintf(os.Stderr, "overload: unexpected %d: %.120s\n", code, raw)
 			}
 		}
 
@@ -968,25 +735,21 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 		// which is part of the rule-cache key, so each one is a real
 		// MineRules run that holds the expensive gate slot (capacity 1)
 		// for many milliseconds. The other half replays the pooled warm
-		// requests with identity checks. Even on one CPU the miners
-		// overlap the gate — async preemption schedules the other
-		// workers' Enter calls mid-mine — so the upper rungs of the
-		// ramp are guaranteed past capacity + queue.
-		stimWorkers := conc / 2
-		if stimWorkers < 1 {
-			stimWorkers = 1
-		}
+		// requests. Even on one CPU the miners overlap the gate — async
+		// preemption schedules the other workers' Enter calls mid-mine —
+		// so the upper rungs of the ramp are guaranteed past capacity +
+		// queue.
+		stimWorkers := max(conc/2, 1)
 		var wg sync.WaitGroup
 		for w := 0; w < stimWorkers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for r := 0; r < 3; r++ {
+				for i := 0; i < 3; i++ {
 					seq := stimSeq.Add(1)
-					url := fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=%d",
-						baseURL, model, info.Targets[int(seq)%len(info.Targets)], 11+seq)
-					code, raw, retry, err := doOnce(client, http.MethodGet, url, nil)
-					check(code, raw, retry, -1, err)
+					tally(r.scoped(fmt.Sprintf("miner-%d-%d", conc, w), http.MethodGet,
+						fmt.Sprintf("/v1/models/%s/rules?head=%s&top=%d",
+							r.model, r.info.Targets[int(seq)%len(r.info.Targets)], 11+seq), nil))
 				}
 			}()
 		}
@@ -1001,8 +764,8 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 						return
 					}
 					q := pool[(i*7+wi)%len(pool)]
-					code, raw, retry, err := doOnce(client, q.method, q.url, q.body)
-					check(code, raw, retry, q.key, err)
+					q.Client = fmt.Sprintf("worker-%d-%d", conc, w)
+					tally(q)
 				}
 			}()
 		}
@@ -1012,13 +775,9 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 		go func() {
 			defer close(probeDone)
 			for j := 0; j < 3; j++ {
-				resp, err := client.Get(baseURL + "/healthz")
-				if err != nil || resp.StatusCode != http.StatusOK {
+				o := r.send("", check.Outcome{Client: "probe", Method: http.MethodGet, Path: "/healthz"}, false)
+				if o.Status != http.StatusOK {
 					healthzOK = false
-				}
-				if err == nil {
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -1040,8 +799,6 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 			conc, wave.Requests, wave.Admitted, wave.Shed, stalls)
 	}
 	ov.HealthzDuringOK = healthzOK
-	ov.BadRejections = int(badRej.Load())
-	rep.IdentityMismatches += int(mismatches.Load())
 	rep.Reloads += ov.Reloads
 	rep.Total.Requests = ov.Admitted + ov.Shed
 
@@ -1049,19 +806,12 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 	var stats struct {
 		Shed int64 `json:"shed"`
 	}
-	if resp, err := client.Get(baseURL + "/stats"); err == nil {
-		if resp.StatusCode == http.StatusOK {
-			_ = json.NewDecoder(resp.Body).Decode(&stats)
-		}
-		resp.Body.Close()
-	}
+	r.stats(&stats)
 	ov.ServerShed = stats.Shed
 
-	fmt.Printf("overload: %d admitted, %d shed, %d bad rejections, %d identity mismatches, healthz_ok=%v, server shed counter=%d\n",
-		ov.Admitted, ov.Shed, ov.BadRejections, rep.IdentityMismatches, ov.HealthzDuringOK, ov.ServerShed)
+	fmt.Printf("overload: %d admitted, %d shed, healthz_ok=%v, server shed counter=%d\n",
+		ov.Admitted, ov.Shed, ov.HealthzDuringOK, ov.ServerShed)
 	switch {
-	case ov.BadRejections > 0:
-		return fmt.Errorf("%d rejections violated the 429/503 + Retry-After contract", ov.BadRejections)
 	case ov.Shed == 0:
 		return errors.New("overload ramp never shed — gates larger than the ramp, nothing was proven")
 	case !ov.HealthzDuringOK:
@@ -1072,69 +822,24 @@ func runOverload(rep *report, baseURL, model string, info *modelInfo, n int, see
 	return nil
 }
 
-// churnOnce issues one request (honoring Retry-After like every
-// non-overload path) and returns status, body, and the
-// X-Model-Generation header.
-func churnOnce(client *http.Client, method, url string, body []byte) (int, []byte, string, error) {
-	code, hdr, raw, err := sendWithBackoff(client, method, url, "", body)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	return code, raw, hdr.Get("X-Model-Generation"), nil
-}
-
-// fetchGen reads the serving generation from the model detail header.
-func fetchGen(client *http.Client, baseURL, model string) (int64, error) {
-	code, _, gen, err := churnOnce(client, http.MethodGet, baseURL+"/v1/models/"+model, nil)
-	if err != nil {
-		return 0, err
-	}
-	if code != http.StatusOK {
-		return 0, fmt.Errorf("GET /v1/models/%s: %d", model, code)
-	}
-	return strconv.ParseInt(gen, 10, 64)
-}
-
-// runChurn interleaves :append republishes with concurrent query
-// workers and verifies that every response is attributable to a
-// coherent generation: per-(query, generation) byte identity, no
-// response older than the latest acknowledged append, and per-worker
-// generation monotonicity.
-func runChurn(rep *report, baseURL, model string, info *modelInfo, n int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	client := &http.Client{}
-
+// churn interleaves :append republishes with concurrent query workers,
+// then reads the model's final state.
+func (r *run) churn(rep *report, n int) error {
 	// Deterministic query pool: classify singles plus the two
 	// graph-shaped reads. Every entry is repeated many times at every
 	// generation, so per-generation drift cannot hide.
-	const classifyPool = 32
 	type cq struct {
-		endpoint, method, url string
-		body                  []byte
-		key                   int
+		endpoint string
+		o        check.Outcome
 	}
 	var pool []cq
-	for i := 0; i < classifyPool; i++ {
-		values := map[string]int{}
-		for _, a := range info.Dominator {
-			values[a] = 1 + rng.Intn(info.K)
-		}
-		body, err := json.Marshal(map[string]any{
-			"target": info.Targets[rng.Intn(len(info.Targets))],
-			"values": values,
-		})
-		if err != nil {
-			return err
-		}
-		pool = append(pool, cq{"classify", http.MethodPost,
-			baseURL + "/v1/models/" + model + "/classify", body, i})
+	for _, body := range r.classifyPool(0) {
+		pool = append(pool, cq{"classify", r.scoped("", http.MethodPost, "/v1/models/"+r.model+"/classify", body)})
 	}
-	pool = append(pool, cq{"dominators", http.MethodGet,
-		baseURL + "/v1/models/" + model + "/dominators", nil, classifyPool})
-	for i := 0; i < 4 && i < len(info.Dominator); i++ {
-		pool = append(pool, cq{"similar", http.MethodGet,
-			fmt.Sprintf("%s/v1/models/%s/similar?a=%s&top=5", baseURL, model, info.Dominator[i]),
-			nil, classifyPool + 1 + i})
+	pool = append(pool, cq{"dominators", r.scoped("", http.MethodGet, "/v1/models/"+r.model+"/dominators", nil)})
+	for i := 0; i < 4 && i < len(r.info.Dominator); i++ {
+		pool = append(pool, cq{"similar", r.scoped("", http.MethodGet,
+			fmt.Sprintf("/v1/models/%s/similar?a=%s&top=5", r.model, r.info.Dominator[i]), nil)})
 	}
 
 	// Deterministic append schedule: batch sizes cycle small-to-larger,
@@ -1143,59 +848,26 @@ func runChurn(rep *report, baseURL, model string, info *modelInfo, n int, seed i
 	const appends = 8
 	sizes := [...]int{1, 5, 10, 25}
 	batches := make([][][]int, appends)
-	totalAppended := 0
 	for s := range batches {
-		batch := make([][]int, sizes[s%len(sizes)])
-		for i := range batch {
-			row := make([]int, info.Attrs)
-			base := 1 + rng.Intn(info.K)
-			for j := range row {
-				if rng.Intn(3) == 0 {
-					row[j] = 1 + rng.Intn(info.K)
-				} else {
-					row[j] = base
-				}
-			}
-			batch[i] = row
+		batches[s] = make([][]int, sizes[s%len(sizes)])
+		for i := range batches[s] {
+			batches[s][i] = make([]int, r.info.Attrs)
+			benchfix.CorrelatedRow(r.rng, batches[s][i], r.info.K)
 		}
-		batches[s] = batch
-		totalAppended += len(batch)
 	}
-	perStep := n / (appends + 1)
-	if perStep < 1 {
-		perStep = 1
-	}
+	perStep := max(n/(appends+1), 1)
 
-	initialGen, err := fetchGen(client, baseURL, model)
-	if err != nil {
-		return err
-	}
 	ch := &churnReport{}
 	rep.Churn = ch
-
-	var (
-		curGen    atomic.Int64 // newest generation acknowledged by an append response
-		completed atomic.Int64
-		stale     atomic.Int64
-		missing   atomic.Int64
-		nonMono   atomic.Int64
-		mu        sync.Mutex // guards identity, gens, latency
-		identity  = map[string][]byte{}
-		gens      = map[int64]struct{}{}
-		latency   = map[string][]int64{}
-	)
-	curGen.Store(initialGen)
+	var completed atomic.Int64
 	stop := make(chan struct{})
-	errs := make(chan error, 8)
 	start := time.Now()
-
 	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			lastSeen := int64(0)
 			for i := w; ; i += workers {
 				select {
 				case <-stop:
@@ -1203,264 +875,52 @@ func runChurn(rep *report, baseURL, model string, info *modelInfo, n int, seed i
 				default:
 				}
 				q := pool[i%len(pool)]
-				genBefore := curGen.Load()
-				t0 := time.Now()
-				code, raw, genHdr, err := churnOnce(client, q.method, q.url, q.body)
-				elapsed := time.Since(t0).Nanoseconds()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if code != http.StatusOK {
-					errs <- fmt.Errorf("%s %s: %d: %.200s", q.method, q.url, code, raw)
-					return
-				}
-				g, perr := strconv.ParseInt(genHdr, 10, 64)
-				if genHdr == "" || perr != nil {
-					missing.Add(1)
-				} else {
-					if g < genBefore {
-						stale.Add(1)
-					}
-					if g < lastSeen {
-						nonMono.Add(1)
-					}
-					lastSeen = g
-					mu.Lock()
-					gens[g] = struct{}{}
-					ikey := fmt.Sprintf("%d@%d", q.key, g)
-					if prev, ok := identity[ikey]; !ok {
-						identity[ikey] = raw
-					} else if !bytes.Equal(prev, raw) {
-						rep.IdentityMismatches++
-					}
-					latency[q.endpoint] = append(latency[q.endpoint], elapsed)
-					mu.Unlock()
-				}
+				q.o.Client = fmt.Sprintf("worker-%d", w)
+				r.send(q.endpoint, q.o, true)
 				completed.Add(1)
 			}
-		}(w)
+		}()
+	}
+	waitFor := func(target int64) {
+		for completed.Load() < target {
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// The driver: fire each append once the workers have completed its
-	// scheduled share of queries, so appends land mid-traffic.
-	appendURL := baseURL + "/v1/models/" + model + ":append"
+	// scheduled share of queries, so appends land mid-traffic. An append
+	// still refused after its backoff retries fails the run.
+	var err error
 	for s, batch := range batches {
-		target := int64((s + 1) * perStep)
-		for completed.Load() < target {
-			select {
-			case err := <-errs:
-				close(stop)
-				wg.Wait()
-				return err
-			default:
-			}
-			time.Sleep(time.Millisecond)
-		}
-		body, err := json.Marshal(map[string]any{"rows": batch})
-		if err != nil {
-			close(stop)
-			wg.Wait()
-			return err
-		}
-		var ar struct {
-			Generation int64 `json:"generation"`
-			Swapped    bool  `json:"swapped"`
-			Rows       int   `json:"rows"`
-		}
-		// Retry shed appends (remote servers may run admission control);
-		// the schedule is still deterministic in structure.
-		for attempt := 0; ; attempt++ {
-			code, raw, _, err := churnOnce(client, http.MethodPost, appendURL, body)
-			if err != nil {
-				close(stop)
-				wg.Wait()
-				return err
-			}
-			if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-				if attempt > 20 {
-					close(stop)
-					wg.Wait()
-					return fmt.Errorf("append shed %d times: %s", attempt, raw)
-				}
-				time.Sleep(50 * time.Millisecond)
-				continue
-			}
-			if code != http.StatusOK {
-				close(stop)
-				wg.Wait()
-				return fmt.Errorf("append %d: %d: %s", s, code, raw)
-			}
-			if err := json.Unmarshal(raw, &ar); err != nil {
-				close(stop)
-				wg.Wait()
-				return err
-			}
+		waitFor(int64((s + 1) * perStep))
+		body, _ := json.Marshal(map[string]any{"rows": batch}) // ints only
+		o := r.scoped("driver", http.MethodPost, "/v1/models/"+r.model+":append", body)
+		o.Kind, o.Appended = check.Write, len(batch)
+		if o = r.send("", o, true); o.Status != http.StatusOK {
+			err = fmt.Errorf("append %d not acked: %d %s%s", s, o.Status, o.Err, o.Resp)
 			break
 		}
-		if !ar.Swapped || ar.Generation != curGen.Load()+1 {
-			close(stop)
-			wg.Wait()
-			return fmt.Errorf("append %d published generation %d (swapped=%v), want %d",
-				s, ar.Generation, ar.Swapped, curGen.Load()+1)
-		}
-		curGen.Store(ar.Generation)
 		ch.Appends++
 		ch.AppendedRows += len(batch)
 	}
-	for completed.Load() < int64(n) {
-		select {
-		case err := <-errs:
-			close(stop)
-			wg.Wait()
-			return err
-		default:
-		}
-		time.Sleep(time.Millisecond)
+	if err == nil {
+		waitFor(int64(n))
 	}
 	close(stop)
 	wg.Wait()
+	if err != nil {
+		return err
+	}
 	wall := time.Since(start)
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-
 	ch.Queries = int(completed.Load())
-	ch.StaleResponses = int(stale.Load())
-	ch.MissingGenHeaders = int(missing.Load())
-	ch.NonMonotonic = int(nonMono.Load())
-	ch.Generations = len(gens)
-	ch.FinalGeneration = curGen.Load()
 
-	finalInfo, err := fetchInfo(baseURL, model)
-	if err != nil {
+	// The final state read, which check holds to the last ack.
+	if _, err := r.fetchInfo("driver"); err != nil {
 		return err
 	}
-	ch.FinalRows = finalInfo.Rows
-
-	names := make([]string, 0, len(latency))
-	for name := range latency {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ls := latency[name]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-		var sum int64
-		for _, l := range ls {
-			sum += l
-		}
-		rep.Serve = append(rep.Serve, endpointReport{
-			Endpoint: name, Requests: len(ls),
-			MeanNs: float64(sum) / float64(len(ls)),
-			P50Ns:  ls[len(ls)/2], P90Ns: ls[len(ls)*90/100],
-			P99Ns: ls[len(ls)*99/100], MaxNs: ls[len(ls)-1],
-		})
-	}
-	rep.Total.Requests = ch.Queries
-	rep.Total.WallNs = wall.Nanoseconds()
-	rep.Total.QPS = float64(ch.Queries) / wall.Seconds()
-
-	fmt.Printf("churn: %d appends (%d rows) across %d queries; generations %d -> %d (%d observed); %d stale, %d missing headers, %d non-monotonic, %d identity mismatches\n",
-		ch.Appends, ch.AppendedRows, ch.Queries, initialGen, ch.FinalGeneration,
-		ch.Generations, ch.StaleResponses, ch.MissingGenHeaders, ch.NonMonotonic, rep.IdentityMismatches)
-
-	switch {
-	case ch.FinalGeneration != initialGen+int64(ch.Appends):
-		return fmt.Errorf("final generation %d, want %d (initial %d + %d appends)",
-			ch.FinalGeneration, initialGen+int64(ch.Appends), initialGen, ch.Appends)
-	case ch.FinalRows != info.Rows+ch.AppendedRows:
-		return fmt.Errorf("final rows %d, want %d (initial %d + %d appended)",
-			ch.FinalRows, info.Rows+ch.AppendedRows, info.Rows, ch.AppendedRows)
-	case ch.MissingGenHeaders > 0:
-		return fmt.Errorf("%d responses missing X-Model-Generation", ch.MissingGenHeaders)
-	case ch.StaleResponses > 0:
-		return fmt.Errorf("%d responses answered from a generation older than an acknowledged append", ch.StaleResponses)
-	case ch.NonMonotonic > 0:
-		return fmt.Errorf("%d per-worker generation regressions", ch.NonMonotonic)
-	}
+	r.summarize(rep, ch.Queries, wall)
+	fmt.Printf("churn: %d acked appends (%d rows) across %d queries\n", ch.Appends, ch.AppendedRows, ch.Queries)
 	return nil
-}
-
-// Bounded Retry-After backoff: every mix except overload honors a
-// 429/503's Retry-After hint and retries, so transient shedding (or a
-// fleet replica mid-restart) does not fail a run. The overload mix is
-// the documented exception — it measures the shedding contract itself
-// and must observe rejections raw (see doOnce).
-const (
-	maxBackoffRetries = 5
-	backoffCap        = 2 * time.Second
-)
-
-// backoffWaits counts honored Retry-After waits across all request
-// paths (package-level, like the trace tallies).
-var backoffWaits atomic.Int64
-
-// sendWithBackoff issues one request, honoring Retry-After on 429/503
-// with bounded backoff (at most maxBackoffRetries retries, each wait
-// capped at backoffCap). The final response's status, headers, and
-// fully-read body are returned; the trace tally sees every attempt.
-func sendWithBackoff(client *http.Client, method, url, contentType string, body []byte) (int, http.Header, []byte, error) {
-	for attempt := 0; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, url, rd)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		noteTraceID(resp.Header)
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		retriable := resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable
-		if !retriable || attempt >= maxBackoffRetries {
-			return resp.StatusCode, resp.Header, raw, nil
-		}
-		wait := backoffCap
-		if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs >= 0 {
-			if d := time.Duration(secs) * time.Second; d < wait {
-				wait = d
-			}
-		}
-		backoffWaits.Add(1)
-		time.Sleep(wait)
-	}
-}
-
-// doOnce issues one request and returns status, body, and Retry-After.
-// It deliberately does NOT back off: the overload mix uses it to
-// observe and verify rejections.
-func doOnce(client *http.Client, method, url string, body []byte) (int, []byte, string, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	noteTraceID(resp.Header)
-	raw, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw, resp.Header.Get("Retry-After"), err
 }
 
 // startStalls opens nConns raw connections that send an incomplete
@@ -1485,262 +945,6 @@ func startStalls(baseURL string, nConns int) (func(), int) {
 			c.Close()
 		}
 	}, len(conns)
-}
-
-// putSnapshot hot-reloads the model from the saved snapshot file
-// (honoring Retry-After — a fleet node mid-restart answers 503 with a
-// hint until gossip converges).
-func putSnapshot(client *http.Client, baseURL, model, snapPath string) error {
-	snap, err := os.ReadFile(snapPath)
-	if err != nil {
-		return err
-	}
-	code, _, raw, err := sendWithBackoff(client, http.MethodPut,
-		baseURL+"/v1/models/"+model, "application/octet-stream", snap)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("PUT: %d: %s", code, raw)
-	}
-	return nil
-}
-
-// startFleet boots the in-process 3-node fleet (R=2) the fleet mix
-// drives, publishes the model through the router, and returns the
-// cluster, the router URL, and the snapshot path for later re-PUTs.
-func startFleet(rep *report, model string, attrs, rows int) (*sim.Cluster, string, string, error) {
-	fmt.Printf("building %dx%d serving model and booting 3-node fleet (R=2)...\n", rows, attrs)
-	m := benchfix.ModelWorkload(attrs, rows)
-	var snap bytes.Buffer
-	if err := core.WriteSnapshot(&snap, m, core.SaveOptions{}); err != nil {
-		return nil, "", "", err
-	}
-	dir, err := os.MkdirTemp("", "loadgen-fleet")
-	if err != nil {
-		return nil, "", "", err
-	}
-	snapPath := filepath.Join(dir, "model.snap")
-	if err := os.WriteFile(snapPath, snap.Bytes(), 0o644); err != nil {
-		return nil, "", "", err
-	}
-
-	cluster, err := sim.NewCluster(3, 2, 0)
-	if err != nil {
-		return nil, "", "", err
-	}
-	if err := cluster.Converge(context.Background()); err != nil {
-		cluster.Close()
-		return nil, "", "", err
-	}
-	if err := putSnapshot(cluster.Client, cluster.RouterURL(), model, snapPath); err != nil {
-		cluster.Close()
-		return nil, "", "", fmt.Errorf("publish through router: %w", err)
-	}
-	return cluster, cluster.RouterURL(), snapPath, nil
-}
-
-// runFleet drives the default query mix through the fleet router while
-// the schedule kills the model's primary owner, writes around the
-// outage, and restarts it: at n/3 a snapshot PUT goes through the
-// router with the fleet healthy, at n/2 the primary owner is killed,
-// at 2n/3 another PUT exercises write failover, and at 5n/6 the victim
-// restarts and gossip converges. Every routed answer must be 200,
-// byte-identical per pooled body, and carry X-Model-Generation; at the
-// end all owners must agree on the generation and every node must be
-// ready.
-func runFleet(rep *report, cluster *sim.Cluster, baseURL, model string, info *modelInfo, n int, seed int64, snapPath string) error {
-	rng := rand.New(rand.NewSource(seed))
-	client := cluster.Client
-	owners := cluster.Ring().Owners(model)
-	if len(owners) < 2 {
-		return fmt.Errorf("model %q has replica set %v, want 2 owners", model, owners)
-	}
-	victim := owners[0]
-	fr := &fleetReport{Nodes: len(cluster.NodeNames()), Replicas: 2, Victim: victim}
-	rep.Fleet = fr
-
-	const poolSize = 16
-	pool := make([][]byte, poolSize)
-	for i := range pool {
-		values := map[string]int{}
-		for _, a := range info.Dominator {
-			values[a] = 1 + rng.Intn(info.K)
-		}
-		body, err := json.Marshal(map[string]any{
-			"target": info.Targets[rng.Intn(len(info.Targets))],
-			"values": values,
-		})
-		if err != nil {
-			return err
-		}
-		pool[i] = body
-	}
-	identity := make([][]byte, poolSize)
-	latency := map[string][]int64{}
-
-	reload := func(label string) error {
-		if err := putSnapshot(client, baseURL, model, snapPath); err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		fr.WritesThroughRouter++
-		rep.Reloads++
-		return nil
-	}
-
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		switch i {
-		case n / 3:
-			if err := reload("routed PUT, fleet healthy"); err != nil {
-				return err
-			}
-		case n / 2:
-			fmt.Printf("killing primary owner %s at request %d\n", victim, i)
-			if err := cluster.Kill(victim); err != nil {
-				return err
-			}
-			fr.Kills++
-		case 2 * n / 3:
-			if err := reload("routed PUT during outage (write failover)"); err != nil {
-				return err
-			}
-		case 5 * n / 6:
-			fmt.Printf("restarting %s at request %d\n", victim, i)
-			if err := cluster.Restart(victim); err != nil {
-				return err
-			}
-			if err := cluster.Converge(context.Background()); err != nil {
-				return err
-			}
-			fr.Restarts++
-		}
-
-		var q query
-		switch pick := rng.Intn(12); {
-		case pick < 8:
-			p := rng.Intn(poolSize)
-			q = query{"classify", http.MethodPost,
-				baseURL + "/v1/models/" + model + "/classify", pool[p], p}
-		case pick < 10:
-			a := info.Dominator[i%len(info.Dominator)]
-			q = query{"similar", http.MethodGet,
-				fmt.Sprintf("%s/v1/models/%s/similar?a=%s&top=5", baseURL, model, a), nil, -1}
-		case pick < 11:
-			head := info.Targets[i%len(info.Targets)]
-			q = query{"rules", http.MethodGet,
-				fmt.Sprintf("%s/v1/models/%s/rules?head=%s&top=5", baseURL, model, head), nil, -1}
-		default:
-			q = query{"dominators", http.MethodGet,
-				baseURL + "/v1/models/" + model + "/dominators", nil, -1}
-		}
-		t0 := time.Now()
-		code, hdr, raw, err := sendWithBackoff(client, q.method, q.url, "application/json", q.body)
-		elapsed := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return fmt.Errorf("%s %s: %w", q.method, q.url, err)
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("%s %s: %d: %s", q.method, q.url, code, raw)
-		}
-		latency[q.endpoint] = append(latency[q.endpoint], elapsed)
-		if hdr.Get("X-Model-Generation") == "" {
-			fr.MissingGenHeaders++
-		}
-		if q.identity >= 0 {
-			if identity[q.identity] == nil {
-				identity[q.identity] = raw
-			} else if !bytes.Equal(identity[q.identity], raw) {
-				rep.IdentityMismatches++
-			}
-		}
-	}
-	wall := time.Since(start)
-
-	names := make([]string, 0, len(latency))
-	for name := range latency {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ls := latency[name]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-		var sum int64
-		for _, l := range ls {
-			sum += l
-		}
-		er := endpointReport{
-			Endpoint: name,
-			Requests: len(ls),
-			MeanNs:   float64(sum) / float64(len(ls)),
-			P50Ns:    ls[len(ls)/2],
-			P90Ns:    ls[len(ls)*90/100],
-			P99Ns:    ls[len(ls)*99/100],
-			MaxNs:    ls[len(ls)-1],
-		}
-		rep.Serve = append(rep.Serve, er)
-		fmt.Printf("%-16s %6d reqs  mean %8.1fus  p50 %8.1fus  p90 %8.1fus  p99 %8.1fus  max %8.1fus\n",
-			name, er.Requests, er.MeanNs/1e3, float64(er.P50Ns)/1e3, float64(er.P90Ns)/1e3,
-			float64(er.P99Ns)/1e3, float64(er.MaxNs)/1e3)
-	}
-	rep.Total.Requests = n
-	rep.Total.WallNs = wall.Nanoseconds()
-	rep.Total.QPS = float64(n) / wall.Seconds()
-
-	// Final checks: readiness everywhere, generation agreement across
-	// the replica set, and the router must actually have failed over.
-	fr.ReadyAfterRestart = true
-	for _, name := range cluster.NodeNames() {
-		code, _, _, err := sendWithBackoff(client, http.MethodGet, cluster.NodeURL(name)+"/readyz", "", nil)
-		if err != nil || code != http.StatusOK {
-			fr.ReadyAfterRestart = false
-		}
-	}
-	fr.GenerationAgreed = true
-	for _, o := range owners {
-		code, _, raw, err := sendWithBackoff(client, http.MethodGet,
-			cluster.NodeURL(o)+"/v1/models/"+model, "", nil)
-		if err != nil || code != http.StatusOK {
-			return fmt.Errorf("final check on %s: %v (%d)", o, err, code)
-		}
-		var detail struct {
-			Generation int64 `json:"generation"`
-		}
-		if err := json.Unmarshal(raw, &detail); err != nil {
-			return err
-		}
-		if fr.FinalGeneration == 0 {
-			fr.FinalGeneration = detail.Generation
-		} else if detail.Generation != fr.FinalGeneration {
-			fr.GenerationAgreed = false
-		}
-	}
-	var stats struct {
-		Forwards  int64 `json:"forwards"`
-		Failovers int64 `json:"failovers"`
-	}
-	if code, _, raw, err := sendWithBackoff(client, http.MethodGet, baseURL+"/stats", "", nil); err == nil && code == http.StatusOK {
-		_ = json.Unmarshal(raw, &stats)
-	}
-	fr.RouterForwards, fr.RouterFailovers = stats.Forwards, stats.Failovers
-
-	fmt.Printf("fleet: %d nodes R=%d, victim %s: %d kills, %d restarts, %d routed writes, %d forwards, %d failovers, generation %d agreed=%v ready=%v\n",
-		fr.Nodes, fr.Replicas, victim, fr.Kills, fr.Restarts, fr.WritesThroughRouter,
-		fr.RouterForwards, fr.RouterFailovers, fr.FinalGeneration, fr.GenerationAgreed, fr.ReadyAfterRestart)
-
-	switch {
-	case fr.Kills == 0 || fr.Restarts == 0:
-		return errors.New("fleet schedule did not run (n too small for the kill/restart points)")
-	case fr.RouterFailovers == 0:
-		return errors.New("router reported no failovers despite a dead primary")
-	case fr.MissingGenHeaders > 0:
-		return fmt.Errorf("%d routed responses missing X-Model-Generation", fr.MissingGenHeaders)
-	case !fr.GenerationAgreed:
-		return errors.New("replica set disagrees on the final generation after convergence")
-	case !fr.ReadyAfterRestart:
-		return errors.New("a node failed /readyz after restart and convergence")
-	}
-	return nil
 }
 
 func fatal(err error) {

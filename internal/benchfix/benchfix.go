@@ -1,9 +1,11 @@
 // Package benchfix holds the deterministic workload builders shared by
-// the package benchmarks, the fleet sim and its router overhead bar
-// (TestRouterOverheadBar), and cmd/loadgen, so they all measure the
-// exact same workloads (no hand-mirrored fixtures to drift apart).
-// End-to-end numbers come from perfbench; perf limits are enforced by
-// the Test…Bar tests beside the code they pin.
+// the package benchmarks and tests, the fleet sim and its router
+// overhead bar (TestRouterOverheadBar), and cmd/loadgen, so they all
+// measure the exact same workloads: one home for the fixture's
+// attribute naming (AttrName) and correlated row shape (CorrelatedRow),
+// no hand-mirrored copies to drift apart. End-to-end numbers come from
+// perfbench; perf limits are enforced by the Test…Bar tests beside the
+// code they pin.
 package benchfix
 
 import (
@@ -42,15 +44,36 @@ func RandomHypergraph(seed int64, nv, edges, maxTail int) *hypergraph.H {
 	return h
 }
 
+// AttrName is the name of attribute j in every benchfix table: "Aaa",
+// "Aba", ... "Aza", "Aab", ...
+func AttrName(j int) string {
+	return "A" + string(rune('a'+j%26)) + string(rune('a'+j/26))
+}
+
+// CorrelatedRow fills row with one observation of a k-valued table:
+// a base value drawn uniformly, then per attribute either that base
+// (probability 2/3) or a fresh uniform draw, so mining admits edges.
+// It draws from rng in a fixed order (base, then per attribute a coin
+// and, on a miss, a value), which seeded schedules depend on.
+func CorrelatedRow[V int | table.Value](rng *rand.Rand, row []V, k int) {
+	base := V(1 + rng.Intn(k))
+	for j := range row {
+		if rng.Intn(3) == 0 {
+			row[j] = V(1 + rng.Intn(k))
+		} else {
+			row[j] = base
+		}
+	}
+}
+
 // ModelWorkload builds the shared serving/classification model: a
-// noisy k=3 table of nAttrs attributes and rows observations (values
-// correlated through a per-row base value so mining admits edges),
-// mined under gamma=1. Deterministic for fixed arguments.
+// noisy k=3 table of nAttrs attributes and rows CorrelatedRow
+// observations, mined under gamma=1. Deterministic for fixed arguments.
 func ModelWorkload(nAttrs, rows int) *core.Model {
 	rng := rand.New(rand.NewSource(2))
 	attrs := make([]string, nAttrs)
 	for j := range attrs {
-		attrs[j] = "A" + string(rune('a'+j%26)) + string(rune('a'+j/26))
+		attrs[j] = AttrName(j)
 	}
 	tb, err := table.New(attrs, 3)
 	if err != nil {
@@ -58,14 +81,7 @@ func ModelWorkload(nAttrs, rows int) *core.Model {
 	}
 	row := make([]table.Value, nAttrs)
 	for i := 0; i < rows; i++ {
-		base := table.Value(1 + rng.Intn(3))
-		for j := range row {
-			if rng.Intn(3) == 0 {
-				row[j] = table.Value(1 + rng.Intn(3))
-			} else {
-				row[j] = base
-			}
-		}
+		CorrelatedRow(rng, row, 3)
 		if err := tb.AppendRow(row); err != nil {
 			panic(err)
 		}

@@ -2,11 +2,12 @@
 // proves fleet correctness on a single-CPU box: it boots N real fleet
 // nodes plus a router on loopback listeners, drives a seeded schedule
 // of queries, appends, node kills, restarts, and lagging-gossip
-// windows through real HTTP, and byte-identity-checks every routed
-// answer against a single-node reference registry. The event loop is
-// strictly sequential, gossip runs in manual-tick mode, and all
-// randomness comes from one seeded source, so a failure replays
-// exactly from its seed.
+// windows through real HTTP, and hands every exchange to
+// internal/check, which holds each routed answer to a single-node
+// reference registry and each replica's final state to the last acked
+// write. The event loop is strictly sequential, gossip runs in
+// manual-tick mode, and all randomness comes from one seeded source,
+// so a failure replays exactly from its seed.
 package sim
 
 import (

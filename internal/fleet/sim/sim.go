@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"sort"
+	"slices"
 
 	"hypermine/internal/benchfix"
+	"hypermine/internal/check"
 	"hypermine/internal/core"
 	"hypermine/internal/registry"
 	"hypermine/internal/server"
@@ -65,8 +64,8 @@ func (cfg *Config) defaults() {
 	}
 }
 
-// Result summarizes a run. A correct fleet yields Mismatches == 0,
-// OpFailures == 0, and LostAppends == 0.
+// Result summarizes a run. A correct fleet yields a Check report with
+// no violations; the counters say how much stimulus was applied.
 type Result struct {
 	Events   int `json:"events"`
 	Queries  int `json:"queries"`
@@ -76,19 +75,21 @@ type Result struct {
 	// LagReleases counts the delayed-gossip windows that were opened
 	// and then released (>= cfg.Lags when the schedule ran fully).
 	LagReleases int `json:"lag_releases"`
-	// Mismatches counts routed answers whose body differed from the
-	// single-node reference, plus generation-attribution mismatches.
-	Mismatches int `json:"mismatches"`
-	// OpFailures counts routed operations that failed outright even
-	// though failover should have answered them.
-	OpFailures int `json:"op_failures"`
-	// LostAppends counts acknowledged appends whose rows were missing
-	// from any replica at final convergence (must be 0: replication is
-	// synchronous and gossip repairs restarts).
-	LostAppends int `json:"lost_appends"`
-	// FinalChecks counts the per-model, per-replica convergence
-	// verifications performed after the schedule drained.
+	// DeadOwnerPuts counts routed snapshot PUTs acked while an owner of
+	// the model was dead (one per model the victim owns, at each kill).
+	DeadOwnerPuts int `json:"dead_owner_puts"`
+	// RouterFailovers is the router's /stats failover count at the end.
+	RouterFailovers int64 `json:"router_failovers"`
+	// ReadyNodes counts nodes answering /readyz 200 after the final
+	// convergence.
+	ReadyNodes int `json:"ready_nodes"`
+	// FinalChecks counts the per-model, per-replica state and answer
+	// reads made after the schedule drained.
 	FinalChecks int `json:"final_checks"`
+	// Check is the verdict on every recorded exchange: routed answers
+	// against the single-node reference, generations against acked
+	// writes, and each replica's final state against the last ack.
+	Check *check.Report `json:"check"`
 }
 
 // control is the deterministic non-traffic schedule, keyed by event
@@ -105,16 +106,18 @@ type sim struct {
 	rng     *rand.Rand
 	cluster *Cluster
 	ref     http.Handler // single-node reference server
+	h       *check.History
 	res     *Result
 
-	models    []string
-	lastGen   map[string]int64 // model -> last acknowledged fleet generation
-	expectRow map[string]int   // model -> reference row count (acked)
+	models  []string
+	snaps   map[string][]byte // model -> its seed snapshot
+	lastGen map[string]int64  // model -> last acknowledged fleet generation
 }
 
 // Run executes one seeded simulation and reports its Result. An error
-// means the harness itself failed (listener, snapshot build); fleet
-// misbehavior is reported in the Result counters instead.
+// means the harness could not drive the fleet (listener, snapshot
+// build, restart, convergence, a refused seed write); answers are
+// judged in Result.Check instead.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
 	cluster, err := NewCluster(cfg.Nodes, cfg.Replicas, 0)
@@ -124,13 +127,14 @@ func Run(cfg Config) (*Result, error) {
 	defer cluster.Close()
 
 	s := &sim{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		cluster:   cluster,
-		ref:       server.New(registry.New(registry.Options{})).Handler(),
-		res:       &Result{},
-		lastGen:   map[string]int64{},
-		expectRow: map[string]int{},
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		cluster: cluster,
+		ref:     server.New(registry.New(registry.Options{})).Handler(),
+		h:       &check.History{},
+		res:     &Result{},
+		snaps:   map[string][]byte{},
+		lastGen: map[string]int64{},
 	}
 	for i := 0; i < cfg.Models; i++ {
 		s.models = append(s.models, fmt.Sprintf("m%02d", i))
@@ -150,24 +154,30 @@ func Run(cfg Config) (*Result, error) {
 	schedule := s.buildSchedule()
 	for ev := 0; ev < cfg.Events; ev++ {
 		s.res.Events++
+		var err error
 		if c, ok := schedule[ev]; ok {
-			if err := s.applyControl(ctx, ev, c); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if s.rng.Float64() < 0.15 {
-			s.stepAppend(ev)
+			err = s.applyControl(ctx, ev, c)
+		} else if s.rng.Float64() < 0.15 {
+			err = s.stepAppend()
 		} else {
-			s.stepQuery(ev)
+			s.stepQuery()
+		}
+		if err != nil {
+			return nil, err
 		}
 		if s.cfg.Logf != nil && (ev+1)%100 == 0 {
-			s.cfg.Logf("event %d/%d: %d queries, %d appends, %d mismatches, %d failures",
-				ev+1, cfg.Events, s.res.Queries, s.res.Appends, s.res.Mismatches, s.res.OpFailures)
+			s.cfg.Logf("event %d/%d: %d queries, %d appends", ev+1, cfg.Events, s.res.Queries, s.res.Appends)
 		}
 	}
 
-	s.finalVerify(ctx)
+	if err := s.finalVerify(ctx); err != nil {
+		return nil, err
+	}
+	s.res.Check = s.h.Check()
+	s.logf("check: %d outcomes, violations %+v", s.res.Check.Outcomes, s.res.Check.Violations)
+	for _, ex := range s.res.Check.Examples {
+		s.logf("  %s", ex)
+	}
 	return s.res, nil
 }
 
@@ -196,12 +206,30 @@ func (s *sim) buildSchedule() map[int]control {
 	return schedule
 }
 
+// applyControl runs one control event. A kill is followed at once by
+// a routed snapshot PUT of every model the victim owns, exercising the
+// node-side PUT path with a dead replica.
 func (s *sim) applyControl(ctx context.Context, ev int, c control) error {
 	switch {
 	case c.kill != "":
 		s.res.Kills++
 		s.logf("event %d: kill %s", ev, c.kill)
-		return s.cluster.Kill(c.kill)
+		if err := s.cluster.Kill(c.kill); err != nil {
+			return err
+		}
+		for _, model := range s.models {
+			if !slices.Contains(s.cluster.Ring().Owners(model), c.kill) {
+				continue
+			}
+			acked, err := s.write(model, http.MethodPut, "/v1/models/"+model, s.snaps[model], 0)
+			if acked {
+				s.res.DeadOwnerPuts++
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	case c.restart != "":
 		s.res.Restarts++
 		s.logf("event %d: restart %s (empty, lagging until gossip)", ev, c.restart)
@@ -220,13 +248,8 @@ func (s *sim) logf(format string, args ...any) {
 	}
 }
 
-// attrName mirrors benchfix.ModelWorkload's attribute naming.
-func attrName(j int) string {
-	return "A" + string(rune('a'+j%26)) + string(rune('a'+j/26))
-}
-
 // seedModels PUTs every model through the router and into the
-// reference, recording the acknowledged generations.
+// reference.
 func (s *sim) seedModels() error {
 	for i, name := range s.models {
 		m := benchfix.ModelWorkload(s.cfg.Attrs, s.cfg.Rows+10*i)
@@ -234,95 +257,50 @@ func (s *sim) seedModels() error {
 		if err := core.WriteSnapshot(&snap, m, core.SaveOptions{}); err != nil {
 			return err
 		}
-		status, hdr, body := s.routed(http.MethodPut, "/v1/models/"+name, "application/octet-stream", snap.Bytes())
-		if status != http.StatusOK {
-			return fmt.Errorf("sim: seed PUT %s: %d %s", name, status, body)
+		s.snaps[name] = snap.Bytes()
+		acked, err := s.write(name, http.MethodPut, "/v1/models/"+name, snap.Bytes(), 0)
+		if err == nil && !acked {
+			err = fmt.Errorf("sim: seed PUT %s refused", name)
 		}
-		refStatus, _, refBody := s.reference(http.MethodPut, "/v1/models/"+name, "application/octet-stream", snap.Bytes())
-		if refStatus != http.StatusOK {
-			return fmt.Errorf("sim: reference PUT %s: %d %s", name, refStatus, refBody)
-		}
-		var put, refPut struct {
-			Generation int64 `json:"generation"`
-			Rows       int   `json:"rows"`
-			Edges      int   `json:"edges"`
-		}
-		if err := json.Unmarshal(body, &put); err != nil {
+		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(refBody, &refPut); err != nil {
-			return err
-		}
-		if put.Rows != refPut.Rows || put.Edges != refPut.Edges {
-			return fmt.Errorf("sim: seed %s disagrees with reference: %+v vs %+v", name, put, refPut)
-		}
-		if hdr.Get("X-Model-Generation") == "" {
-			return fmt.Errorf("sim: seed PUT %s: no generation header", name)
-		}
-		s.lastGen[name] = put.Generation
-		s.expectRow[name] = put.Rows
 	}
 	return nil
 }
 
-// routed performs one HTTP request through the router.
-func (s *sim) routed(method, path, contentType string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// write routes one write and, once the fleet acks it, applies it to
+// the reference and remembers the acked generation that reference
+// answers are attributed to. An unacked write promised nothing and is
+// not mirrored; check still sees it, and the sim's tests hold it to
+// zero shed answers, since the sim runs no admission control.
+func (s *sim) write(model, method, path string, body []byte, appended int) (bool, error) {
+	o := check.Outcome{
+		Client: "router", Model: model, Kind: check.Write,
+		Method: method, Path: path, Body: body, Appended: appended,
 	}
-	req, err := http.NewRequest(method, s.cluster.RouterURL()+path, rd)
-	if err != nil {
-		return 0, nil, []byte(err.Error())
+	routed := s.h.Do(s.cluster.Client, s.cluster.RouterURL(), o)
+	if routed.Status != http.StatusOK {
+		s.logf("%v: %d %s%s", &routed, routed.Status, routed.Err, routed.Resp)
+		return false, nil
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	s.lastGen[model] = routed.Gen
+	// The reference's write is not recorded: its generations are its
+	// own, and its reads are attributed to the fleet's.
+	if ref := (&check.History{}).Serve(s.ref, o); ref.Status != http.StatusOK {
+		return true, fmt.Errorf("sim: reference %v: %d %s", &ref, ref.Status, ref.Resp)
 	}
-	resp, err := s.cluster.Client.Do(req)
-	if err != nil {
-		return 0, nil, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header, b
+	return true, nil
 }
 
-// direct performs one HTTP request against a specific node.
-func (s *sim) direct(nodeURL, method, path, contentType string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, nodeURL+path, rd)
-	if err != nil {
-		return 0, nil, []byte(err.Error())
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := s.cluster.Client.Do(req)
-	if err != nil {
-		return 0, nil, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header, b
-}
-
-// reference performs the same request against the single-node
-// reference handler, in process.
-func (s *sim) reference(method, path, contentType string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req := httptest.NewRequest(method, path, rd)
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	rec := httptest.NewRecorder()
-	s.ref.ServeHTTP(rec, req)
-	return rec.Code, rec.Header(), rec.Body.Bytes()
+// read sends one read through the router and the same read to the
+// reference, attributed to the last acked generation.
+func (s *sim) read(model string, q query) {
+	o := check.Outcome{Model: model, Method: q.method, Path: q.path, Body: q.body}
+	o.Client = "router"
+	s.h.Do(s.cluster.Client, s.cluster.RouterURL(), o)
+	o.Client, o.Gen = "reference", s.lastGen[model]
+	s.h.Serve(s.ref, o)
 }
 
 // query is one generated read: a method, path, and optional JSON body,
@@ -334,8 +312,8 @@ type query struct {
 
 // genQuery draws one deterministic read from the rng.
 func (s *sim) genQuery(model string) query {
-	a := attrName(s.rng.Intn(s.cfg.Attrs))
-	b := attrName(s.rng.Intn(s.cfg.Attrs))
+	a := benchfix.AttrName(s.rng.Intn(s.cfg.Attrs))
+	b := benchfix.AttrName(s.rng.Intn(s.cfg.Attrs))
 	switch s.rng.Intn(6) {
 	case 0:
 		return query{"GET", fmt.Sprintf("/v1/models/%s/rules?head=%s&top=5", model, a), nil}
@@ -346,11 +324,26 @@ func (s *sim) genQuery(model string) query {
 	case 3:
 		return query{"GET", "/v1/models/" + model + "/dominators", nil}
 	case 4:
-		vals := map[string]int{}
-		for i := 0; i < 3; i++ {
-			vals[attrName(s.rng.Intn(s.cfg.Attrs))] = 1 + s.rng.Intn(3)
+		// A valid classify names one of the model's current targets and
+		// values every dominator attribute, both read from the
+		// reference; the draws are the same three (attribute, value)
+		// pairs whatever the model, so a seed's schedule never shifts.
+		var picks [3]int
+		for i := range picks {
+			picks[i] = s.rng.Intn(s.cfg.Attrs)<<2 | (1 + s.rng.Intn(3))
 		}
-		body, _ := json.Marshal(map[string]any{"values": vals})
+		detail := (&check.History{}).Serve(s.ref, check.Outcome{Method: http.MethodGet, Path: "/v1/models/" + model})
+		var det struct{ Dominator, Targets []string }
+		_ = json.Unmarshal(detail.Resp, &det) // an unusable detail yields a request check flags
+		vals := map[string]int{}
+		for i, a := range det.Dominator {
+			vals[a] = picks[i%len(picks)] & 3
+		}
+		target := ""
+		if len(det.Targets) > 0 {
+			target = det.Targets[(picks[0]>>2)%len(det.Targets)]
+		}
+		body, _ := json.Marshal(map[string]any{"target": target, "values": vals})
 		return query{"POST", "/v1/models/" + model + "/classify", body}
 	default:
 		body, _ := json.Marshal(map[string]any{
@@ -360,178 +353,69 @@ func (s *sim) genQuery(model string) query {
 	}
 }
 
-// stepQuery routes one generated read and byte-compares it with the
-// reference; the routed answer must also attribute itself to the last
-// acknowledged generation (replication is synchronous, so no replica
-// may ever answer from an older one).
-func (s *sim) stepQuery(ev int) {
+// stepQuery routes one generated read and asks the reference the same.
+func (s *sim) stepQuery() {
 	model := s.models[s.rng.Intn(len(s.models))]
 	q := s.genQuery(model)
 	s.res.Queries++
-	ct := ""
-	if q.body != nil {
-		ct = "application/json"
-	}
-	status, hdr, body := s.routed(q.method, q.path, ct, q.body)
-	refStatus, _, refBody := s.reference(q.method, q.path, ct, q.body)
-	if status != refStatus {
-		s.res.OpFailures++
-		s.logf("event %d: %s %s: routed status %d, reference %d (%s)", ev, q.method, q.path, status, refStatus, body)
-		return
-	}
-	if !bytes.Equal(body, refBody) {
-		s.res.Mismatches++
-		s.logf("event %d: %s %s: body mismatch\n routed: %s\n    ref: %s", ev, q.method, q.path, body, refBody)
-	}
-	if gen := hdr.Get("X-Model-Generation"); gen != fmt.Sprint(s.lastGen[model]) {
-		s.res.Mismatches++
-		s.logf("event %d: %s %s: generation %q, want %d", ev, q.method, q.path, gen, s.lastGen[model])
-	}
+	s.read(model, q)
 }
 
-// stepAppend routes one generated append; on acknowledgement the same
-// rows go into the reference and the acked generation and row count
-// are recorded (the final verification proves no acked row was lost).
-func (s *sim) stepAppend(ev int) {
+// stepAppend routes one generated append of 1-3 correlated rows.
+func (s *sim) stepAppend() error {
 	model := s.models[s.rng.Intn(len(s.models))]
-	nRows := 1 + s.rng.Intn(3)
-	rows := make([][]int, nRows)
+	rows := make([][]int, 1+s.rng.Intn(3))
 	for i := range rows {
 		rows[i] = make([]int, s.cfg.Attrs)
-		base := 1 + s.rng.Intn(3)
-		for j := range rows[i] {
-			if s.rng.Intn(3) == 0 {
-				rows[i][j] = 1 + s.rng.Intn(3)
-			} else {
-				rows[i][j] = base
-			}
-		}
+		benchfix.CorrelatedRow(s.rng, rows[i], 3)
 	}
 	body, _ := json.Marshal(map[string]any{"rows": rows})
 	s.res.Appends++
-	path := "/v1/models/" + model + ":append"
-	status, _, respBody := s.routed(http.MethodPost, path, "application/json", body)
-	if status != http.StatusOK {
-		// Not acknowledged: nothing promised, nothing applied to the
-		// reference. Failover should make this impossible in-schedule.
-		s.res.OpFailures++
-		s.logf("event %d: append %s: status %d (%s)", ev, model, status, respBody)
-		return
-	}
-	refStatus, _, refBody := s.reference(http.MethodPost, path, "application/json", body)
-	if refStatus != http.StatusOK {
-		s.res.OpFailures++
-		s.logf("event %d: reference append %s: status %d", ev, model, refStatus)
-		return
-	}
-	var got, ref struct {
-		Generation int64 `json:"generation"`
-		Appended   int   `json:"appended"`
-		Rows       int   `json:"rows"`
-	}
-	if json.Unmarshal(respBody, &got) != nil || json.Unmarshal(refBody, &ref) != nil {
-		s.res.Mismatches++
-		return
-	}
-	if got.Appended != ref.Appended || got.Rows != ref.Rows {
-		// The fleet acknowledged different data than the reference —
-		// rows went missing (or doubled) somewhere between failovers.
-		s.res.LostAppends++
-		s.logf("event %d: append %s diverged: fleet %+v, reference %+v", ev, model, got, ref)
-	}
-	s.lastGen[model] = got.Generation
-	s.expectRow[model] = ref.Rows
+	_, err := s.write(model, http.MethodPost, "/v1/models/"+model+":append", body, len(rows))
+	return err
 }
 
 // finalVerify restarts anything dead, forces gossip convergence, and
-// checks every replica of every model directly: readiness, the
-// acknowledged generation, the acknowledged row count, and byte
-// identity of a full rules mining answer against the reference. Any
-// acked append missing anywhere surfaces here as LostAppends.
-func (s *sim) finalVerify(ctx context.Context) {
+// reads every replica of every model directly: its state (generation
+// and rows, which must match the last ack) and a full rules mining
+// answer (which must match the reference's).
+func (s *sim) finalVerify(ctx context.Context) error {
 	for _, name := range s.cluster.NodeNames() {
 		if !s.cluster.Alive(name) {
 			s.res.Restarts++
 			if err := s.cluster.Restart(name); err != nil {
-				s.res.OpFailures++
-				s.logf("final: restart %s: %v", name, err)
+				return fmt.Errorf("sim: final restart %s: %w", name, err)
 			}
 		}
 	}
 	if err := s.cluster.Converge(ctx); err != nil {
-		s.res.OpFailures++
-		s.logf("final: converge: %v", err)
+		return fmt.Errorf("sim: final converge: %w", err)
 	}
-
 	for _, name := range s.cluster.NodeNames() {
-		status, _, body := s.direct(s.cluster.NodeURL(name), http.MethodGet, "/readyz", "", nil)
-		if status != http.StatusOK {
-			s.res.OpFailures++
-			s.logf("final: %s /readyz = %d (%s)", name, status, body)
+		o := s.h.Do(s.cluster.Client, s.cluster.NodeURL(name), check.Outcome{Client: name, Method: http.MethodGet, Path: "/readyz"})
+		if o.Status == http.StatusOK {
+			s.res.ReadyNodes++
 		}
 	}
 
-	models := append([]string(nil), s.models...)
-	sort.Strings(models)
-	for _, model := range models {
-		rulesPath := fmt.Sprintf("/v1/models/%s/rules?head=%s&top=10", model, attrName(0))
-		_, _, refRules := s.reference(http.MethodGet, rulesPath, "", nil)
+	for _, model := range s.models {
+		rules := query{http.MethodGet, fmt.Sprintf("/v1/models/%s/rules?head=%s&top=10", model, benchfix.AttrName(0)), nil}
+		s.h.Serve(s.ref, check.Outcome{Client: "reference", Model: model, Gen: s.lastGen[model], Method: rules.method, Path: rules.path})
 		for _, owner := range s.cluster.Ring().Owners(model) {
 			s.res.FinalChecks++
 			u := s.cluster.NodeURL(owner)
-
-			status, hdr, body := s.direct(u, http.MethodGet, rulesPath, "", nil)
-			if status != http.StatusOK {
-				s.res.LostAppends++
-				s.logf("final: %s on %s: rules status %d (%s)", model, owner, status, body)
-				continue
-			}
-			if !bytes.Equal(body, refRules) {
-				s.res.Mismatches++
-				s.logf("final: %s on %s: rules body diverges from reference", model, owner)
-			}
-			if gen := hdr.Get("X-Model-Generation"); gen != fmt.Sprint(s.lastGen[model]) {
-				s.res.Mismatches++
-				s.logf("final: %s on %s: generation %q, want %d", model, owner, gen, s.lastGen[model])
-			}
-
-			status, _, body = s.direct(u, http.MethodGet, "/v1/models", "", nil)
-			if status != http.StatusOK {
-				s.res.OpFailures++
-				continue
-			}
-			var list struct {
-				Models []struct {
-					Name       string `json:"name"`
-					Rows       int    `json:"rows"`
-					Generation int64  `json:"generation"`
-				} `json:"models"`
-			}
-			if err := json.Unmarshal(body, &list); err != nil {
-				s.res.OpFailures++
-				continue
-			}
-			found := false
-			for _, row := range list.Models {
-				if row.Name != model {
-					continue
-				}
-				found = true
-				if row.Rows != s.expectRow[model] {
-					s.res.LostAppends++
-					s.logf("final: %s on %s: %d rows, want %d (acked rows lost)", model, owner, row.Rows, s.expectRow[model])
-				}
-				if row.Generation != s.lastGen[model] {
-					s.res.Mismatches++
-					s.logf("final: %s on %s: generation %d, want %d", model, owner, row.Generation, s.lastGen[model])
-				}
-			}
-			if !found {
-				s.res.LostAppends++
-				s.logf("final: %s missing entirely on replica %s", model, owner)
-			}
+			s.h.Do(s.cluster.Client, u, check.Outcome{Client: owner, Model: model, Method: rules.method, Path: rules.path})
+			s.h.Do(s.cluster.Client, u, check.Outcome{Client: owner, Model: model, Kind: check.State, Method: http.MethodGet, Path: "/v1/models/" + model})
 		}
 	}
-	s.logf("final: %d checks, %d mismatches, %d op failures, %d lost appends",
-		s.res.FinalChecks, s.res.Mismatches, s.res.OpFailures, s.res.LostAppends)
+
+	o := s.h.Do(s.cluster.Client, s.cluster.RouterURL(), check.Outcome{Client: "router", Method: http.MethodGet, Path: "/stats"})
+	var stats struct {
+		Failovers int64 `json:"failovers"`
+	}
+	if err := json.Unmarshal(o.Resp, &stats); err != nil {
+		return fmt.Errorf("sim: router /stats: %w (%d %s)", err, o.Status, o.Err)
+	}
+	s.res.RouterFailovers = stats.Failovers
+	return nil
 }

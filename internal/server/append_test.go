@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hypermine/internal/benchfix"
+	"hypermine/internal/registry"
 )
 
 // postBody POSTs raw bytes with an explicit content type and returns
@@ -208,4 +213,43 @@ func TestAppendRejections(t *testing.T) {
 	if code, raw, _ := postBody(t, ts.URL+"/v1/models/ghost:append", "application/json", js); code != http.StatusNotFound {
 		t.Fatalf("unknown model: %d %s", code, raw)
 	}
+}
+
+// FuzzAppendBody posts arbitrary bytes to :append on a tiny served
+// model, once as JSON and once as text/csv. Every answer must be 200,
+// 400 or 413 (never a 5xx or a panic), and a rejected append must
+// leave the served generation unchanged: appends never half-apply.
+func FuzzAppendBody(f *testing.F) {
+	m := benchfix.ModelWorkload(4, 50)
+	reg := registry.New(registry.Options{})
+	if _, err := reg.Load("tiny", m); err != nil {
+		f.Fatal(err)
+	}
+	h := New(reg, WithLogger(slog.New(slog.DiscardHandler))).Handler()
+	generation := func() int64 {
+		sv := reg.Peek("tiny")
+		defer sv.Release()
+		return sv.Generation()
+	}
+	f.Add([]byte(`{"rows":[[1,2,3,1],[3,3,3,3]]}`))
+	f.Add([]byte(`{"columns":[[1,2],[2,2],[3,1],[1,1]]}`))
+	f.Add([]byte(strings.Join(m.Table.Attrs(), ",") + "\n1,2,3,1\n2,2,2,2\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ct := range []string{"application/json", "text/csv"} {
+			before := generation()
+			req := httptest.NewRequest(http.MethodPost, "/v1/models/tiny:append", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+				if after := generation(); after != before {
+					t.Fatalf("%s %q: rejected with %d but generation moved %d -> %d", ct, body, rec.Code, before, after)
+				}
+			default:
+				t.Fatalf("%s %q: status %d: %s", ct, body, rec.Code, rec.Body.Bytes())
+			}
+		}
+	})
 }

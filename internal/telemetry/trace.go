@@ -44,8 +44,8 @@ func (id TraceID) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the hex-string wire format back, so clients of
-// /debug/traces (loadgen's -trace-sample, tests) can decode traces
-// with the same type the server encodes.
+// /debug/traces (tests, operators' tooling) can decode traces with the
+// same type the server encodes.
 func (id *TraceID) UnmarshalJSON(data []byte) error {
 	if len(data) != 34 || data[0] != '"' || data[33] != '"' {
 		return fmt.Errorf("telemetry: trace ID %q is not 32 hex digits", data)
@@ -86,15 +86,18 @@ func Traceparent(id TraceID) string {
 // ParseTraceparent extracts the trace ID from a W3C traceparent header
 // (version-format `vv-traceid-spanid-flags`, lowercase hex). It
 // returns false for malformed headers, unknown version ff, or the
-// invalid all-zero trace ID.
+// invalid all-zero trace ID. Version 00 is exactly 55 bytes; a later
+// version may append fields after a '-' at offset 55 (W3C Trace
+// Context §3.2.4), and its trace ID is still honoured.
 func ParseTraceparent(h string) (TraceID, bool) {
-	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return TraceID{}, false
 	}
 	ver, ok := parseHex(h[:2])
-	if !ok || ver == 0xff {
+	if !ok || ver == 0xff || (len(h) > 55 && (ver == 0 || h[55] != '-')) {
 		return TraceID{}, false
 	}
+	h = h[:55]
 	hi, ok1 := parseHex(h[3:19])
 	lo, ok2 := parseHex(h[19:35])
 	span, ok3 := parseHex(h[36:52])

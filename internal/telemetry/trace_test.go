@@ -43,17 +43,43 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // wrong separator
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad version hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-", // version 00 is exactly 55 bytes
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // future version: '-' must follow the flags
 	}
 	for _, h := range bad {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Fatalf("ParseTraceparent(%q) accepted", h)
 		}
 	}
-	good := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	id, ok := ParseTraceparent(good)
-	if !ok || id.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("ParseTraceparent(%q) = %v, %v", good, id, ok)
+	good := []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future-fields", // §3.2.4
 	}
+	for _, h := range good {
+		id, ok := ParseTraceparent(h)
+		if !ok || id.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
+			t.Fatalf("ParseTraceparent(%q) = %v, %v", h, id, ok)
+		}
+	}
+}
+
+// FuzzParseTraceparent: the parser never panics, and whatever it
+// accepts carries a non-zero ID equal to the header's trace-id field.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-xyz")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		id, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if id.IsZero() || id.String() != h[3:35] {
+			t.Fatalf("ParseTraceparent(%q) accepted ID %v", h, id)
+		}
+	})
 }
 
 func TestMintIDUnique(t *testing.T) {
