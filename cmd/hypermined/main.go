@@ -1,5 +1,5 @@
 // Command hypermined is the model-serving daemon: it loads binary
-// model snapshots (written by `hypermine model save` or
+// model snapshots (written by `hypermine build` or
 // core.WriteSnapshot) into a hot-swappable registry and serves the
 // HTTP/JSON query API of internal/server.
 //

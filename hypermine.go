@@ -83,8 +83,7 @@ type (
 
 // Re-exported hypergraph constructors.
 var (
-	NewHypergraph      = hypergraph.New
-	ReadHypergraphJSON = hypergraph.ReadJSON
+	NewHypergraph = hypergraph.New
 	// PackEdgeKey packs a restricted-model (tail, head) pair into its
 	// canonical uint64 key — the allocation-free identity Lookup uses.
 	PackEdgeKey = hypergraph.PackEdgeKey
@@ -262,13 +261,11 @@ var (
 	MineRules = core.MineRules
 	// FormatRule renders a rule with attribute names.
 	FormatRule = core.FormatRule
-	// ReadModelJSON loads a persisted model.
-	ReadModelJSON = core.ReadModelJSON
 )
 
-// Model persistence (internal/core): the JSON codec plus the binary
-// snapshot format shared by the CLI (`hypermine model save/load`) and
-// the hypermined serving daemon.
+// Model persistence (internal/core): the binary snapshot, the one
+// model format, shared by the CLI (`hypermine build`, `hypermine model
+// load/append`) and the hypermined serving daemon.
 type (
 	// SaveOptions tunes model persistence; OmitRows drops the training
 	// table for graph-query-only snapshots.

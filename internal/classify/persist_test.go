@@ -39,10 +39,10 @@ func TestABCRebuildFromLoadedModel(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
+	if err := core.WriteSnapshot(&buf, m, core.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.ReadModelJSON(&buf)
+	loaded, err := core.ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

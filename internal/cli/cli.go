@@ -6,20 +6,22 @@
 // Subcommands:
 //
 //	discretize turn a prices CSV into a discretized table (§5.1.1)
-//	build      mine an association hypergraph from a discretized CSV table
-//	model      save/load/append binary model snapshots (the hypermined serving format)
+//	build      mine a discretized CSV table into a binary model snapshot
+//	model      load (verify) or append rows to a model snapshot
 //	rules      mine top mva-type rules for a head attribute
 //	frequent   classical Apriori baseline
-//	degrees    print weighted in-/out-degrees of a hypergraph
+//	degrees    print weighted in-/out-degrees of a model's hypergraph
 //	top-edges  print the strongest incoming edges of a vertex
 //	similar    print association-based similarity between two vertices
-//	cluster    t-cluster the vertices of a hypergraph
+//	cluster    t-cluster the vertices of a model's hypergraph
 //	dominator  compute a leading indicator (Algorithm 5 or 6)
 //	classify   mine + dominate + classify a table end to end
 //
-// similar, dominator, and classify accept -model model.snap to reuse a
-// mined model snapshot instead of re-mining (or re-loading a
-// hypergraph JSON) on every invocation.
+// The binary snapshot (internal/core) is the one model format: build
+// writes it, the hypermined daemon serves it, and the graph-query
+// subcommands (degrees, top-edges, similar, cluster, dominator) read it
+// with -model, while -in always names a CSV input. classify mines its
+// -train table unless -model names a snapshot with rows.
 //
 // The query subcommands (similar, dominator, classify, rules) run
 // through the same prepared-model engine (internal/engine) the
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"hypermine/internal/apriori"
@@ -175,8 +178,8 @@ func writeTableCSV(tb *table.Table, path string) error {
 }
 
 // readFile opens path and decodes it with read, closing the file
-// either way — the one loading helper behind every input format
-// (CSV tables, hypergraph JSON, binary snapshots).
+// either way — the one loading helper behind both input formats (CSV
+// tables and binary snapshots).
 func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,121 +194,76 @@ func loadTable(path string, k int) (*table.Table, error) {
 	return readFile(path, func(r io.Reader) (*table.Table, error) { return table.ReadCSV(r, k) })
 }
 
-func loadGraph(path string) (*hypergraph.H, error) {
-	return readFile(path, hypergraph.ReadJSON)
-}
-
 // loadSnapshot reads a binary model snapshot from disk.
 func loadSnapshot(path string) (*core.Model, error) {
 	return readFile(path, core.ReadSnapshot)
 }
 
-// loadEngine resolves the query engine for graph-query subcommands:
-// over a binary model snapshot when modelPath is set (no re-mining,
-// shared with the serving daemon), otherwise over a graph-only model
-// wrapped around a hypergraph JSON (similarity and dominator queries
-// work; rules/classification report unavailability).
-func loadEngine(graphPath, modelPath string) (*engine.Engine, error) {
-	var m *core.Model
-	if modelPath == "" {
-		h, err := loadGraph(graphPath)
-		if err != nil {
-			return nil, err
-		}
-		m = &core.Model{H: h, RowsOmitted: true}
-	} else {
-		var err error
-		if m, err = loadSnapshot(modelPath); err != nil {
-			return nil, err
-		}
-	}
-	return engine.New(m, engine.Options{})
-}
-
-// cmdModel handles the binary snapshot codec: `model save` mines a
-// table (or converts a JSON model) into a snapshot, `model load`
-// verifies a snapshot and prints its summary (optionally converting
-// back to JSON), `model append` delta-appends CSV rows to a snapshot
-// through internal/delta — the offline twin of the daemon's :append
-// endpoint, bit-identical to re-mining the concatenated table. The
-// format is shared with the hypermined daemon.
-func (a *App) cmdModel(ctx context.Context, args []string) error {
-	if len(args) < 1 {
-		return errors.New(`usage: hypermine model <save|load|append> [flags]`)
-	}
-	switch args[0] {
-	case "save":
-		return a.cmdModelSave(ctx, args[1:])
-	case "load":
-		return a.cmdModelLoad(ctx, args[1:])
-	case "append":
-		return a.cmdModelAppend(ctx, args[1:])
-	}
-	return fmt.Errorf("unknown model subcommand %q (want save, load, or append)", args[0])
-}
-
-func (a *App) cmdModelSave(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("model save", flag.ExitOnError)
-	in := fs.String("in", "table.csv", "discretized table CSV to mine")
-	fromJSON := fs.String("from-json", "", "convert an existing JSON model instead of mining")
-	out := fs.String("out", "model.snap", "output snapshot path")
-	omitRows := fs.Bool("omit-rows", false, "drop the training table (graph queries only)")
-	preset, g1, g2 := configFlag(fs)
-	_ = fs.Parse(args)
-
-	var model *core.Model
-	if *fromJSON != "" {
-		f, err := os.Open(*fromJSON)
-		if err != nil {
-			return err
-		}
-		model, err = core.ReadModelJSON(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		tb, err := loadTable(*in, 0)
-		if err != nil {
-			return err
-		}
-		cfg, err := resolveConfig(*preset, *g1, *g2, tb.K())
-		if err != nil {
-			return err
-		}
-		cfg.K = tb.K()
-		if model, err = core.BuildContext(ctx, tb, cfg); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(*out)
+// writeSnapshotFile writes model to path as a binary snapshot without
+// ever leaving a partial file there: it encodes into a temporary file
+// in the same directory, syncs and closes it with errors checked, and
+// renames the result over path. On error path is untouched and the
+// temporary is removed.
+func writeSnapshotFile(path string, model *core.Model, opt core.SaveOptions) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if err := core.WriteSnapshot(f, model, core.SaveOptions{OmitRows: *omitRows}); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file owner-only; a snapshot is meant to be
+	// read by the serving daemon, like any file os.Create writes.
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := core.WriteSnapshot(f, model, opt); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	rows := model.Table.NumRows()
-	if *omitRows {
-		rows = 0
+	return os.Rename(f.Name(), path)
+}
+
+// loadEngine loads a model snapshot and wraps it in the query engine
+// the serving daemon uses, so CLI answers are serving answers.
+// Row-less snapshots serve every graph query.
+func loadEngine(modelPath string) (*engine.Engine, error) {
+	m, err := loadSnapshot(modelPath)
+	if err != nil {
+		return nil, err
 	}
-	size := int64(0)
-	if st, err := os.Stat(*out); err == nil {
-		size = st.Size()
+	return engine.New(m, engine.Options{})
+}
+
+// cmdModel handles existing snapshots: `model load` verifies a
+// snapshot and prints its summary, `model append` delta-appends CSV
+// rows to one through internal/delta — the offline twin of the
+// daemon's :append endpoint, bit-identical to re-mining the
+// concatenated table. `build` writes new snapshots.
+func (a *App) cmdModel(ctx context.Context, args []string) error {
+	if len(args) < 1 {
+		return errors.New(`usage: hypermine model <load|append> [flags]`)
 	}
-	fmt.Fprintf(a.out, "saved model (%d attrs, %d edges, %d rows) to %s (%d bytes)\n",
-		model.Table.NumAttrs(), model.H.NumEdges(), rows, *out, size)
-	return nil
+	switch args[0] {
+	case "load":
+		return a.cmdModelLoad(ctx, args[1:])
+	case "append":
+		return a.cmdModelAppend(ctx, args[1:])
+	}
+	return fmt.Errorf("unknown model subcommand %q (want load or append)", args[0])
 }
 
 func (a *App) cmdModelLoad(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("model load", flag.ExitOnError)
 	in := fs.String("in", "model.snap", "snapshot path")
-	jsonOut := fs.String("json", "", "also write the model as JSON to this path")
 	_ = fs.Parse(args)
 
 	model, err := loadSnapshot(*in)
@@ -323,20 +281,6 @@ func (a *App) cmdModelLoad(ctx context.Context, args []string) error {
 	fmt.Fprintf(a.out, "model: %d attrs (k=%d), %s\n", model.Table.NumAttrs(), model.Table.K(), rowsNote)
 	fmt.Fprintf(a.out, "graph: %d directed edges (mean ACV %.3f), %d 2-to-1 hyperedges (mean ACV %.3f), %d larger\n",
 		st.DirectedEdges, st.MeanACVEdges, st.TwoToOne, st.MeanACVTwoToOne, st.Other)
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := model.WriteJSONWith(f, core.SaveOptions{OmitRows: model.RowsOmitted}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(a.out, "wrote JSON model to %s\n", *jsonOut)
-	}
 	return nil
 }
 
@@ -386,15 +330,7 @@ func (a *App) cmdModelAppend(ctx context.Context, args []string) error {
 		return err
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := core.WriteSnapshot(f, next, core.SaveOptions{}); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSnapshotFile(*out, next, core.SaveOptions{}); err != nil {
 		return err
 	}
 	fmt.Fprintf(a.out, "appended %d rows: %d total, %d edges (%d -> %d, %d shared) -> %s\n",
@@ -425,7 +361,8 @@ func resolveConfig(preset string, g1, g2 float64, k int) (core.Config, error) {
 func (a *App) cmdBuild(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	in := fs.String("in", "table.csv", "discretized table CSV")
-	out := fs.String("out", "hypergraph.json", "output hypergraph JSON")
+	out := fs.String("out", "model.snap", "output model snapshot")
+	omitRows := fs.Bool("omit-rows", false, "drop the training table (graph queries only)")
 	preset, g1, g2 := configFlag(fs)
 	_ = fs.Parse(args)
 	tb, err := loadTable(*in, 0)
@@ -441,12 +378,7 @@ func (a *App) cmdBuild(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := model.H.WriteJSON(f); err != nil {
+	if err := writeSnapshotFile(*out, model, core.SaveOptions{OmitRows: *omitRows}); err != nil {
 		return err
 	}
 	st := model.H.EdgeStats()
@@ -457,13 +389,14 @@ func (a *App) cmdBuild(ctx context.Context, args []string) error {
 
 func (a *App) cmdDegrees(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("degrees", flag.ExitOnError)
-	in := fs.String("in", "hypergraph.json", "hypergraph JSON")
+	modelIn := fs.String("model", "model.snap", "binary model snapshot")
 	top := fs.Int("top", 25, "show the top-N by weighted in-degree")
 	_ = fs.Parse(args)
-	h, err := loadGraph(*in)
+	m, err := loadSnapshot(*modelIn)
 	if err != nil {
 		return err
 	}
+	h := m.H
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -488,14 +421,15 @@ func (a *App) cmdDegrees(ctx context.Context, args []string) error {
 
 func (a *App) cmdTopEdges(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("top-edges", flag.ExitOnError)
-	in := fs.String("in", "hypergraph.json", "hypergraph JSON")
+	modelIn := fs.String("model", "model.snap", "binary model snapshot")
 	node := fs.String("node", "", "vertex name")
 	top := fs.Int("top", 5, "edges per class")
 	_ = fs.Parse(args)
-	h, err := loadGraph(*in)
+	m, err := loadSnapshot(*modelIn)
 	if err != nil {
 		return err
 	}
+	h := m.H
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -540,13 +474,12 @@ func (a *App) cmdTopEdges(ctx context.Context, args []string) error {
 
 func (a *App) cmdSimilar(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("similar", flag.ExitOnError)
-	in := fs.String("in", "hypergraph.json", "hypergraph JSON")
-	modelIn := fs.String("model", "", "binary model snapshot (overrides -in)")
+	modelIn := fs.String("model", "model.snap", "binary model snapshot")
 	nodeA := fs.String("a", "", "first vertex")
 	nodeB := fs.String("b", "", "second vertex ('' = rank all against -a)")
 	top := fs.Int("top", 10, "ranking size when -b is empty")
 	_ = fs.Parse(args)
-	eng, err := loadEngine(*in, *modelIn)
+	eng, err := loadEngine(*modelIn)
 	if err != nil {
 		return err
 	}
@@ -570,13 +503,14 @@ func (a *App) cmdSimilar(ctx context.Context, args []string) error {
 
 func (a *App) cmdCluster(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	in := fs.String("in", "hypergraph.json", "hypergraph JSON")
+	modelIn := fs.String("model", "model.snap", "binary model snapshot")
 	t := fs.Int("t", 8, "number of clusters")
 	_ = fs.Parse(args)
-	h, err := loadGraph(*in)
+	m, err := loadSnapshot(*modelIn)
 	if err != nil {
 		return err
 	}
+	h := m.H
 	n := h.NumVertices()
 	all := make([]int, n)
 	for i := range all {
@@ -605,13 +539,12 @@ func (a *App) cmdCluster(ctx context.Context, args []string) error {
 
 func (a *App) cmdDominator(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("dominator", flag.ExitOnError)
-	in := fs.String("in", "hypergraph.json", "hypergraph JSON")
-	modelIn := fs.String("model", "", "binary model snapshot (overrides -in)")
+	modelIn := fs.String("model", "model.snap", "binary model snapshot")
 	alg := fs.Int("alg", 6, "5 (dominating-set adaptation) or 6 (set-cover adaptation)")
 	frac := fs.Float64("top", 1.0, "keep only the top fraction of edges by ACV first")
 	complete := fs.Bool("complete", false, "force 100% coverage via self-covering")
 	_ = fs.Parse(args)
-	eng, err := loadEngine(*in, *modelIn)
+	eng, err := loadEngine(*modelIn)
 	if err != nil {
 		return err
 	}

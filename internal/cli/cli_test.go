@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypermine/internal/core"
 	"hypermine/internal/timeseries"
 )
 
@@ -66,7 +67,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	prices, dir := fixture(t)
 	tablePath := filepath.Join(dir, "table.csv")
 	testPath := filepath.Join(dir, "test.csv")
-	graphPath := filepath.Join(dir, "hg.json")
+	snapPath := filepath.Join(dir, "model.snap")
 
 	out := run(t, "discretize", "-in", prices, "-out", tablePath,
 		"-out-test", testPath, "-split", "0.8", "-k", "3")
@@ -77,40 +78,40 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("out-sample table missing: %v", err)
 	}
 
-	out = run(t, "build", "-in", tablePath, "-out", graphPath, "-config", "C1")
+	out = run(t, "build", "-in", tablePath, "-out", snapPath, "-config", "C1")
 	if !strings.Contains(out, "directed edges") {
 		t.Errorf("build output: %q", out)
 	}
 
-	out = run(t, "degrees", "-in", graphPath, "-top", "5")
+	out = run(t, "degrees", "-model", snapPath, "-top", "5")
 	if !strings.Contains(out, "weighted-in") {
 		t.Errorf("degrees output: %q", out)
 	}
 
-	out = run(t, "top-edges", "-in", graphPath, "-node", "XOM", "-top", "2")
+	out = run(t, "top-edges", "-model", snapPath, "-node", "XOM", "-top", "2")
 	if !strings.Contains(out, "XOM") {
 		t.Errorf("top-edges output: %q", out)
 	}
 
-	out = run(t, "similar", "-in", graphPath, "-a", "XOM", "-top", "3")
+	out = run(t, "similar", "-model", snapPath, "-a", "XOM", "-top", "3")
 	if !strings.Contains(out, "most similar to XOM") {
 		t.Errorf("similar output: %q", out)
 	}
-	out = run(t, "similar", "-in", graphPath, "-a", "XOM", "-b", "EMN")
+	out = run(t, "similar", "-model", snapPath, "-a", "XOM", "-b", "EMN")
 	if !strings.Contains(out, "in-sim") || !strings.Contains(out, "distance") {
 		t.Errorf("pairwise similar output: %q", out)
 	}
 
-	out = run(t, "cluster", "-in", graphPath, "-t", "4")
+	out = run(t, "cluster", "-model", snapPath, "-t", "4")
 	if !strings.Contains(out, "cluster 0") {
 		t.Errorf("cluster output: %q", out)
 	}
 
-	out = run(t, "dominator", "-in", graphPath, "-alg", "6", "-top", "0.4")
+	out = run(t, "dominator", "-model", snapPath, "-alg", "6", "-top", "0.4")
 	if !strings.Contains(out, "dominator size") {
 		t.Errorf("dominator output: %q", out)
 	}
-	out = run(t, "dominator", "-in", graphPath, "-alg", "5")
+	out = run(t, "dominator", "-model", snapPath, "-alg", "5")
 	if !strings.Contains(out, "covers") {
 		t.Errorf("alg5 dominator output: %q", out)
 	}
@@ -134,9 +135,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestSubcommandErrors(t *testing.T) {
 	prices, dir := fixture(t)
 	tablePath := filepath.Join(dir, "table.csv")
-	graphPath := filepath.Join(dir, "hg.json")
+	snapPath := filepath.Join(dir, "model.snap")
 	run(t, "discretize", "-in", prices, "-out", tablePath)
-	run(t, "build", "-in", tablePath, "-out", graphPath)
+	run(t, "build", "-in", tablePath, "-out", snapPath)
 
 	app := New(new(bytes.Buffer))
 	cases := [][]string{
@@ -145,11 +146,12 @@ func TestSubcommandErrors(t *testing.T) {
 		{"discretize", "-in", prices, "-out", tablePath, "-out-test", filepath.Join(dir, "x.csv")}, // -out-test without -split
 		{"build", "-in", "/nonexistent.csv"},
 		{"build", "-in", tablePath, "-config", "C9"},
-		{"degrees", "-in", "/nonexistent.json"},
-		{"top-edges", "-in", graphPath, "-node", "NOPE"},
-		{"similar", "-in", graphPath, "-a", "NOPE"},
-		{"similar", "-in", graphPath, "-a", "XOM", "-b", "NOPE"},
-		{"dominator", "-in", graphPath, "-alg", "9"},
+		{"degrees", "-model", "/nonexistent.snap"},
+		{"cluster", "-model", tablePath}, // a CSV table is not a snapshot
+		{"top-edges", "-model", snapPath, "-node", "NOPE"},
+		{"similar", "-model", snapPath, "-a", "NOPE"},
+		{"similar", "-model", snapPath, "-a", "XOM", "-b", "NOPE"},
+		{"dominator", "-model", snapPath, "-alg", "9"},
 		{"classify", "-train", "/nonexistent.csv"},
 		{"classify", "-train", tablePath, "-alg", "9"},
 		{"rules", "-in", tablePath, "-node", "NOPE"},
@@ -171,29 +173,28 @@ func TestClassifyInSampleDefault(t *testing.T) {
 	}
 }
 
-// TestModelSnapshotWorkflow covers the binary-codec surface: model
-// save (mine -> snapshot), model load (verify + JSON conversion), and
-// the -model fast path of similar/dominator/classify, which must agree
-// with the mine-every-run results.
+// TestModelSnapshotWorkflow covers the snapshot surface: build (mine
+// -> snapshot, with or without rows), model load (verify + summary),
+// and classify -model, which must agree with the mine-every-run
+// result.
 func TestModelSnapshotWorkflow(t *testing.T) {
 	prices, dir := fixture(t)
 	tablePath := filepath.Join(dir, "table.csv")
 	snapPath := filepath.Join(dir, "model.snap")
 	slimPath := filepath.Join(dir, "slim.snap")
-	jsonPath := filepath.Join(dir, "model.json")
 	run(t, "discretize", "-in", prices, "-out", tablePath, "-k", "3")
 
-	out := run(t, "model", "save", "-in", tablePath, "-out", snapPath, "-config", "C1")
-	if !strings.Contains(out, "saved model") {
-		t.Errorf("model save output: %q", out)
+	out := run(t, "build", "-in", tablePath, "-out", snapPath, "-config", "C1")
+	if !strings.Contains(out, snapPath) {
+		t.Errorf("build output: %q", out)
 	}
-	out = run(t, "model", "load", "-in", snapPath, "-json", jsonPath)
-	if !strings.Contains(out, "directed edges") || !strings.Contains(out, "wrote JSON model") {
+	out = run(t, "model", "load", "-in", snapPath)
+	if !strings.Contains(out, "directed edges") || strings.Contains(out, "rows omitted") {
 		t.Errorf("model load output: %q", out)
 	}
 
 	// Row-less snapshots are smaller and marked.
-	run(t, "model", "save", "-in", tablePath, "-out", slimPath, "-config", "C1", "-omit-rows")
+	run(t, "build", "-in", tablePath, "-out", slimPath, "-config", "C1", "-omit-rows")
 	full, _ := os.Stat(snapPath)
 	slim, _ := os.Stat(slimPath)
 	if slim.Size() >= full.Size() {
@@ -210,17 +211,21 @@ func TestModelSnapshotWorkflow(t *testing.T) {
 	if mined != snapped {
 		t.Errorf("classify -model drifted:\nmined:   %q\nsnapshot: %q", mined, snapped)
 	}
-	simOut := run(t, "similar", "-model", snapPath, "-a", "XOM", "-top", "3")
-	if !strings.Contains(simOut, "most similar to XOM") {
-		t.Errorf("similar -model output: %q", simOut)
+	// Graph queries answer the same on row-less snapshots; classify
+	// fails with the rows-omitted error.
+	for _, q := range [][]string{
+		{"degrees", "-top", "5"},
+		{"top-edges", "-node", "XOM"},
+		{"similar", "-a", "XOM", "-top", "3"},
+		{"cluster", "-t", "4"},
+		{"dominator"},
+	} {
+		full := run(t, append(q, "-model", snapPath)...)
+		slim := run(t, append(q, "-model", slimPath)...)
+		if full != slim {
+			t.Errorf("%v differs on the row-less snapshot:\nfull: %q\nslim: %q", q, full, slim)
+		}
 	}
-	domOut := run(t, "dominator", "-model", snapPath)
-	if !strings.Contains(domOut, "dominator size") {
-		t.Errorf("dominator -model output: %q", domOut)
-	}
-	// Graph queries work on row-less snapshots too; classify fails
-	// with the rows-omitted error.
-	run(t, "dominator", "-model", slimPath)
 	app := New(new(bytes.Buffer))
 	if err := app.Run([]string{"classify", "-model", slimPath}); err == nil || !strings.Contains(err.Error(), "without training rows") {
 		t.Errorf("classify on row-less snapshot: %v", err)
@@ -230,7 +235,7 @@ func TestModelSnapshotWorkflow(t *testing.T) {
 	for _, c := range [][]string{
 		{"model"},
 		{"model", "bogus"},
-		{"model", "save", "-in", "/nonexistent.csv"},
+		{"model", "save"}, // build writes snapshots
 		{"model", "load", "-in", "/nonexistent.snap"},
 		{"model", "load", "-in", tablePath}, // not a snapshot
 		{"similar", "-model", "/nonexistent.snap", "-a", "XOM"},
@@ -238,5 +243,30 @@ func TestModelSnapshotWorkflow(t *testing.T) {
 		if err := app.Run(c); err == nil {
 			t.Errorf("%v: want error", c)
 		}
+	}
+}
+
+// TestWriteSnapshotFileKeepsTarget: a snapshot write whose encode
+// fails leaves an existing target byte-identical and no temporary
+// file behind.
+func TestWriteSnapshotFileKeepsTarget(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "model.snap")
+	want := []byte("the only copy of a model")
+	if err := os.WriteFile(target, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSnapshotFile(target, &core.Model{}, core.SaveOptions{}); err == nil {
+		t.Fatal("encoding an empty model succeeded")
+	}
+	got, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("target changed to %q", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want only the target", len(entries))
 	}
 }

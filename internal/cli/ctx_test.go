@@ -27,8 +27,7 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, args := range [][]string{
-		{"build", "-in", tablePath, "-out", filepath.Join(dir, "hg.json")},
-		{"model", "save", "-in", tablePath, "-out", filepath.Join(dir, "m.snap")},
+		{"build", "-in", tablePath, "-out", filepath.Join(dir, "m.snap")},
 		{"rules", "-in", tablePath, "-node", head},
 		{"frequent", "-in", tablePath},
 		{"classify", "-train", tablePath},
@@ -44,10 +43,10 @@ func TestRunContextCancel(t *testing.T) {
 	// outputs in sibling dirs so the printed paths agree modulo dir).
 	dirA, dirB := t.TempDir(), t.TempDir()
 	var a, b bytes.Buffer
-	if err := New(&a).Run([]string{"build", "-in", tablePath, "-out", filepath.Join(dirA, "hg.json")}); err != nil {
+	if err := New(&a).Run([]string{"build", "-in", tablePath, "-out", filepath.Join(dirA, "m.snap")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := New(&b).RunContext(context.Background(), []string{"build", "-in", tablePath, "-out", filepath.Join(dirB, "hg.json")}); err != nil {
+	if err := New(&b).RunContext(context.Background(), []string{"build", "-in", tablePath, "-out", filepath.Join(dirB, "m.snap")}); err != nil {
 		t.Fatal(err)
 	}
 	outA := strings.ReplaceAll(a.String(), dirA, "DIR")

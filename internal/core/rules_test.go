@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"hypermine/internal/table"
@@ -84,17 +83,20 @@ func TestFormatRule(t *testing.T) {
 	}
 }
 
-func TestModelJSONRoundTrip(t *testing.T) {
+// TestModelSnapshotRoundTrip: the interest-rate fixture's model
+// survives a snapshot round trip with its EdgeACV cache intact and
+// rebuilds the same 2-to-1 association table.
+func TestModelSnapshotRoundTrip(t *testing.T) {
 	tb := interestDB(t)
 	m, err := Build(tb, Config{GammaEdge: 1.0, GammaPair: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
+	if err := WriteSnapshot(&buf, m, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadModelJSON(&buf)
+	back, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +124,6 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 	if !almost(at1.ACV(), at2.ACV()) {
 		t.Error("loaded model produces different ATs")
-	}
-}
-
-func TestReadModelJSONRejectsCorrupt(t *testing.T) {
-	if _, err := ReadModelJSON(strings.NewReader("junk")); err == nil {
-		t.Error("want error for junk")
-	}
-	bad := `{"config":{},"k":2,"attrs":["A","B"],"rows":[[1,1]],"edges":[],"edgeACV":[0]}`
-	if _, err := ReadModelJSON(strings.NewReader(bad)); err == nil {
-		t.Error("want error for wrong edgeACV length")
-	}
-	badEdge := `{"config":{},"k":2,"attrs":["A","B"],"rows":[[1,1]],"edges":[{"tail":[0],"head":[0],"weight":1}],"edgeACV":[0,0,0,0]}`
-	if _, err := ReadModelJSON(strings.NewReader(badEdge)); err == nil {
-		t.Error("want error for overlapping edge")
 	}
 }
 

@@ -12,12 +12,10 @@ import (
 	"hypermine/internal/table"
 )
 
-// Binary model snapshots.
-//
-// The JSON persistence of persist.go is human-inspectable but slow to
-// load: every cell of the training table round-trips through a JSON
-// number. Serving restarts and hot reloads are bounded by model load
-// time, so snapshots use a dedicated binary format:
+// Binary model snapshots: the one on-disk form of a mined model. The
+// CLI writes them (`hypermine build`), the serving daemon loads and
+// replicates them, and serving restarts and hot reloads are bounded by
+// how fast they decode, so the format is binary:
 //
 //	magic   "HYPM"                        4 bytes
 //	version uvarint                       (currently 1)
@@ -51,8 +49,7 @@ const SnapshotVersion = 1
 
 const snapshotFlagRows = 1 << 0
 
-// SaveOptions tunes model persistence (both the JSON and the binary
-// codec).
+// SaveOptions tunes WriteSnapshot.
 type SaveOptions struct {
 	// OmitRows drops the training table from the saved model. The
 	// resulting file is much smaller and loads faster, but the loaded

@@ -18,26 +18,8 @@ func benchModel(b *testing.B) *Model {
 	return m
 }
 
-// BenchmarkReadModelJSON / BenchmarkReadSnapshot measure cold model
-// load — the serving restart / hot-reload critical path. The PR-3
-// acceptance bar is snapshot >= 5x faster than JSON on this fixture.
-func BenchmarkReadModelJSON(b *testing.B) {
-	m := benchModel(b)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadModelJSON(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkReadSnapshot measures cold model load — the serving
+// restart / hot-reload critical path.
 func BenchmarkReadSnapshot(b *testing.B) {
 	m := benchModel(b)
 	var buf bytes.Buffer

@@ -55,10 +55,55 @@ func modelsEquivalent(t *testing.T, a, b *Model) {
 	}
 }
 
-// TestSnapshotDifferentialVsJSON: loading a model through the binary
-// codec must be exactly equivalent to loading it through the JSON
-// codec, on randomized models including 3-to-1 edges.
-func TestSnapshotDifferentialVsJSON(t *testing.T) {
+// checkSnapshotRoundTrip writes m as a snapshot and reads it back. The
+// loaded model must equal m exactly, rebuild the same association table
+// for every edge, and write back to the same bytes.
+func checkSnapshotRoundTrip(t *testing.T, m *Model) {
+	t.Helper()
+	var first bytes.Buffer
+	if err := WriteSnapshot(&first, m, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelsEquivalent(t, m, back)
+	if err := back.H.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The loaded model is fully functional: association tables rebuilt
+	// from the round-tripped training table agree with the originals.
+	for _, e := range m.H.Edges() {
+		atO, err := m.AssociationTableFor(e.Tail, e.Head[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		atB, err := back.AssociationTableFor(e.Tail, e.Head[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if atO.ACV() != atB.ACV() {
+			t.Fatalf("AT ACV for %v->%v changed: %v -> %v", e.Tail, e.Head, atO.ACV(), atB.ACV())
+		}
+	}
+
+	// Writing the loaded model again is byte-stable.
+	var again bytes.Buffer
+	if err := WriteSnapshot(&again, back, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), again.Bytes()) {
+		t.Error("snapshot round trip not byte-stable")
+	}
+}
+
+// TestSnapshotRoundTrip: WriteSnapshot then ReadSnapshot must
+// reproduce the model exactly, on randomized models including 3-to-1
+// edges; the loaded model must rebuild the same association tables,
+// and writing it again must be byte-stable.
+func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -73,41 +118,28 @@ func TestSnapshotDifferentialVsJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			var jbuf, bbuf bytes.Buffer
-			if err := m.WriteJSON(&jbuf); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteSnapshot(&bbuf, m, SaveOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			fromJSON, err := ReadModelJSON(&jbuf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromBin, err := ReadSnapshot(&bbuf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			modelsEquivalent(t, m, fromJSON)
-			modelsEquivalent(t, fromJSON, fromBin)
-			if err := fromBin.H.Validate(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Writing the loaded model again is byte-stable.
-			var again bytes.Buffer
-			if err := WriteSnapshot(&again, fromBin, SaveOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			var first bytes.Buffer
-			if err := WriteSnapshot(&first, m, SaveOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first.Bytes(), again.Bytes()) {
-				t.Error("snapshot round trip not byte-stable")
-			}
+			checkSnapshotRoundTrip(t, m)
 		})
+	}
+}
+
+// TestSnapshotRoundTripRandomized sweeps the snapshot round trip over
+// random table shapes (attributes, k, rows) and tail-size limits,
+// complementing the fixed cases of TestSnapshotRoundTrip.
+func TestSnapshotRoundTripRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 6; i++ {
+		nAttrs, k, rows := 3+rng.Intn(4), 2+rng.Intn(3), 50+rng.Intn(200)
+		tb := randTable(t, rng, nAttrs, k, rows)
+		cfg := Config{GammaEdge: 1.0, GammaPair: 1.0, GammaTriple: 1.0, MaxTailSize: 1 + rng.Intn(3)}
+		if rng.Intn(2) == 0 {
+			cfg.Candidates = EdgeSeeded
+		}
+		m, err := Build(tb, cfg)
+		if err != nil {
+			t.Fatalf("case %d (%d attrs, k=%d, %d rows, %+v): %v", i, nAttrs, k, rows, cfg, err)
+		}
+		checkSnapshotRoundTrip(t, m)
 	}
 }
 
@@ -169,37 +201,6 @@ func TestSnapshotOmitRows(t *testing.T) {
 	}
 	if !back2.RowsOmitted || back2.Table.NumRows() != 0 {
 		t.Fatal("re-saved row-less model grew rows back")
-	}
-}
-
-// TestJSONOmitRows mirrors the snapshot semantics on the JSON codec
-// and checks the corrupt-file distinction: nil rows without the
-// rowsOmitted marker must be rejected.
-func TestJSONOmitRows(t *testing.T) {
-	tb := geneDB(t)
-	m, err := Build(tb, Config{GammaEdge: 1.0, GammaPair: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSONWith(&buf, SaveOptions{OmitRows: true}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadModelJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.RowsOmitted || back.Table.NumRows() != 0 {
-		t.Fatalf("rowsOmitted=%v rows=%d, want marked row-less", back.RowsOmitted, back.Table.NumRows())
-	}
-	if _, err := MineRules(back, 0, MineOptions{}); err == nil {
-		t.Fatal("MineRules on row-less JSON model succeeded")
-	}
-
-	// Unmarked empty rows are corrupt, not silently accepted.
-	corrupt := `{"config":{},"k":3,"attrs":["A","B"],"edges":[],"edgeACV":[0,0,0,0]}`
-	if _, err := ReadModelJSON(strings.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "rowsOmitted") {
-		t.Fatalf("unmarked row-less file error = %v, want rowsOmitted complaint", err)
 	}
 }
 

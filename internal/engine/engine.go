@@ -203,9 +203,10 @@ type Engine struct {
 }
 
 // New returns an Engine over the model. The model's hypergraph is
-// required; the training table may be absent (a graph-only model, as
-// the CLI builds from hypergraph JSON), in which case rule mining and
-// classification report unavailability instead of answering.
+// required; the training table may be absent (a row-less snapshot, or
+// the edge-filtered graph the CLI's dominator -top builds), in which
+// case rule mining and classification report unavailability instead
+// of answering.
 func New(m *core.Model, opt Options) (*Engine, error) {
 	if m == nil || m.H == nil {
 		return nil, errors.New("engine: nil model or hypergraph")

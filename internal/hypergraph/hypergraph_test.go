@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,39 +202,6 @@ func TestEdgeStats(t *testing.T) {
 	}
 	if math.Abs(st.MeanACVEdges-0.5) > 1e-12 || math.Abs(st.MeanACVTwoToOne-0.8) > 1e-12 {
 		t.Errorf("means = %+v", st)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	h := newH(t, "A", "B", "C")
-	_ = h.AddEdge([]int{0}, []int{1}, 0.25)
-	_ = h.AddEdge([]int{0, 1}, []int{2}, 0.75)
-	var buf bytes.Buffer
-	if err := h.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumVertices() != 3 || back.NumEdges() != 2 {
-		t.Fatalf("round trip lost data: %d vertices, %d edges", back.NumVertices(), back.NumEdges())
-	}
-	if w := back.Weight([]int{0, 1}, []int{2}); w != 0.75 {
-		t.Errorf("weight after round trip = %v", w)
-	}
-	if err := back.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestReadJSONRejectsCorrupt(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("want error for junk")
-	}
-	bad := `{"vertices":["A","B"],"edges":[{"tail":[0],"head":[0],"weight":1}]}`
-	if _, err := ReadJSON(bytes.NewReader([]byte(bad))); err == nil {
-		t.Error("want error for overlapping edge")
 	}
 }
 

@@ -58,8 +58,8 @@ import (
 // this system mines, but finite).
 const maxSnapshotBytes = 1 << 30
 
-// maxQueryBytes bounds a :query body: even a large mixed batch of
-// typed requests is far under a megabyte.
+// maxQueryBytes bounds a :query or classify body: even a large mixed
+// batch of typed requests is far under a megabyte.
 const maxQueryBytes = 8 << 20
 
 // StatusClientClosedRequest is the nginx 499 convention: the client
@@ -1025,7 +1025,7 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var req engine.ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}
@@ -1042,7 +1042,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	var req engine.ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"hypermine/internal/benchfix"
 	"hypermine/internal/core"
+	"hypermine/internal/engine"
 	"hypermine/internal/registry"
 	"hypermine/internal/similarity"
 	"hypermine/internal/table"
@@ -562,4 +565,72 @@ func TestClassifyRejectsNonTargets(t *testing.T) {
 			t.Errorf("batch target %q: code %d, want 400", target, code)
 		}
 	}
+}
+
+// TestBodiesCappedAtMaxQueryBytes: every JSON body endpoint answers a
+// 4xx to a body one byte over maxQueryBytes, even one whose JSON value
+// would decode fine uncapped (leading whitespace pads it), and the next
+// normal request still succeeds.
+func TestBodiesCappedAtMaxQueryBytes(t *testing.T) {
+	ts, reg, m := serving(t)
+	sv := reg.Acquire("demo")
+	abc, err := sv.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := m.H.VertexName(sv.Targets()[0])
+	sv.Release()
+	values := map[string]int{}
+	row := make([]int, len(abc.Dominator()))
+	for j, a := range abc.Dominator() {
+		values[m.H.VertexName(a)] = 1
+		row[j] = 1
+	}
+	classify := engine.ClassifyRequest{Target: target, Values: values}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"classify", "/v1/models/demo/classify", classify},
+		{"classify-batch", "/v1/models/demo/classify:batch", engine.ClassifyRequest{Target: target, Rows: [][]int{row}}},
+		{"query", "/v1/models/demo:query", engine.Request{Classify: &classify}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			valid, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oversized := append(bytes.Repeat([]byte(" "), maxQueryBytes+1-len(valid)), valid...)
+			if code, body, _ := postBody(t, ts.URL+tc.path, "application/json", oversized); code < 400 || code > 499 {
+				t.Errorf("%d-byte body: status %d, want 4xx: %s", len(oversized), code, body)
+			}
+			if code, body, _ := postBody(t, ts.URL+tc.path, "application/json", valid); code != http.StatusOK {
+				t.Errorf("normal body after the oversized one: status %d: %s", code, body)
+			}
+		})
+	}
+}
+
+// FuzzQueryBody posts arbitrary bytes to :query on a tiny served
+// model. The typed request decoder and the engine behind it must
+// never panic and never answer a 5xx: a malformed or unanswerable
+// body is the client's fault.
+func FuzzQueryBody(f *testing.F) {
+	reg := registry.New(registry.Options{})
+	if _, err := reg.Load("tiny", benchfix.ModelWorkload(4, 50)); err != nil {
+		f.Fatal(err)
+	}
+	h := New(reg, WithLogger(slog.New(slog.DiscardHandler))).Handler()
+	// The tiny model's dominator is {Aaa, Aba}; its targets {Aca, Ada}.
+	f.Add([]byte(`{"batch":[{"dominators":{}},{"similar":{"a":"Aaa","top":2}},{"rules":{"head":"Aca","top":3}},{"classify":{"target":"Aca","values":{"Aaa":1,"Aba":2}}}]}`))
+	f.Add([]byte(`{"classify":{"target":"Ada","rows":[[1,2],[3,3]]}}`))
+	f.Add([]byte(`{"similar":{"a":"Aaa","b":"Aba"},"bogus":1}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/tiny:query", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body.Bytes())
+		}
+	})
 }
