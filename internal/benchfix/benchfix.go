@@ -1,9 +1,9 @@
 // Package benchfix holds the deterministic workload builders shared by
 // the package benchmarks and tests, the fleet sim and its router
-// overhead bar (TestRouterOverheadBar), and cmd/loadgen, so they all
-// measure the exact same workloads: one home for the fixture's
-// attribute naming (AttrName) and correlated row shape (CorrelatedRow),
-// no hand-mirrored copies to drift apart. End-to-end numbers come from
+// overhead bar (TestRouterOverheadBar), so they all measure the exact
+// same workloads: one home for the fixture's attribute naming
+// (AttrName) and correlated row shape (CorrelatedRow), no
+// hand-mirrored copies to drift apart. End-to-end numbers come from
 // perfbench; perf limits are enforced by the Test…Bar tests beside the
 // code they pin.
 package benchfix

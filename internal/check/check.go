@@ -1,7 +1,7 @@
 // Package check is the one response checker every harness shares. A
-// harness (cmd/loadgen's mixes, the fleet sim) drives traffic, records
-// each HTTP exchange as an Outcome in a History, and calls Check;
-// nothing else decides whether the answers were right. Check verifies
+// harness (the internal/server contract tests, the fleet sim) drives
+// traffic, records each HTTP exchange as an Outcome in a History, and
+// calls Check; nothing else decides whether the answers were right. Check verifies
 // the serving contract over the whole history:
 //
 //   - identity: responses to the same request (method, path, body) at

@@ -506,6 +506,15 @@ func (e *Engine) Rules(ctx context.Context, head int, opt core.MineOptions) ([]c
 	if head < 0 || head >= e.model.H.NumVertices() {
 		return nil, badf("head attribute %d out of range", head)
 	}
+	// The negated ranges also reject NaN, which must never become a
+	// cache key: a NaN key matches no lookup, so it could never be hit
+	// or evicted.
+	if !(opt.MinSupport >= 0 && opt.MinSupport <= 1) {
+		return nil, badf("min_support %v outside [0, 1]", opt.MinSupport)
+	}
+	if !(opt.MinConfidence >= 0 && opt.MinConfidence <= 1) {
+		return nil, badf("min_confidence %v outside [0, 1]", opt.MinConfidence)
+	}
 	if opt.Run != nil || e.rules.cap <= 0 {
 		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseRules)()
 		return core.MineRulesContext(ctx, e.model, head, opt)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -446,6 +447,42 @@ func TestRuleCacheLRU(t *testing.T) {
 	got, err := e2.Rules(ctx, 0, core.MineOptions{MaxRules: 3})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("uncached rules drifted: %v", err)
+	}
+}
+
+// TestRulesRejectsBadThresholds: NaN and out-of-range thresholds are
+// bad requests, and a NaN never reaches the rule cache, whose eviction
+// loop could not delete a NaN key and would spin holding the cache lock.
+func TestRulesRejectsBadThresholds(t *testing.T) {
+	ctx := context.Background()
+	e := newEngine(t, testModel(t, 16, 10, 300, 0), Options{RuleCacheEntries: 2})
+	done := make(chan []string, 1)
+	go func() {
+		var failed []string
+		for _, opt := range []core.MineOptions{
+			{MinSupport: math.NaN()}, {MinSupport: -0.1}, {MinSupport: 1.5},
+			{MinConfidence: math.NaN()}, {MinConfidence: math.Inf(1)},
+		} {
+			var ee *Error
+			if _, err := e.Rules(ctx, 0, opt); !errors.As(err, &ee) || ee.Kind != ErrBadRequest {
+				failed = append(failed, fmt.Sprintf("Rules(%+v): err %v, want %s", opt, err, ErrBadRequest))
+			}
+		}
+		// Valid queries past the cache bound must still evict and answer.
+		for head := 1; head <= 3; head++ {
+			if _, err := e.Rules(ctx, head, core.MineOptions{MaxRules: 3}); err != nil {
+				failed = append(failed, err.Error())
+			}
+		}
+		done <- failed
+	}()
+	select {
+	case failed := <-done:
+		for _, f := range failed {
+			t.Error(f)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rules queries hung in the rule cache")
 	}
 }
 

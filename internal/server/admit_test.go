@@ -3,18 +3,23 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hypermine/internal/admit"
+	"hypermine/internal/check"
 	"hypermine/internal/registry"
 	"hypermine/internal/testutil"
 )
@@ -203,87 +208,128 @@ func TestAdmissionBreaker(t *testing.T) {
 	}
 }
 
-// TestAdmissionBurstInvariants hammers a tiny gate from concurrent
-// clients while the test deliberately holds the only slot for the
-// first phase: every response must be either byte-identical to the
-// unloaded baseline (200) or a well-formed rejection (429 with
-// Retry-After), shed must be nonzero, counters must add up, and the
-// goroutine count must return to baseline afterwards.
+// TestAdmissionBurstInvariants hammers tiny cheap and expensive gates
+// from concurrent clients while the test holds the only slot of each,
+// with slow clients stalling half-open connections and a re-PUT of the
+// served snapshot waiting to swap: /healthz must answer while
+// saturated, internal/check must find every answer identical to the
+// unloaded baseline or a well-formed rejection, something must shed and
+// /stats must count it, and afterwards both gates must drain and the
+// goroutine count return to baseline.
 func TestAdmissionBurstInvariants(t *testing.T) {
 	base := testutil.GoroutineBaseline()
 
-	ctl := admit.NewController(admit.Config{CheapCapacity: 1, CheapQueue: 2})
-	ts := servingAdmit(t, ctl)
-	url := ts.URL + "/v1/models/demo/dominators"
-	_, baseline, _ := getTenant(t, url, "")
-
-	// Phase 1: the test owns the slot, so at most CheapQueue requests
-	// can be waiting and everything beyond that must shed.
-	gate := ctl.Gate(admit.Cheap)
-	if _, err := gate.Enter(context.Background()); err != nil {
-		t.Fatal(err)
+	ctl := admit.NewController(admit.Config{
+		CheapCapacity: 1, CheapQueue: 2,
+		ExpensiveCapacity: 1, ExpensiveQueue: 2,
+	})
+	c := newContract(t, WithAdmission(ctl))
+	rng := rand.New(rand.NewSource(7))
+	var pool []check.Outcome
+	for i := 0; i < 8; i++ {
+		pool = append(pool, demo(http.MethodPost, "/classify", mustJSON(c.classifyBody(rng, 0))))
+	}
+	pool = append(pool, demo(http.MethodGet, "/dominators", nil))
+	for i := 0; i < 4 && i < len(c.info.Targets); i++ {
+		pool = append(pool, demo(http.MethodGet, "/rules?head="+c.info.Targets[i]+"&top=5", nil))
+	}
+	// The unloaded baseline also warms every lazy artifact.
+	for _, o := range pool {
+		c.send("baseline", o)
 	}
 
-	// Up to CheapQueue workers park in the gate queue while the slot
-	// is held; everyone else sheds immediately, so responses keep
-	// flowing. Once a quarter of the total burst has been answered
-	// (all of it rejections, by construction), release the slot and
-	// let the tail drain through normally.
+	// While the test holds both slots, at most the two queues' four
+	// requests wait and everything beyond them sheds, so answers keep
+	// flowing until the test releases the gates.
+	gates := []*admit.Gate{ctl.Gate(admit.Cheap), ctl.Gate(admit.Expensive)}
+	for _, g := range gates {
+		if _, err := g.Enter(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unstall := stall(t, c.ts.URL, 2)
+
 	const workers, iters = 8, 20
+	var admitted, answered atomic.Int64
+	quarter := make(chan struct{})
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ok200, shed429, other int
-	released := false
-	release := make(chan struct{})
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				code, body, retry := getTenant(t, url, "")
-				mu.Lock()
-				switch {
-				case code == 200 && bytes.Equal(body, baseline):
-					ok200++
-				case code == 429 && retry != "":
-					shed429++
-				default:
-					other++
-					t.Errorf("code %d retry %q body %.80s", code, retry, body)
+				if c.send(fmt.Sprintf("worker-%d", w), pool[(i*7+w)%len(pool)]).Status == http.StatusOK {
+					admitted.Add(1)
 				}
-				if !released && ok200+shed429+other >= workers*iters/4 {
-					released = true
-					close(release)
+				if answered.Add(1) == workers*iters/4 {
+					close(quarter)
 				}
-				mu.Unlock()
 			}
 		}()
 	}
-	go func() {
-		<-release
-		gate.Leave(0)
-	}()
+	// The re-PUT swaps at once but drains the old generation only after
+	// its queued requests finish, so it acks after the release below.
+	reloaded := make(chan error, 1)
+	go func() { reloaded <- c.reload("reloader") }()
+	for i := 0; i < 3; i++ {
+		if o := c.send("probe", check.Outcome{Method: http.MethodGet, Path: "/healthz"}); o.Status != http.StatusOK {
+			t.Errorf("healthz while saturated: %d %s", o.Status, o.Err)
+		}
+	}
+	<-quarter
+	unstall()
+	for _, g := range gates {
+		g.Leave(0)
+	}
 	wg.Wait()
+	if err := <-reloaded; err != nil {
+		t.Fatal(err)
+	}
 
-	if other != 0 {
-		t.Fatalf("%d responses violated the identity/rejection invariant", other)
+	rep := c.verify()
+	if rep.Shed == 0 {
+		t.Fatal("nothing shed while the gate slots were held")
 	}
-	if shed429 == 0 {
-		t.Fatal("nothing shed while the gate slot was held")
-	}
-	if ok200 == 0 {
+	if admitted.Load() == 0 {
 		t.Fatal("nothing admitted after release")
 	}
-	if got := ok200 + shed429; got != workers*iters {
-		t.Fatalf("response count %d, want %d", got, workers*iters)
+	var st statsResponse
+	if code := getJSON(t, c.ts.URL+"/stats", &st); code != http.StatusOK {
+		t.Fatalf("/stats: %d", code)
 	}
-
-	// The gate must be fully drained: no stranded in-flight or waiter.
-	if inflight, queued := gate.Load(); inflight != 0 || queued != 0 {
-		t.Fatalf("gate not drained: inflight %d queued %d", inflight, queued)
+	if st.Shed < int64(rep.Shed) {
+		t.Fatalf("stats shed %d < %d rejections seen by clients", st.Shed, rep.Shed)
 	}
-	ts.Close()
+	for _, g := range gates {
+		if inflight, queued := g.Load(); inflight != 0 || queued != 0 {
+			t.Fatalf("gate not drained: inflight %d queued %d", inflight, queued)
+		}
+	}
+	c.ts.Close()
 	testutil.CheckGoroutines(t.Fatalf, base, 0, 5*time.Second)
+}
+
+// stall opens n connections that send an incomplete request and go
+// silent, the classic slow client; the returned func closes them.
+func stall(t *testing.T, url string, n int) func() {
+	t.Helper()
+	host := strings.TrimPrefix(url, "http://")
+	var conns []net.Conn
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Headers without the terminating blank line: the server waits
+		// for the rest of the request until the connection closes.
+		fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: %s\r\n", host)
+		conns = append(conns, conn)
+	}
+	return func() {
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}
 }
 
 var (

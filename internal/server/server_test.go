@@ -322,6 +322,11 @@ func TestRulesEndpoint(t *testing.T) {
 	if !strings.Contains(out.Rules[0].Rule, "=>") {
 		t.Fatalf("unformatted rule %q", out.Rules[0].Rule)
 	}
+	for _, bad := range []string{"min_support=NaN", "min_confidence=1.5"} {
+		if code := getJSON(t, ts.URL+"/v1/models/demo/rules?head="+head+"&"+bad, nil); code != 400 {
+			t.Fatalf("rules with %s: code %d, want 400", bad, code)
+		}
+	}
 }
 
 // TestPutSnapshotHotSwap uploads snapshots over HTTP: a fresh model,
