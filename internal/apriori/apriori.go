@@ -208,8 +208,10 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 
 	var all []Frequent
 	// L1 from the index's cached posting counts, or per-column
-	// histograms on the scan path.
+	// histograms on the scan path. Each 1-itemset is a capped
+	// sub-slice of one slab.
 	var level []Frequent
+	l1 := make([]core.Item, 0, tb.NumAttrs()*tb.K())
 	for a := 0; a < tb.NumAttrs(); a++ {
 		var counts []int
 		if ix == nil {
@@ -226,8 +228,9 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 				c = counts[v-1]
 			}
 			if c >= minCount {
+				l1 = append(l1, core.Item{Attr: a, Val: table.Value(v)})
 				level = append(level, Frequent{
-					Items:   []core.Item{{Attr: a, Val: table.Value(v)}},
+					Items:   l1[len(l1)-1 : len(l1) : len(l1)],
 					Count:   c,
 					Support: float64(c) / float64(n),
 				})
@@ -237,7 +240,11 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 	sortFrequent(level)
 	all = append(all, level...)
 	prog.Tick(1)
+	// Scratch reused across levels: the previous level's encoded ids
+	// and the items of the current level's frequent candidates.
 	var levelIDs [][]uint64
+	var ids []uint64
+	var items []core.Item
 	for size := 2; len(level) > 0 && (opt.MaxLen == 0 || size <= opt.MaxLen); size++ {
 		if err := chk.Err(); err != nil {
 			return nil, err
@@ -245,14 +252,21 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 		// Encoded ids of the previous level, in level order — which is
 		// lexicographic, so subset membership is a binary search over
 		// fixed-width ids instead of a string-keyed set.
-		levelIDs = levelIDs[:0]
+		levelIDs, ids = levelIDs[:0], ids[:0]
 		for _, f := range level {
 			if err := chk.Tick(); err != nil {
 				return nil, err
 			}
-			levelIDs = append(levelIDs, appendIDs(make([]uint64, 0, size-1), f.Items))
+			ids = appendIDs(ids, f.Items)
+		}
+		for i := range level {
+			levelIDs = append(levelIDs, ids[i*(size-1):(i+1)*(size-1)])
 		}
 		idBuf := make([]uint64, 0, size)
+		// Every join candidate is built in cand; only the frequent ones
+		// are copied out, into items and then one exact slab per level.
+		cand := make([]core.Item, size)
+		items = items[:0]
 		var next []Frequent
 		for i := 0; i < len(level); i++ {
 			a := level[i].Items
@@ -272,7 +286,8 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 				if a[len(a)-1].Attr == last.Attr {
 					continue // one value per attribute
 				}
-				cand := append(append(make([]core.Item, 0, size), a...), last)
+				copy(cand, a)
+				cand[size-1] = last
 				if !allSubsetsFrequent(cand, levelIDs, idBuf) {
 					continue
 				}
@@ -289,9 +304,14 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 					c = core.SupportCount(tb, cand)
 				}
 				if c >= minCount {
-					next = append(next, Frequent{Items: cand, Count: c, Support: float64(c) / float64(n)})
+					items = append(items, cand...)
+					next = append(next, Frequent{Count: c, Support: float64(c) / float64(n)})
 				}
 			}
+		}
+		slab := append([]core.Item(nil), items...)
+		for i := range next {
+			next[i].Items = slab[i*size : (i+1)*size : (i+1)*size]
 		}
 		level = next
 		sortFrequent(level)

@@ -17,13 +17,12 @@ import (
 	"hypermine/internal/table"
 )
 
-// abcEdge is one hyperedge relevant to a target: its tail attributes
-// (all inside the dominator), their precomputed positions in the
-// dominator-value vector, and the association table built from the
+// abcEdge is one hyperedge relevant to a target: the precomputed
+// positions of its tail attributes (all inside the dominator) in the
+// dominator-value vector, and its association table built from the
 // training data.
 type abcEdge struct {
-	tail    []int
-	tailPos []int32 // tail[i]'s index into Dominator() order
+	tailPos []int32 // at.Tail[i]'s index into Dominator() order
 	at      *core.AssociationTable
 }
 
@@ -39,11 +38,15 @@ type ABC struct {
 	targets  []int
 	edges    map[int][]abcEdge
 	fallback map[int]table.Value // majority training value per target
+	cells    int                 // int32 count cells across all association tables
 }
 
 // NewABC prepares the classifier: it indexes, per target, every
 // hyperedge of the model with head {target} and tail inside dom, and
 // prebuilds the association tables from the model's training table.
+// A first pass sizes every table, so the tables, their tails, counts
+// and tail positions, and the per-target edge lists are carved from
+// one slab each instead of being allocated table by table.
 func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 	if len(dom) == 0 {
 		return nil, errors.New("classify: empty dominator")
@@ -62,7 +65,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 		edges:    make(map[int][]abcEdge, len(targets)),
 		fallback: make(map[int]table.Value, len(targets)),
 	}
-	n := m.Table.NumAttrs()
+	n, k := m.Table.NumAttrs(), m.Table.K()
 	for i, a := range c.dom {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("classify: dominator attribute %d out of range", a)
@@ -76,6 +79,16 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 	for _, a := range c.dom {
 		inDom[a] = true
 	}
+	usable := func(tail []int) bool {
+		for _, a := range tail {
+			if !inDom[a] {
+				return false
+			}
+		}
+		return true
+	}
+	// First pass: validate the targets and size the slabs.
+	var ats, ids int
 	for _, y := range c.targets {
 		if y < 0 || y >= n {
 			return nil, fmt.Errorf("classify: target attribute %d out of range", y)
@@ -83,6 +96,28 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 		if inDom[y] {
 			return nil, fmt.Errorf("classify: target %d is inside the dominator", y)
 		}
+		for _, ei := range m.H.In(y) {
+			tail := m.H.Edge(int(ei)).Tail
+			if !usable(tail) {
+				continue
+			}
+			if len(tail) > core.MaxTail {
+				return nil, fmt.Errorf("classify: AT for edge into %d: tail size %d outside 1..%d", y, len(tail), core.MaxTail)
+			}
+			ats++
+			ids += len(tail)
+			c.cells += atRows(k, len(tail)) * (1 + k)
+		}
+	}
+	// Second pass: carve each table's slices, every one capped at its
+	// exact size, and fill it.
+	atSlab := make([]core.AssociationTable, ats)
+	edgeSlab := make([]abcEdge, ats)
+	idSlab := make([]int, ids)
+	posSlab := make([]int32, ids)
+	cellSlab := make([]int32, c.cells)
+	next := 0
+	for _, y := range c.targets {
 		// Majority value fallback for targets with no usable edges.
 		bestV, bestC := table.Value(1), -1
 		for v, cnt := range m.Table.ValueCounts(y) {
@@ -92,33 +127,47 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 			}
 		}
 		c.fallback[y] = bestV
-		c.edges[y] = []abcEdge{} // mark configured even with zero edges
-
+		first := next
 		for _, ei := range m.H.In(y) {
-			e := m.H.Edge(int(ei))
-			ok := true
-			for _, tv := range e.Tail {
-				if !inDom[tv] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			tail := m.H.Edge(int(ei)).Tail
+			if !usable(tail) {
 				continue
 			}
-			at, err := core.BuildAssociationTable(m.Table, e.Tail, y)
-			if err != nil {
+			t, rows := len(tail), atRows(k, len(tail))
+			at := &atSlab[next]
+			at.Tail, idSlab = idSlab[:t:t], idSlab[t:]
+			at.Counts, cellSlab = cellSlab[:rows:rows], cellSlab[rows:]
+			at.HeadCounts, cellSlab = cellSlab[:rows*k:rows*k], cellSlab[rows*k:]
+			if err := at.Fill(m.Table, tail, y); err != nil {
 				return nil, fmt.Errorf("classify: AT for edge into %d: %w", y, err)
 			}
-			pos := make([]int32, len(e.Tail))
-			for i, a := range e.Tail {
+			pos := posSlab[:t:t]
+			posSlab = posSlab[t:]
+			for i, a := range at.Tail {
 				pos[i] = int32(c.domPos[a])
 			}
-			c.edges[y] = append(c.edges[y], abcEdge{tail: e.Tail, tailPos: pos, at: at})
+			edgeSlab[next] = abcEdge{tailPos: pos, at: at}
+			next++
 		}
+		// Configured even with zero edges.
+		c.edges[y] = edgeSlab[first:next:next]
 	}
 	return c, nil
 }
+
+// atRows is the row count k^t of an association table with t tail
+// attributes.
+func atRows(k, t int) int {
+	rows := 1
+	for range t {
+		rows *= k
+	}
+	return rows
+}
+
+// TableBytes returns the resident size of the classifier's association
+// tables: their int32 support and head-value count cells.
+func (c *ABC) TableBytes() int64 { return 4 * int64(c.cells) }
 
 // Targets returns the configured target attributes.
 func (c *ABC) Targets() []int { return append([]int(nil), c.targets...) }

@@ -123,3 +123,17 @@ func BenchmarkFitClassifiers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewABC measures preparing the classifier (every association
+// table of the ABCWorkload) — the work a rewarm redoes after an append.
+func BenchmarkNewABC(b *testing.B) {
+	m := benchfix.ModelWorkload(30, 1500)
+	dom, targets := []int{0, 1, 2, 3, 4}, []int{5, 6, 7, 8, 9, 10}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := classify.NewABC(m, dom, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,9 +9,21 @@ import (
 	"hypermine/internal/testutil"
 )
 
-// randomABC builds a classifier over a noisy random table with the
-// given cardinality and configuration.
+// randomABC builds a classifier with dominator {0, 1, 2} and targets
+// {3, 4, 5} over randomModel.
 func randomABC(t *testing.T, seed int64, k int, cfg core.Config, nAttrs, rows int) (*ABC, *table.Table) {
+	t.Helper()
+	m := randomModel(t, seed, k, cfg, nAttrs, rows)
+	abc, err := NewABC(m, []int{0, 1, 2}, []int{3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return abc, m.Table
+}
+
+// randomModel mines a noisy random table with the given cardinality
+// and configuration.
+func randomModel(t testing.TB, seed int64, k int, cfg core.Config, nAttrs, rows int) *core.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	attrs := make([]string, nAttrs)
@@ -40,13 +52,7 @@ func randomABC(t *testing.T, seed int64, k int, cfg core.Config, nAttrs, rows in
 	if err != nil {
 		t.Fatal(err)
 	}
-	dom := []int{0, 1, 2}
-	targets := []int{3, 4, 5}
-	abc, err := NewABC(m, dom, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return abc, tb
+	return m
 }
 
 // TestPredictorMatchesPredict runs the scratch-reusing Predictor

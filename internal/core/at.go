@@ -114,15 +114,17 @@ const MaxTail = 3
 // attributes, all distinct from head.
 func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationTable, error) {
 	at := &AssociationTable{}
-	if err := at.fill(tb, tail, head); err != nil {
+	if err := at.Fill(tb, tail, head); err != nil {
 		return nil, err
 	}
 	return at, nil
 }
 
-// fill makes at the association table of (tail, {head}), reusing the
-// slices at already holds where they are large enough.
-func (at *AssociationTable) fill(tb *table.Table, tail []int, head int) error {
+// Fill makes at the association table of (tail, {head}), reusing the
+// slices at already holds where they are large enough, so a caller that
+// sizes them up front (rule mining's one scratch table, the
+// classifier's slab-carved tables) allocates nothing here.
+func (at *AssociationTable) Fill(tb *table.Table, tail []int, head int) error {
 	if len(tail) < 1 || len(tail) > MaxTail {
 		return fmt.Errorf("core: tail size %d outside 1..%d", len(tail), MaxTail)
 	}

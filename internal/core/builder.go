@@ -205,11 +205,6 @@ func acvPair(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
 	return float64(sum) / float64(len(colC))
 }
 
-type pairEdge struct {
-	a, b, c int
-	acv     float64
-}
-
 // Build mines the association hypergraph of the table under the given
 // configuration, following §3.2.1: directed hyperedges are constructed
 // head set by head set; a combination is admitted iff it is
@@ -242,11 +237,6 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 	m := tb.NumRows()
 
 	model := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
-	h, err := hypergraph.New(tb.Attrs())
-	if err != nil {
-		return nil, err
-	}
-	model.H = h
 
 	// Baseline ACV(empty, {c}) per head.
 	null := make([]float64, n)
@@ -323,27 +313,15 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 		return nil, err
 	}
 
-	for a := 0; a < n; a++ {
-		for c := 0; c < n; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if edgeAdmit[a*n+c] {
-				if err := h.AddEdge([]int{a}, []int{c}, model.EdgeACV[a*n+c]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
 	if cfg.MaxTailSize < 2 {
-		return model, nil
+		return assembled(model, edgeAdmit, nil, nil)
 	}
 
 	// Stage 2: 2-to-1 hyperedges, parallel over tail pairs.
 	type pairJob struct{ a, b int }
 	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
 	jobs := make(chan pairJob)
-	results := make(chan []pairEdge, cfg.Parallelism)
+	results := make(chan []TailPair, cfg.Parallelism)
 	var wg2 sync.WaitGroup
 	for w := 0; w < cfg.Parallelism; w++ {
 		wg2.Add(1)
@@ -360,7 +338,7 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 				cnt = make([]int32, k*k*k)
 				tailRow = make([]int32, m)
 			}
-			var local []pairEdge
+			var local []TailPair
 			for job := range jobs {
 				if chk.Err() != nil {
 					continue
@@ -398,7 +376,7 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 						acv = acvPair(tailRow, tb.Column(c), k, cnt)
 					}
 					if acv >= cfg.GammaPair*base {
-						local = append(local, pairEdge{a, b, c, acv})
+						local = append(local, TailPair{a, b, c, acv})
 					}
 				}
 				if chk.Err() == nil {
@@ -420,7 +398,7 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 			}
 		}
 	}()
-	var admitted []pairEdge
+	var admitted []TailPair
 	done := make(chan struct{})
 	go func() {
 		for local := range results {
@@ -437,29 +415,114 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 
 	// Deterministic edge order regardless of scheduling.
 	sort.Slice(admitted, func(i, j int) bool {
-		if admitted[i].a != admitted[j].a {
-			return admitted[i].a < admitted[j].a
+		if admitted[i].A != admitted[j].A {
+			return admitted[i].A < admitted[j].A
 		}
-		if admitted[i].b != admitted[j].b {
-			return admitted[i].b < admitted[j].b
+		if admitted[i].B != admitted[j].B {
+			return admitted[i].B < admitted[j].B
 		}
-		return admitted[i].c < admitted[j].c
+		return admitted[i].C < admitted[j].C
 	})
-	for _, e := range admitted {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := h.AddEdge([]int{e.a, e.b}, []int{e.c}, e.acv); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.MaxTailSize < 3 {
-		return model, nil
+		return assembled(model, edgeAdmit, admitted, nil)
 	}
-	if err := buildTriples(ctx, model, admitted, cfg); err != nil {
+	triples, err := buildTriples(ctx, tb, admitted, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return model, nil
+	return assembled(model, edgeAdmit, admitted, triples)
+}
+
+// assembled is BuildContext's last step: the graph of every admitted
+// edge, with its ids carved from one slab.
+func assembled(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailTriple) (*Model, error) {
+	if _, err := AssembleGraph(m, edgeAdmit, pairs, triples, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// AssembleGraph builds m.H from every edge one build admitted, in
+// BuildContext's edge order: the directed edges ({a},{c}) marked in
+// edgeAdmit[a*n+c], weighted by m.EdgeACV, in (a, c) order; then pairs;
+// then triples (each sorted as its stage sorts). Knowing every edge up
+// front, it counts exact degrees and reserves the graph once, so the
+// edge list, packed key index and incidence lists never grow.
+//
+// With donor nil the tail and head ids of all edges are capped
+// sub-slices of one slab. With a donor (the previous model's graph),
+// an edge the donor also holds shares the donor's id slices, and only
+// an edge new to this graph copies its own, so no slab outlives the
+// generation that allocated it. It returns the number of shared edges.
+func AssembleGraph(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailTriple, donor *hypergraph.H) (shared int, err error) {
+	n := m.Table.NumAttrs()
+	h, err := hypergraph.New(m.Table.Attrs())
+	if err != nil {
+		return 0, err
+	}
+	// each calls fn on every edge in order. edge holds the tail ids
+	// and then the head id; it is scratch, so only the slab, the
+	// donor's slices or AddEdge's own copies are ever stored.
+	each := func(fn func(edge []int, w float64) error) error {
+		var e [MaxTail + 1]int
+		for i, ok := range edgeAdmit {
+			if ok {
+				e[0], e[1] = i/n, i%n
+				if err := fn(e[:2], m.EdgeACV[i]); err != nil {
+					return err
+				}
+			}
+		}
+		for _, p := range pairs {
+			e[0], e[1], e[2] = p.A, p.B, p.C
+			if err := fn(e[:3], p.ACV); err != nil {
+				return err
+			}
+		}
+		for _, t := range triples {
+			e[0], e[1], e[2], e[3] = t.A, t.B, t.C, t.D
+			if err := fn(e[:4], t.ACV); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	outDeg, inDeg := make([]int, n), make([]int, n)
+	edges, ids := 0, 0
+	_ = each(func(edge []int, _ float64) error { // counting cannot fail
+		t := len(edge) - 1
+		for _, v := range edge[:t] {
+			outDeg[v]++
+		}
+		inDeg[edge[t]]++
+		edges++
+		ids += len(edge)
+		return nil
+	})
+	h.Reserve(edges, outDeg, inDeg)
+	var slab []int
+	if donor == nil {
+		slab = make([]int, 0, ids)
+	}
+	err = each(func(edge []int, w float64) error {
+		t := len(edge) - 1
+		if donor == nil {
+			start := len(slab)
+			slab = append(slab, edge...)
+			return h.AddEdgeShared(slab[start:start+t:start+t], slab[start+t:len(slab):len(slab)], w)
+		}
+		if id, ok := donor.Lookup(edge[:t], edge[t:]); ok {
+			e := donor.Edge(id)
+			shared++
+			return h.AddEdgeShared(e.Tail, e.Head, w)
+		}
+		return h.AddEdge(edge[:t], edge[t:], w)
+	})
+	if err != nil {
+		return 0, err
+	}
+	m.H = h
+	return shared, nil
 }
 
 // TailPair is an admitted 2-to-1 hyperedge ({A,B},{C}) with its ACV,
@@ -471,22 +534,24 @@ type TailPair struct {
 	ACV     float64
 }
 
+// TailTriple is an admitted 3-to-1 hyperedge ({A,B,C},{D}) with its
+// ACV, tail sorted A < B < C.
+type TailTriple struct {
+	A, B, C, D int
+	ACV        float64
+}
+
 // BuildTriplesContext runs stage 3 of BuildContext standalone: it
 // seeds 3-to-1 candidates from the given admitted 2-to-1 hyperedges,
-// evaluates them against model.Table, and adds the admitted triples to
-// model.H in the same deterministic order as a full build. pairs must
-// be the complete admitted stage-2 set (A < B, sorted as stage 2
-// sorts); the result is then bit-identical to the stage-3 portion of
-// BuildContext under the same config. internal/delta uses this to
-// finish a MaxTailSize=3 incremental update, where maintaining 4-way
-// joint counts would not pay for itself.
-func BuildTriplesContext(ctx context.Context, model *Model, pairs []TailPair, cfg Config) error {
-	cfg = cfg.withDefaults()
-	internal := make([]pairEdge, len(pairs))
-	for i, p := range pairs {
-		internal[i] = pairEdge{p.A, p.B, p.C, p.ACV}
-	}
-	return buildTriples(ctx, model, internal, cfg)
+// evaluates them against tb, and returns the admitted triples in the
+// order a full build inserts them. pairs must be the complete admitted
+// stage-2 set (A < B, sorted as stage 2 sorts); the result is then
+// bit-identical to the stage-3 portion of BuildContext under the same
+// config. internal/delta uses this to finish a MaxTailSize=3
+// incremental update, where maintaining 4-way joint counts would not
+// pay for itself.
+func BuildTriplesContext(ctx context.Context, tb *table.Table, pairs []TailPair, cfg Config) ([]TailTriple, error) {
+	return buildTriples(ctx, tb, pairs, cfg.withDefaults())
 }
 
 // tripleKey identifies a 3-to-1 candidate: sorted tail a<b<c, head d.
@@ -498,8 +563,7 @@ type tripleKey struct{ a, b, c, d int }
 // and admitted under the gamma-significance rule of Definition 3.7 —
 // ACV(T, H) >= GammaTriple * max over v in T of ACV(T - {v}, H),
 // where the 2-to-1 constituent ACVs are computed on demand.
-func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Config) error {
-	tb := model.Table
+func buildTriples(ctx context.Context, tb *table.Table, pairs []TailPair, cfg Config) ([]TailTriple, error) {
 	n := tb.NumAttrs()
 	k := tb.K()
 	m := tb.NumRows()
@@ -509,12 +573,12 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 	candSet := make(map[tripleKey]struct{})
 	for _, p := range pairs {
 		for v := 0; v < n; v++ {
-			if v == p.a || v == p.b || v == p.c {
+			if v == p.A || v == p.B || v == p.C {
 				continue
 			}
-			t := [3]int{p.a, p.b, v}
+			t := [3]int{p.A, p.B, v}
 			sort.Ints(t[:])
-			candSet[tripleKey{t[0], t[1], t[2], p.c}] = struct{}{}
+			candSet[tripleKey{t[0], t[1], t[2], p.C}] = struct{}{}
 		}
 	}
 	cands := make([]tripleKey, 0, len(candSet))
@@ -537,13 +601,9 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 
 	// Group by tail triple so the tail-row index is computed once.
 	groups := groupByTail(cands)
-	type tripleEdge struct {
-		key tripleKey
-		acv float64
-	}
 	prog := runopt.NewMeter(runopt.PhaseTriples, len(groups), cfg.Run.Func())
 	jobs := make(chan []tripleKey)
-	results := make(chan []tripleEdge, cfg.Parallelism)
+	results := make(chan []TailTriple, cfg.Parallelism)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Parallelism; w++ {
 		wg.Add(1)
@@ -569,7 +629,7 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 				pairCache[key] = v
 				return v
 			}
-			var local []tripleEdge
+			var local []TailTriple
 			for group := range jobs {
 				if chk.Err() != nil {
 					continue
@@ -609,7 +669,7 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 					}
 					acv := float64(sum) / float64(m)
 					if acv >= cfg.GammaTriple*base {
-						local = append(local, tripleEdge{cand, acv})
+						local = append(local, TailTriple{cand.a, cand.b, cand.c, cand.d, acv})
 					}
 				}
 				if chk.Err() == nil {
@@ -629,7 +689,7 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 			}
 		}
 	}()
-	var admitted []tripleEdge
+	var admitted []TailTriple
 	done := make(chan struct{})
 	go func() {
 		for local := range results {
@@ -641,28 +701,23 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 	close(results)
 	<-done
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 
 	sort.Slice(admitted, func(i, j int) bool {
-		a, b := admitted[i].key, admitted[j].key
-		if a.a != b.a {
-			return a.a < b.a
+		a, b := admitted[i], admitted[j]
+		if a.A != b.A {
+			return a.A < b.A
 		}
-		if a.b != b.b {
-			return a.b < b.b
+		if a.B != b.B {
+			return a.B < b.B
 		}
-		if a.c != b.c {
-			return a.c < b.c
+		if a.C != b.C {
+			return a.C < b.C
 		}
-		return a.d < b.d
+		return a.D < b.D
 	})
-	for _, e := range admitted {
-		if err := model.H.AddEdge([]int{e.key.a, e.key.b, e.key.c}, []int{e.key.d}, e.acv); err != nil {
-			return err
-		}
-	}
-	return nil
+	return admitted, nil
 }
 
 // groupByTail splits the sorted candidate list into runs sharing one

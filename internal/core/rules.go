@@ -76,7 +76,7 @@ func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions) 
 			return nil, err
 		}
 		e := m.H.Edge(int(ei))
-		if err := at.fill(m.Table, e.Tail, head); err != nil {
+		if err := at.Fill(m.Table, e.Tail, head); err != nil {
 			return nil, err
 		}
 		cands = appendRuleCands(cands, &at, e.Tail, opt, baseCounts, n)

@@ -32,11 +32,15 @@
 //
 // # Structural sharing and fallback
 //
-// The emitted *core.Model is immutable and structurally shares the
-// vertex-id slices of edges that also existed in the previous model
-// (hypergraph.AddEdgeShared); only genuinely new edges allocate.
-// Weights are stored by value, so shared slices are safe even though
-// every ACV shifts when the denominator grows.
+// The emitted *core.Model is immutable and is assembled by the
+// builder's own step, core.AssembleGraph: it counts exact degrees and
+// sizes the graph's edge list, key index and incidence lists once
+// (hypergraph.Reserve), so nothing grows edge by edge. Edges that also
+// existed in the previous model share its vertex-id slices
+// (hypergraph.AddEdgeShared); only genuinely new edges copy theirs,
+// two small allocations each, so no id slab is pinned across
+// generations. Weights are stored by value, so shared slices are safe
+// even though every ACV shifts when the denominator grows.
 //
 // If the joint-count tables would exceed Options.MaxCountBytes (large
 // n·k), the Dataset degrades to a documented fallback: each append
@@ -53,7 +57,6 @@ import (
 	"sync"
 
 	"hypermine/internal/core"
-	"hypermine/internal/hypergraph"
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
@@ -244,23 +247,8 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*core.Model, error) {
 	jc := d.counts
 	cfg := d.cfg
-	oldH := d.model.H
 	n, k := jc.n, jc.k
 	model := &core.Model{Table: nt, Config: d.model.Config, EdgeACV: make([]float64, n*n)}
-	h, err := hypergraph.New(nt.Attrs())
-	if err != nil {
-		return nil, err
-	}
-	model.H = h
-
-	addEdge := func(tail, head []int, w float64) error {
-		if id, ok := oldH.Lookup(tail, head); ok {
-			e := oldH.Edge(id)
-			ch.SharedEdges++
-			return h.AddEdgeShared(e.Tail, e.Head, w)
-		}
-		return h.AddEdge(tail, head, w)
-	}
 
 	// Stage 1: directed edges. Baseline ACV(∅,{c}) is the max value
 	// count over the rows; admissions mirror BuildContext's head-major
@@ -294,22 +282,36 @@ func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*co
 		}
 		prog.Tick(1)
 	}
-	for a := 0; a < n; a++ {
-		for c := 0; c < n; c++ {
-			if edgeAdmit[a*n+c] {
-				if err := addEdge([]int{a}, []int{c}, model.EdgeACV[a*n+c]); err != nil {
-					return nil, err
-				}
-			}
-		}
+	var (
+		admitted []core.TailPair
+		triples  []core.TailTriple
+		err      error
+	)
+	if cfg.MaxTailSize >= 2 {
+		admitted, err = d.derivePairs(chk, model.EdgeACV, edgeAdmit)
 	}
-	if cfg.MaxTailSize < 2 {
-		return model, nil
+	if err == nil && cfg.MaxTailSize >= 3 {
+		// Stage 3 runs the full builder's own triple stage on the
+		// concatenated table — same function, same inputs, same result.
+		triples, err = core.BuildTriplesContext(ctx, nt, admitted, cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The builder's own assembly step inserts the edges, sharing the
+	// id slices of every edge the previous model also holds.
+	if ch.SharedEdges, err = core.AssembleGraph(model, edgeAdmit, admitted, triples, d.model.H); err != nil {
+		return nil, err
+	}
+	return model, nil
+}
 
-	// Stage 2: 2-to-1 hyperedges from the triple counts. The serial
-	// a<b, c loops produce the admitted list already in BuildContext's
-	// post-sort (a, b, c) order.
+// derivePairs is stage 2 of derive: the 2-to-1 hyperedges admitted by
+// the triple counts. The serial a<b, c loops produce them already in
+// BuildContext's post-sort (a, b, c) order.
+func (d *Dataset) derivePairs(chk *runopt.Checker, edgeACV []float64, edgeAdmit []bool) ([]core.TailPair, error) {
+	jc, cfg := d.counts, d.cfg
+	n := jc.n
 	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
 	var admitted []core.TailPair
 	for a := 0; a < n; a++ {
@@ -324,8 +326,8 @@ func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*co
 				if err := chk.Tick(); err != nil {
 					return nil, err
 				}
-				base := model.EdgeACV[a*n+c]
-				if x := model.EdgeACV[b*n+c]; x > base {
+				base := edgeACV[a*n+c]
+				if x := edgeACV[b*n+c]; x > base {
 					base = x
 				}
 				acv := jc.pairACV(a, b, c)
@@ -336,18 +338,5 @@ func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*co
 			prog2.Tick(1)
 		}
 	}
-	for _, e := range admitted {
-		if err := addEdge([]int{e.A, e.B}, []int{e.C}, e.ACV); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.MaxTailSize < 3 {
-		return model, nil
-	}
-	// Stage 3 runs the full builder's own triple stage on the
-	// concatenated table — same function, same inputs, same result.
-	if err := core.BuildTriplesContext(ctx, model, admitted, cfg); err != nil {
-		return nil, err
-	}
-	return model, nil
+	return admitted, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypermine/internal/core"
@@ -36,8 +37,10 @@ func genRows(rng *rand.Rand, n, attrs, k int, noise float64, bias int) [][]table
 }
 
 // modelsEqual asserts bit-for-bit equality of two models: edge count,
-// per-edge tail/head/weight (exact float bits), and the full EdgeACV
-// cache.
+// per-edge tail/head/weight (exact float bits), every edge's Lookup
+// id, every vertex's out- and in-incidence list (which got must hold
+// at exactly its size, as the assembly's degree count reserves it),
+// and the full EdgeACV cache.
 func modelsEqual(t *testing.T, got, want *core.Model) {
 	t.Helper()
 	if got.Table.NumRows() != want.Table.NumRows() {
@@ -64,6 +67,21 @@ func modelsEqual(t *testing.T, got, want *core.Model) {
 		if math.Float64bits(ge.Weight) != math.Float64bits(we.Weight) {
 			t.Fatalf("edge %d weight: got %x want %x (%.17g vs %.17g)",
 				i, math.Float64bits(ge.Weight), math.Float64bits(we.Weight), ge.Weight, we.Weight)
+		}
+		if id, ok := got.H.Lookup(we.Tail, we.Head); !ok || id != i {
+			t.Fatalf("edge %d %v->%v: Lookup = %d, %v", i, we.Tail, we.Head, id, ok)
+		}
+	}
+	if g, w := got.H.NumVertices(), want.H.NumVertices(); g != w {
+		t.Fatalf("vertices: got %d want %d", g, w)
+	}
+	for v := 0; v < want.H.NumVertices(); v++ {
+		out, in := got.H.Out(v), got.H.In(v)
+		if !slices.Equal(out, want.H.Out(v)) || !slices.Equal(in, want.H.In(v)) {
+			t.Fatalf("vertex %d incidence: got out %v in %v, want out %v in %v", v, out, in, want.H.Out(v), want.H.In(v))
+		}
+		if cap(out) != len(out) || cap(in) != len(in) {
+			t.Fatalf("vertex %d incidence not exactly reserved: out len %d cap %d, in len %d cap %d", v, len(out), cap(out), len(in), cap(in))
 		}
 	}
 	if len(got.EdgeACV) != len(want.EdgeACV) {

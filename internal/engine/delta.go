@@ -7,10 +7,16 @@
 // optimism. Every ACV is an integer sum over the row count, so any
 // real append shifts every edge weight (the denominator grew) — and
 // the similarity matrix, the dominator (its enhancements divide by
-// edge weight), the classifier's association tables, and every cached
-// rule answer are all functions of those weights or of the rows.
-// Carrying any of them would break the engine's contract that answers
-// are bit-identical to a fresh engine over a full re-mine. The one
+// edge weight), and every cached rule answer are all functions of
+// those weights. Carrying any of them would break the engine's
+// contract that answers are bit-identical to a fresh engine over a
+// full re-mine. The classifier's association tables are different:
+// their counts are integer functions of the rows only, so a later
+// carry-forward that adds the appended rows' counts to the previous
+// tables would be exact. Which tables exist, though, follows the
+// dominator and the admitted edges, which an append can move, so the
+// classifier is rebuilt; classify.NewABC sizes every table first and
+// carves them from slabs, one allocation per artifact. The one
 // artifact that does survive is the TID-bitset index: appends extend
 // it copy-on-write (table.AppendRows) and the differential tests pin
 // extended ≡ rebuilt, so the new engine is primed with it for free. A
@@ -98,7 +104,7 @@ func NewFromPrevious(prev *Engine, next *core.Model, unchanged bool) (*Engine, e
 	for _, spec := range clsSpecs {
 		if set, serr, ok := prev.clsMemo(spec).cached(); ok && serr == nil {
 			e.clsMemo(spec).prime(set)
-			e.derivedBytes.Add(e.classifierFootprint(set))
+			e.derivedBytes.Add(classifierFootprint(set))
 		}
 	}
 	return e, nil

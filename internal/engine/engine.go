@@ -365,7 +365,7 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 		set.pool.New = func() any { return abc.NewPredictor() }
 	}
 	e.classifierBuilds.Add(1)
-	e.derivedBytes.Add(e.classifierFootprint(set))
+	e.derivedBytes.Add(classifierFootprint(set))
 	return set, nil
 }
 
@@ -664,34 +664,11 @@ func indexFootprint(tb *table.Table) int64 {
 
 // classifierFootprint estimates the prepared ABC: one association
 // table per usable hyperedge, K^|tail| rows of (1+K) int32 counters.
-func (e *Engine) classifierFootprint(set *classifierSet) int64 {
+func classifierFootprint(set *classifierSet) int64 {
 	if set.abc == nil {
 		return int64(len(set.targets))*8 + 64
 	}
-	k := int64(e.model.Table.K())
-	var bytes int64 = 64
-	inDom := make(map[int]bool, len(set.dom.DomSet))
-	for _, v := range set.dom.DomSet {
-		inDom[v] = true
-	}
-	for _, y := range set.targets {
-		for _, ei := range e.model.H.In(y) {
-			edge := e.model.H.Edge(int(ei))
-			usable := true
-			rows := int64(1)
-			for _, tv := range edge.Tail {
-				if !inDom[tv] {
-					usable = false
-					break
-				}
-				rows *= k
-			}
-			if usable {
-				bytes += rows * (1 + k) * 4
-			}
-		}
-	}
-	return bytes
+	return set.abc.TableBytes() + 64
 }
 
 func ruleFootprint(rules []core.ScoredRule) int64 {

@@ -9,9 +9,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -514,7 +514,7 @@ func (n *Node) skipPull(name string, gen int64) bool {
 // under the generation the peer serves it at.
 func (n *Node) pullSnapshot(ctx context.Context, peer, name string) error {
 	base := n.cfg.Peers[peer]
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/fleet/snapshot/"+name, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/fleet/snapshot/"+url.PathEscape(name), nil)
 	if err != nil {
 		return err
 	}
@@ -681,21 +681,14 @@ func (n *Node) handleReplicateDelete(w http.ResponseWriter, r *http.Request) {
 // digest resurrects the model within one round). Everything else
 // returns "".
 func writeTarget(r *http.Request) string {
-	const prefix = "/v1/models/"
-	if !strings.HasPrefix(r.URL.Path, prefix) {
-		return ""
-	}
-	rest := r.URL.Path[len(prefix):]
-	if rest == "" || strings.Contains(rest, "/") {
-		return ""
-	}
+	name, rest := modelPath(r)
 	switch r.Method {
 	case http.MethodPut, http.MethodDelete:
-		if !strings.Contains(rest, ":") {
-			return rest
+		if rest == "" {
+			return name
 		}
 	case http.MethodPost:
-		if name, ok := strings.CutSuffix(rest, ":append"); ok && name != "" {
+		if rest == ":append" {
 			return name
 		}
 	}
@@ -891,7 +884,7 @@ func (n *Node) pushSnapshot(ctx context.Context, peer, name string, gen int64, s
 	if !ok {
 		return fmt.Errorf("fleet: unknown peer %q", peer)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/fleet/replicate/"+name, bytes.NewReader(snap))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/fleet/replicate/"+url.PathEscape(name), bytes.NewReader(snap))
 	if err != nil {
 		return err
 	}
@@ -926,7 +919,7 @@ func (n *Node) pushDelete(ctx context.Context, peer, name string, gen int64) err
 	if !ok {
 		return fmt.Errorf("fleet: unknown peer %q", peer)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/fleet/replicate/"+name, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/fleet/replicate/"+url.PathEscape(name), nil)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -237,18 +238,25 @@ func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"models": models})
 }
 
-// modelFromPath extracts the model name from a /v1/models/{name}...
-// path: the first segment, stopped at "/" or ":".
-func modelFromPath(path string) string {
-	const prefix = "/v1/models/"
-	if !strings.HasPrefix(path, prefix) {
-		return ""
+// modelPath splits a /v1/models/{name}{rest} request. The name is the
+// first segment of the escaped path, stopped at "/" or ":", then
+// unescaped, so a name holding "/", "?", "#", "%" or a space is itself
+// and not the prefix the decoded path shows. An invalid escape yields
+// no name.
+func modelPath(r *http.Request) (name, rest string) {
+	p, ok := strings.CutPrefix(r.URL.EscapedPath(), "/v1/models/")
+	if !ok {
+		return "", ""
 	}
-	rest := path[len(prefix):]
-	if i := strings.IndexAny(rest, "/:"); i >= 0 {
-		rest = rest[:i]
+	i := strings.IndexAny(p, "/:")
+	if i < 0 {
+		i = len(p)
 	}
-	return rest
+	name, err := url.PathUnescape(p[:i])
+	if err != nil {
+		return "", ""
+	}
+	return name, p[i:]
 }
 
 // isWrite reports whether a model-scoped request mutates fleet state.
@@ -278,7 +286,7 @@ func costClass(r *http.Request) admit.Class {
 // handleModelScoped routes one model-scoped request to the model's
 // replica set with failover.
 func (rt *Router) handleModelScoped(w http.ResponseWriter, r *http.Request) {
-	name := modelFromPath(r.URL.Path)
+	name, _ := modelPath(r)
 	if name == "" {
 		http.Error(w, `{"error":"bad model path"}`, http.StatusNotFound)
 		return
@@ -428,7 +436,7 @@ func (rt *Router) handleModelScoped(w http.ResponseWriter, r *http.Request) {
 
 // forward sends one copy of the request to one peer.
 func (rt *Router) forward(r *http.Request, peer string, body []byte, act *telemetry.Active) (*http.Response, error) {
-	u := rt.cfg.Peers[peer] + r.URL.Path
+	u := rt.cfg.Peers[peer] + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}

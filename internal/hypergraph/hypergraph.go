@@ -20,8 +20,8 @@ import (
 // Edge is a directed hyperedge (T, H) with a weight. Tail and Head are
 // sorted slices of vertex ids and are canonical. AddEdge stores private
 // copies; AddEdgeShared stores slices the graph shares with their owner
-// (a donor graph, or the snapshot decoder's id slab). Either way they
-// are read-only once the edge is stored.
+// (a donor graph, or the id slab of a build or a snapshot decode).
+// Either way they are read-only once the edge is stored.
 type Edge struct {
 	Tail   []int
 	Head   []int
@@ -231,15 +231,17 @@ func (h *H) AddEdge(tail, head []int, weight float64) error {
 
 // AddEdgeShared is AddEdge for canonical slices the caller hands over
 // without a copy: tail and head must already be sorted ascending, and
-// they are stored as given. Two owners use it. The incremental
-// re-miner in internal/delta shares the vertex-id slices of edges that
-// persist across a delta update with the previous model's H, so a
-// republished model costs only the edges that actually changed. The
-// snapshot decoder in internal/core stores capped sub-slices of one
-// id slab per snapshot, so a decode costs one allocation for all
-// edges instead of two per edge. The caller must never mutate the
-// slices after the call (the donor H's invariants also forbid it, so
-// sharing edges between immutable models is safe).
+// they are stored as given. Two owners in internal/core use it. The
+// edge assembly step (core.AssembleGraph) stores capped sub-slices of
+// one id slab per full build, and, for the incremental re-miner in
+// internal/delta, shares the vertex-id slices of edges that persist
+// across a delta update with the previous model's H, so a republished
+// model costs only the edges that actually changed. The snapshot
+// decoder stores capped sub-slices of one id slab per snapshot. Either
+// slab costs one allocation for all edges instead of two per edge.
+// The caller must never mutate the slices after the call (the donor
+// H's invariants also forbid it, so sharing edges between immutable
+// models is safe).
 func (h *H) AddEdgeShared(tail, head []int, weight float64) error {
 	if err := validSets(len(h.names), tail, head); err != nil {
 		return err

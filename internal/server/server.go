@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -1059,14 +1060,19 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 // catch-all (":query" cannot be a ServeMux wildcard suffix), so it
 // rejects every other POST shape with 404.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	rest := r.PathValue("rest")
-	if name, ok := strings.CutSuffix(rest, ":append"); ok && name != "" && !strings.Contains(name, "/") {
-		s.handleAppend(w, r, name)
+	// Split the escaped path, so a model name holding "/" (sent as %2F)
+	// stays one segment.
+	esc, op := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/models/"), ""
+	if i := strings.LastIndexByte(esc, ':'); i >= 0 {
+		esc, op = esc[:i], esc[i:]
+	}
+	name, err := url.PathUnescape(esc)
+	if err != nil || name == "" || strings.Contains(esc, "/") || (op != ":append" && op != ":query") {
+		s.fail(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
 		return
 	}
-	name, ok := strings.CutSuffix(rest, ":query")
-	if !ok || name == "" || strings.Contains(name, "/") {
-		s.fail(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
+	if op == ":append" {
+		s.handleAppend(w, r, name)
 		return
 	}
 	var req engine.Request
