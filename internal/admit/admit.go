@@ -162,7 +162,7 @@ type modelState struct {
 type Controller struct {
 	cfg   Config
 	now   func() time.Time
-	nanos func() int64 // monotonic nanos for buckets and service times
+	epoch time.Time // the zero of nanos
 	gates [numClasses]*Gate
 
 	// Party state is keyed by name in sync.Maps: the steady state is
@@ -199,16 +199,7 @@ func NewController(cfg Config) *Controller {
 	if now == nil {
 		now = time.Now
 	}
-	c := &Controller{cfg: cfg, now: now}
-	if cfg.Now != nil {
-		epoch := cfg.Now()
-		c.nanos = func() int64 { return cfg.Now().Sub(epoch).Nanoseconds() }
-	} else {
-		// time.Since reads only the monotonic clock — measurably
-		// cheaper than time.Now, and all the buckets need.
-		epoch := time.Now()
-		c.nanos = func() int64 { return int64(time.Since(epoch)) }
-	}
+	c := &Controller{cfg: cfg, now: now, epoch: now()}
 	if cfg.CheapCapacity > 0 {
 		c.gates[Cheap] = NewGate(cfg.CheapCapacity, cfg.CheapQueue)
 	}
@@ -217,6 +208,16 @@ func NewController(cfg Config) *Controller {
 	}
 	c.defaultTenant = c.tenant(DefaultTenant)
 	return c
+}
+
+// nanos is the controller's clock for buckets and service times:
+// nanoseconds since epoch. Without a test clock it reads only the
+// monotonic clock (time.Since), measurably cheaper than time.Now.
+func (c *Controller) nanos() int64 {
+	if c.cfg.Now != nil {
+		return c.cfg.Now().Sub(c.epoch).Nanoseconds()
+	}
+	return int64(time.Since(c.epoch))
 }
 
 // Gate returns the class's concurrency gate, or nil when the class is
@@ -264,11 +265,12 @@ func (c *Controller) modelSlow(name string) *modelState {
 	return v.(*modelState)
 }
 
-// Ticket is one admitted request: call Done exactly once with the
-// outcome so the gate slot is released, the service time observed,
-// and the breaker fed. The zero Ticket is valid — Done on it is a
-// no-op — so transports can keep one on the stack whether or not a
-// controller is configured.
+// Ticket is one admitted request: call Done with the outcome so the
+// gate slot is released, the service time observed, and the breaker
+// fed. The zero Ticket is valid — Done on it is a no-op — so
+// transports can keep one on the stack whether or not a controller is
+// configured. A ticket belongs to its request's goroutine: Done must
+// not race with itself.
 type Ticket struct {
 	ctl     *Controller
 	gate    *Gate
@@ -276,7 +278,6 @@ type Ticket struct {
 	probe   bool
 	sampled bool  // this request times its service for the gate EWMA
 	start   int64 // controller nanos at admission, when sampled
-	done    atomic.Bool
 }
 
 // Admit runs one query through the admission pipeline. Exactly one of
@@ -421,20 +422,23 @@ func (c *Controller) RecordLoad(model string, err error) {
 // Done releases the admitted request: the gate slot is freed (waking
 // the oldest waiter), the observed service time feeds the
 // Retry-After estimator, and the outcome feeds the model's breaker.
-// Done is idempotent.
+// Done is idempotent: it zeroes the ticket, and Done on a zero ticket
+// does nothing.
 func (t *Ticket) Done(outcome Outcome) {
-	if t == nil || !t.done.CompareAndSwap(false, true) {
+	if t == nil {
 		return
 	}
-	if t.gate != nil {
+	tk := *t
+	*t = Ticket{}
+	if tk.gate != nil {
 		var service time.Duration
-		if t.sampled {
-			service = time.Duration(t.ctl.nanos() - t.start)
+		if tk.sampled {
+			service = time.Duration(tk.ctl.nanos() - tk.start)
 		}
-		t.gate.Leave(service)
+		tk.gate.Leave(service)
 	}
-	if t.breaker != nil {
-		t.breaker.Record(t.probe, outcome)
+	if tk.breaker != nil {
+		tk.breaker.Record(tk.probe, outcome)
 	}
 }
 

@@ -39,9 +39,9 @@ func (s BreakerState) String() string {
 // failure reopens it for another full cooldown.
 // A closed breaker — the steady state of a healthy model — is
 // lock-free on both sides: Allow is one atomic load and Record of a
-// success is a load plus a store. Transitions and everything rarer
-// (failures, open/half-open traffic) go through the mutex; state is
-// only ever written while mu is held.
+// success is two loads (plus a store after a failure). Transitions
+// and everything rarer (failures, open/half-open traffic) go through
+// the mutex; state is only ever written while mu is held.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -110,10 +110,14 @@ func (b *Breaker) allowSlow() (ok, probe bool, retry time.Duration) {
 // neutral: they release a pending probe without judging the model.
 func (b *Breaker) Record(probe bool, outcome Outcome) {
 	if !probe && outcome == OutcomeOK && BreakerState(b.state.Load()) == BreakerClosed {
-		// Hot path: healthy traffic on a closed breaker. If the breaker
-		// opens concurrently, the stale reset below is harmless —
-		// opening already zeroed the count.
-		b.failures.Store(0)
+		// Hot path: healthy traffic on a closed breaker. The reset is
+		// a load first: a store on every request would bounce the
+		// cache line between cores even when the count is already
+		// zero. If the breaker opens concurrently, a stale reset is
+		// harmless — opening already zeroed the count.
+		if b.failures.Load() != 0 {
+			b.failures.Store(0)
+		}
 		return
 	}
 	b.recordSlow(probe, outcome)

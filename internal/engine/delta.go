@@ -96,9 +96,9 @@ func NewFromPrevious(prev *Engine, next *core.Model, unchanged bool) (*Engine, e
 	}
 	prev.mu.Unlock()
 	for _, spec := range domSpecs {
-		if res, rerr, ok := prev.domMemo(spec).cached(); ok && rerr == nil {
-			e.domMemo(spec).prime(res)
-			e.derivedBytes.Add(domFootprint(res))
+		if ans, rerr, ok := prev.domMemo(spec).cached(); ok && rerr == nil {
+			e.domMemo(spec).prime(ans)
+			e.derivedBytes.Add(domFootprint(ans))
 		}
 	}
 	for _, spec := range clsSpecs {

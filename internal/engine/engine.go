@@ -185,11 +185,11 @@ type Engine struct {
 	index memo[*table.Index]
 	sim   memo[*similarity.Graph]
 
-	defaultDom *memo[*cover.Result]
+	defaultDom *memo[*domAnswer]
 	defaultCls *memo[*classifierSet]
 
 	mu   sync.Mutex // guards the keyed memo maps (shape only)
-	doms map[DomSpec]*memo[*cover.Result]
+	doms map[DomSpec]*memo[*domAnswer]
 	cls  map[DomSpec]*memo[*classifierSet]
 
 	rules ruleCache
@@ -217,13 +217,13 @@ func New(m *core.Model, opt Options) (*Engine, error) {
 	e := &Engine{
 		model: m,
 		opt:   opt,
-		doms:  make(map[DomSpec]*memo[*cover.Result]),
+		doms:  make(map[DomSpec]*memo[*domAnswer]),
 		cls:   make(map[DomSpec]*memo[*classifierSet]),
 	}
 	e.rules.cap = opt.RuleCacheEntries
 	e.rules.entries = make(map[ruleKey]*ruleEntry)
 	def, _ := DefaultDomSpec().normalize()
-	e.defaultDom = &memo[*cover.Result]{}
+	e.defaultDom = &memo[*domAnswer]{}
 	e.defaultCls = &memo[*classifierSet]{}
 	e.doms[def] = e.defaultDom
 	e.cls[def] = e.defaultCls
@@ -269,9 +269,28 @@ func (e *Engine) SimilarityGraph(ctx context.Context) (*similarity.Graph, error)
 	})
 }
 
+// domAnswer is one memoized dominator together with what every answer
+// derives from it: the classifiable targets and the dominator and
+// target names, computed once when the dominator is built.
+type domAnswer struct {
+	res         *cover.Result
+	targets     []int
+	domNames    []string
+	targetNames []string
+}
+
 // Dominator returns the memoized dominator for the spec, building it
 // on first use under ctx. Distinct specs memoize independently.
 func (e *Engine) Dominator(ctx context.Context, spec DomSpec) (*cover.Result, error) {
+	ans, err := e.dominator(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return ans.res, nil
+}
+
+// dominator is Dominator with the derived names and targets.
+func (e *Engine) dominator(ctx context.Context, spec DomSpec) (*domAnswer, error) {
 	spec, err := spec.normalize()
 	if err != nil {
 		return nil, err
@@ -280,7 +299,7 @@ func (e *Engine) Dominator(ctx context.Context, spec DomSpec) (*cover.Result, er
 	if v, err, ok := m.cached(); ok {
 		return v, err
 	}
-	return m.get(ctx, func() (*cover.Result, error) {
+	return m.get(ctx, func() (*domAnswer, error) {
 		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseDominator)()
 		opt := cover.Options{
 			Complete:     spec.Complete,
@@ -297,18 +316,30 @@ func (e *Engine) Dominator(ctx context.Context, spec DomSpec) (*cover.Result, er
 		if err != nil {
 			return nil, err
 		}
+		ans := &domAnswer{res: res, targets: targetsOf(res)}
+		ans.domNames = e.vertexNames(res.DomSet)
+		ans.targetNames = e.vertexNames(ans.targets)
 		e.dominatorBuilds.Add(1)
-		e.derivedBytes.Add(domFootprint(res))
-		return res, nil
+		e.derivedBytes.Add(domFootprint(ans))
+		return ans, nil
 	})
 }
 
-func (e *Engine) domMemo(spec DomSpec) *memo[*cover.Result] {
+// vertexNames names the vertices, in order (never nil).
+func (e *Engine) vertexNames(vs []int) []string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = e.model.H.VertexName(v)
+	}
+	return names
+}
+
+func (e *Engine) domMemo(spec DomSpec) *memo[*domAnswer] {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.doms[spec]
 	if m == nil {
-		m = &memo[*cover.Result]{}
+		m = &memo[*domAnswer]{}
 		e.doms[spec] = m
 	}
 	return m
@@ -343,14 +374,15 @@ func (e *Engine) classifierSetFor(ctx context.Context, spec DomSpec) (*classifie
 }
 
 func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classifierSet, error) {
-	dom, err := e.Dominator(ctx, spec)
+	ans, err := e.dominator(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	dom := ans.res
 	// The dominator's own time is attributed above; this span covers
 	// the classifier-specific work (association tables, pool setup).
 	defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseClassifier)()
-	set := &classifierSet{dom: dom, targets: targetsOf(dom)}
+	set := &classifierSet{dom: dom, targets: ans.targets}
 	switch {
 	case e.model.RequireRows() != nil:
 		set.unavailable = unavailablef("engine: model cannot classify: %v", e.model.RequireRows())
@@ -500,32 +532,56 @@ func (e *Engine) PredictBatch(ctx context.Context, domVals []table.Value, target
 // Calls carrying opt.Run hooks bypass the cache — a memoized answer
 // cannot replay progress callbacks.
 func (e *Engine) Rules(ctx context.Context, head int, opt core.MineOptions) ([]core.ScoredRule, error) {
+	ans, err := e.ruleAnswer(ctx, head, opt)
+	return ans.rules, err
+}
+
+// ruleAnswer is Rules with the rules rendered, memoized together.
+func (e *Engine) ruleAnswer(ctx context.Context, head int, opt core.MineOptions) (ruleAnswer, error) {
 	if err := e.model.RequireRows(); err != nil {
-		return nil, unavailablef("engine: %v", err)
+		return ruleAnswer{}, unavailablef("engine: %v", err)
 	}
 	if head < 0 || head >= e.model.H.NumVertices() {
-		return nil, badf("head attribute %d out of range", head)
+		return ruleAnswer{}, badf("head attribute %d out of range", head)
 	}
 	// The negated ranges also reject NaN, which must never become a
 	// cache key: a NaN key matches no lookup, so it could never be hit
 	// or evicted.
 	if !(opt.MinSupport >= 0 && opt.MinSupport <= 1) {
-		return nil, badf("min_support %v outside [0, 1]", opt.MinSupport)
+		return ruleAnswer{}, badf("min_support %v outside [0, 1]", opt.MinSupport)
 	}
 	if !(opt.MinConfidence >= 0 && opt.MinConfidence <= 1) {
-		return nil, badf("min_confidence %v outside [0, 1]", opt.MinConfidence)
+		return ruleAnswer{}, badf("min_confidence %v outside [0, 1]", opt.MinConfidence)
 	}
-	if opt.Run != nil || e.rules.cap <= 0 {
-		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseRules)()
-		return core.MineRulesContext(ctx, e.model, head, opt)
-	}
-	key := ruleKey{head: head, minSupport: opt.MinSupport, minConfidence: opt.MinConfidence, maxRules: opt.MaxRules}
-	return e.rules.get(ctx, key, e.derivedBytes.Add, func() ([]core.ScoredRule, error) {
+	mine := func() (ruleAnswer, error) {
 		// Only a cache miss does mining work, so only the winning
 		// build is attributed; a cache hit records nothing.
 		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseRules)()
-		return core.MineRulesContext(ctx, e.model, head, opt)
-	})
+		rules, err := core.MineRulesContext(ctx, e.model, head, opt)
+		if err != nil {
+			return ruleAnswer{}, err
+		}
+		return ruleAnswer{rules: rules, results: e.renderRules(rules)}, nil
+	}
+	if opt.Run != nil || e.rules.cap <= 0 {
+		return mine()
+	}
+	key := ruleKey{head: head, minSupport: opt.MinSupport, minConfidence: opt.MinConfidence, maxRules: opt.MaxRules}
+	return e.rules.get(ctx, key, e.derivedBytes.Add, mine)
+}
+
+// renderRules names the rules' attributes for the wire (never nil).
+func (e *Engine) renderRules(rules []core.ScoredRule) []RuleResult {
+	out := make([]RuleResult, len(rules))
+	for i, sr := range rules {
+		out[i] = RuleResult{
+			Rule:       core.FormatRule(e.model.Table, sr.Rule),
+			Support:    sr.Support,
+			Confidence: sr.Confidence,
+			Lift:       sr.Lift,
+		}
+	}
+	return out
 }
 
 // Warmup selects which artifacts to build eagerly.
@@ -652,8 +708,10 @@ func simFootprint(g *similarity.Graph) int64 {
 	return n*n*8 + n*8 + 48
 }
 
-func domFootprint(res *cover.Result) int64 {
-	return int64(len(res.Covered)) + int64(len(res.DomSet)+2)*8 + 48
+func domFootprint(ans *domAnswer) int64 {
+	res := ans.res
+	return int64(len(res.Covered)) + int64(len(res.DomSet)+len(ans.targets)+2)*8 + 48 +
+		int64(len(ans.domNames)+len(ans.targetNames))*16
 }
 
 func indexFootprint(tb *table.Table) int64 {
@@ -671,12 +729,15 @@ func classifierFootprint(set *classifierSet) int64 {
 	return set.abc.TableBytes() + 64
 }
 
-func ruleFootprint(rules []core.ScoredRule) int64 {
-	var items int64
-	for i := range rules {
-		items += int64(len(rules[i].Rule.X) + len(rules[i].Rule.Y))
+func ruleFootprint(ans ruleAnswer) int64 {
+	var items, text int64
+	for i := range ans.rules {
+		items += int64(len(ans.rules[i].Rule.X) + len(ans.rules[i].Rule.Y))
 	}
-	return 96 + int64(len(rules))*96 + items*16
+	for i := range ans.results {
+		text += int64(len(ans.results[i].Rule))
+	}
+	return 96 + int64(len(ans.rules))*96 + items*16 + int64(len(ans.results))*40 + text
 }
 
 // ruleKey identifies one memoized MineRules answer. Run hooks are
@@ -688,8 +749,15 @@ type ruleKey struct {
 	maxRules      int
 }
 
+// ruleAnswer is one memoized rules answer: the mined rules and their
+// wire rendering, formatted once when the answer is mined.
+type ruleAnswer struct {
+	rules   []core.ScoredRule
+	results []RuleResult
+}
+
 type ruleEntry struct {
-	flight   *flight[[]core.ScoredRule]
+	flight   *flight[ruleAnswer]
 	lastUsed int64
 	bytes    int64
 	complete bool
@@ -717,7 +785,7 @@ func (c *ruleCache) stats() (hits, misses, evictions int64, entries int) {
 // get returns the cached answer for key, or builds it via build if
 // this caller wins; charge adjusts the owning engine's derived-bytes
 // accounting as entries come and go.
-func (c *ruleCache) get(ctx context.Context, key ruleKey, charge func(int64) int64, build func() ([]core.ScoredRule, error)) ([]core.ScoredRule, error) {
+func (c *ruleCache) get(ctx context.Context, key ruleKey, charge func(int64) int64, build func() (ruleAnswer, error)) (ruleAnswer, error) {
 	for {
 		c.mu.Lock()
 		c.clock++
@@ -736,11 +804,11 @@ func (c *ruleCache) get(ctx context.Context, key ruleKey, charge func(int64) int
 			}
 			return f.val, f.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ruleAnswer{}, ctx.Err()
 		}
 	}
 	c.misses++
-	f := &flight[[]core.ScoredRule]{done: make(chan struct{})}
+	f := &flight[ruleAnswer]{done: make(chan struct{})}
 	e := &ruleEntry{flight: f, lastUsed: c.clock}
 	c.entries[key] = e
 	c.mu.Unlock()

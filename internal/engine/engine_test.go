@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -733,5 +735,86 @@ func TestPredictZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warm PredictBatch allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// warmDoAllocs returns the steady-state allocations of one warm
+// Engine.Do of req on the 12x500 fixture.
+func warmDoAllocs(t *testing.T, req *Request) float64 {
+	t.Helper()
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	e := newEngine(t, testModel(t, 21, 12, 500, 0), Options{})
+	if _, err := e.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(200, func() {
+		if _, err := e.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestWarmDoRulesAllocs pins a cached rules answer: the rendered rules
+// are kept with the cache entry, so a warm read copies them out
+// instead of formatting each rule again.
+func TestWarmDoRulesAllocs(t *testing.T) {
+	got := warmDoAllocs(t, &Request{Rules: &RulesRequest{Head: "A05", Top: 5}})
+	t.Logf("warm rules Do: %.0f allocs", got)
+	if got > 2 {
+		t.Errorf("warm rules Do allocates %.0f, want <= 2", got)
+	}
+}
+
+// TestWarmDoDominatorsAllocs pins a memoized dominator answer: the
+// dominator and target names are kept with the memo, so a warm read
+// copies two name slices.
+func TestWarmDoDominatorsAllocs(t *testing.T) {
+	got := warmDoAllocs(t, &Request{Dominators: &DominatorsRequest{}})
+	t.Logf("warm dominators Do: %.0f allocs", got)
+	if got > 3 {
+		t.Errorf("warm dominators Do allocates %.0f, want <= 3", got)
+	}
+}
+
+// TestWarmAnswersAreCopies: rules and dominators answers are rendered
+// once and kept with their memos, so every answer must be a copy: a
+// caller that edits one cannot change what the next caller reads.
+func TestWarmAnswersAreCopies(t *testing.T) {
+	ctx := context.Background()
+	e := newEngine(t, testModel(t, 21, 12, 500, 0), Options{})
+	rules := &Request{Rules: &RulesRequest{Head: "A05", Top: 5}}
+	doms := &Request{Dominators: &DominatorsRequest{}}
+	first, err := e.Do(ctx, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstDom, err := e.Do(ctx, doms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Rules.Rules) == 0 || len(firstDom.Dominators.Dominator) == 0 || len(firstDom.Dominators.Targets) == 0 {
+		t.Fatalf("fixture answers are empty: %+v %+v", first.Rules, firstDom.Dominators)
+	}
+	want, _ := json.Marshal(first)
+	wantDom, _ := json.Marshal(firstDom)
+	first.Rules.Rules[0].Rule = "edited"
+	firstDom.Dominators.Dominator[0] = "edited"
+	firstDom.Dominators.Targets[0] = "edited"
+	again, err := e.Do(ctx, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	againDom, err := e.Do(ctx, doms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(again); !bytes.Equal(got, want) {
+		t.Errorf("rules answer changed after a caller edited an earlier one:\n got %s\nwant %s", got, want)
+	}
+	if got, _ := json.Marshal(againDom); !bytes.Equal(got, wantDom) {
+		t.Errorf("dominators answer changed after a caller edited an earlier one:\n got %s\nwant %s", got, wantDom)
 	}
 }

@@ -12,7 +12,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypermine/internal/core"
 	"hypermine/internal/similarity"
@@ -227,6 +227,10 @@ type ClassifyResponse struct {
 
 // Do executes one Request under ctx. Errors are *Error values (see
 // ErrorKind) except context failures, which surface unwrapped.
+//
+// Each answer allocates its Response together with the variant's
+// payload (and any values the payload points at) as one anonymous
+// struct, so a warm answer costs one allocation, not three to five.
 func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil {
 		return nil, badf("nil request")
@@ -300,7 +304,7 @@ func (e *Engine) doRules(ctx context.Context, q *RulesRequest) (*Response, error
 	if top < 1 {
 		return nil, badf("bad top %d", q.Top)
 	}
-	rules, err := e.Rules(ctx, head, core.MineOptions{
+	ans, err := e.ruleAnswer(ctx, head, core.MineOptions{
 		MinSupport:    q.MinSupport,
 		MinConfidence: q.MinConfidence,
 		MaxRules:      top,
@@ -308,16 +312,13 @@ func (e *Engine) doRules(ctx context.Context, q *RulesRequest) (*Response, error
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RuleResult, len(rules))
-	for i, sr := range rules {
-		out[i] = RuleResult{
-			Rule:       core.FormatRule(e.model.Table, sr.Rule),
-			Support:    sr.Support,
-			Confidence: sr.Confidence,
-			Lift:       sr.Lift,
-		}
-	}
-	return &Response{Rules: &RulesResponse{Head: q.Head, Rules: out}}, nil
+	// A copy: the rendered rules stay with the cache entry.
+	a := &struct {
+		resp  Response
+		rules RulesResponse
+	}{rules: RulesResponse{Head: q.Head, Rules: slices.Clone(ans.results)}}
+	a.resp.Rules = &a.rules
+	return &a.resp, nil
 }
 
 func (e *Engine) doSimilar(ctx context.Context, q *SimilarRequest) (*Response, error) {
@@ -333,12 +334,15 @@ func (e *Engine) doSimilar(ctx context.Context, q *SimilarRequest) (*Response, e
 		}
 		// A pair answer needs no prepared graph: the two similarity
 		// sums are exactly what one matrix cell would hold.
-		in := similarity.InSim(h, a, b)
-		out := similarity.OutSim(h, a, b)
-		dist := 1 - (in+out)/2
-		return &Response{Similar: &SimilarResponse{
-			A: q.A, B: q.B, InSim: &in, OutSim: &out, Distance: &dist,
-		}}, nil
+		p := &struct {
+			resp          Response
+			sim           SimilarResponse
+			in, out, dist float64
+		}{in: similarity.InSim(h, a, b), out: similarity.OutSim(h, a, b)}
+		p.dist = 1 - (p.in+p.out)/2
+		p.sim = SimilarResponse{A: q.A, B: q.B, InSim: &p.in, OutSim: &p.out, Distance: &p.dist}
+		p.resp.Similar = &p.sim
+		return &p.resp, nil
 	}
 	top := q.Top
 	if top == 0 {
@@ -360,36 +364,46 @@ func (e *Engine) doSimilar(ctx context.Context, q *SimilarRequest) (*Response, e
 		}
 		neighbors = append(neighbors, Neighbor{Name: h.VertexName(v), Distance: g.Dist(a, v)})
 	}
-	sort.SliceStable(neighbors, func(i, j int) bool { return neighbors[i].Distance < neighbors[j].Distance })
+	slices.SortStableFunc(neighbors, func(x, y Neighbor) int {
+		switch {
+		case x.Distance < y.Distance:
+			return -1
+		case y.Distance < x.Distance:
+			return 1
+		}
+		return 0
+	})
 	if top < len(neighbors) {
 		neighbors = neighbors[:top]
 	}
-	return &Response{Similar: &SimilarResponse{A: q.A, Neighbors: neighbors}}, nil
+	r := &struct {
+		resp Response
+		sim  SimilarResponse
+	}{sim: SimilarResponse{A: q.A, Neighbors: neighbors}}
+	r.resp.Similar = &r.sim
+	return &r.resp, nil
 }
 
 func (e *Engine) doDominators(ctx context.Context, q *DominatorsRequest) (*Response, error) {
 	spec := DomSpec{Algorithm: q.Alg, Complete: q.Complete, Enhancement1: true, Enhancement2: true}
-	res, err := e.Dominator(ctx, spec)
+	ans, err := e.dominator(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	h := e.model.H
-	dom := make([]string, len(res.DomSet))
-	for i, v := range res.DomSet {
-		dom[i] = h.VertexName(v)
-	}
-	targetIDs := targetsOf(res)
-	targets := make([]string, len(targetIDs))
-	for i, v := range targetIDs {
-		targets[i] = h.VertexName(v)
-	}
-	return &Response{Dominators: &DominatorsResponse{
-		Dominator:  dom,
-		Targets:    targets,
+	res := ans.res
+	// Copies: the names stay with the dominator memo.
+	d := &struct {
+		resp Response
+		dom  DominatorsResponse
+	}{dom: DominatorsResponse{
+		Dominator:  slices.Clone(ans.domNames),
+		Targets:    slices.Clone(ans.targetNames),
 		Coverage:   res.CoverageFraction(),
 		Iterations: res.Iterations,
 		TargetSize: res.TargetSize,
-	}}, nil
+	}}
+	d.resp.Dominators = &d.dom
+	return &d.resp, nil
 }
 
 func (e *Engine) doClassify(ctx context.Context, q *ClassifyRequest) (*Response, error) {
@@ -425,8 +439,15 @@ func (e *Engine) doClassify(ctx context.Context, q *ClassifyRequest) (*Response,
 		if err != nil {
 			return nil, err
 		}
-		iv := int(val)
-		return &Response{Classify: &ClassifyResponse{Target: q.Target, Value: &iv, Confidence: &conf}}, nil
+		a := &struct {
+			resp  Response
+			cls   ClassifyResponse
+			value int
+			conf  float64
+		}{value: int(val), conf: conf}
+		a.cls = ClassifyResponse{Target: q.Target, Value: &a.value, Confidence: &a.conf}
+		a.resp.Classify = &a.cls
+		return &a.resp, nil
 	}
 
 	if len(q.Rows) == 0 {
@@ -449,11 +470,15 @@ func (e *Engine) doClassify(ctx context.Context, q *ClassifyRequest) (*Response,
 	if err := e.PredictBatch(ctx, domVals, target, out, conf); err != nil {
 		return nil, err
 	}
-	resp := &ClassifyResponse{Target: q.Target, Values: make([]int, len(out)), Confidences: conf}
+	b := &struct {
+		resp Response
+		cls  ClassifyResponse
+	}{cls: ClassifyResponse{Target: q.Target, Values: make([]int, len(out)), Confidences: conf}}
 	for i, v := range out {
-		resp.Values[i] = int(v)
+		b.cls.Values[i] = int(v)
 	}
-	return &Response{Classify: resp}, nil
+	b.resp.Classify = &b.cls
+	return &b.resp, nil
 }
 
 // resolveTarget maps a target attribute name to its id, requiring it

@@ -295,7 +295,7 @@ func (rt *Router) handleModelScoped(w http.ResponseWriter, r *http.Request) {
 	var act *telemetry.Active
 	traceStart := time.Now()
 	if rt.cfg.Tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
 		act = rt.cfg.Tracer.Start(id, "route", name, r.Header.Get("X-Tenant"))
 		w.Header().Set("X-Trace-Id", act.TraceID().String())
 	}
@@ -455,10 +455,12 @@ func (rt *Router) forward(r *http.Request, peer string, body []byte, act *teleme
 	}
 	// Propagate the distributed trace: the replica adopts this ID, so
 	// its engine-phase spans land in the same trace the router logs.
+	// Canonical keys: a lowercase one is canonicalized, and
+	// allocated, on every call.
 	if act != nil {
-		req.Header.Set("traceparent", telemetry.Traceparent(act.TraceID()))
-	} else if tp := r.Header.Get("traceparent"); tp != "" {
-		req.Header.Set("traceparent", tp)
+		req.Header.Set("Traceparent", telemetry.Traceparent(act.TraceID()))
+	} else if tp := r.Header.Get("Traceparent"); tp != "" {
+		req.Header.Set("Traceparent", tp)
 	}
 	return rt.client.Do(req)
 }

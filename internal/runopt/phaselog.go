@@ -11,7 +11,7 @@ import (
 
 // PhaseLog attributes a request's wall time to pipeline phases. A
 // transport that wants attribution (the server's slow-query log)
-// attaches one to the request context with WithPhaseLog; the engine's
+// attaches one to the request context under PhaseLogKey; the engine's
 // build sites wrap their work in Span calls keyed by the Phase
 // vocabulary above. A request that only hit memoized artifacts
 // records no spans — it did no phase work — so the log shows exactly
@@ -37,10 +37,14 @@ type PhaseRecord struct {
 	Duration time.Duration
 }
 
-type phaseLogKey struct{}
+// PhaseLogKey is the context key a PhaseLog travels under. The server
+// answers it from its pooled per-request record, which is itself the
+// request's context while the engine runs, so attaching a log costs
+// no value context per request.
+type PhaseLogKey struct{}
 
-// NewPhaseLog returns an empty PhaseLog not yet attached to a context;
-// pair with ContextWithPhaseLog. Pool-friendly via Reset.
+// NewPhaseLog returns an empty PhaseLog not yet attached to a context.
+// Pool-friendly via Reset.
 func NewPhaseLog() *PhaseLog {
 	return &PhaseLog{spans: make(map[Phase]time.Duration)}
 }
@@ -64,20 +68,9 @@ func (p *PhaseLog) Reset() {
 	p.mu.Unlock()
 }
 
-// ContextWithPhaseLog attaches an existing PhaseLog to ctx.
-func ContextWithPhaseLog(ctx context.Context, p *PhaseLog) context.Context {
-	return context.WithValue(ctx, phaseLogKey{}, p)
-}
-
-// WithPhaseLog attaches a fresh PhaseLog to ctx and returns both.
-func WithPhaseLog(ctx context.Context) (context.Context, *PhaseLog) {
-	p := NewPhaseLog()
-	return ContextWithPhaseLog(ctx, p), p
-}
-
 // PhaseLogFrom returns the PhaseLog attached to ctx, or nil.
 func PhaseLogFrom(ctx context.Context) *PhaseLog {
-	p, _ := ctx.Value(phaseLogKey{}).(*PhaseLog)
+	p, _ := ctx.Value(PhaseLogKey{}).(*PhaseLog)
 	return p
 }
 

@@ -8,7 +8,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -63,7 +62,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 	var act *telemetry.Active
 	start := time.Now()
 	if s.tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
 		act = s.tracer.Start(id, "append", name, r.Header.Get("X-Tenant"))
 		w.Header().Set("X-Trace-Id", act.TraceID().String())
 	}
@@ -155,16 +154,22 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 // means an explicit empty no-op). On error the response has already
 // been written.
 func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name string) ([][]table.Value, [][]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxAppendBytes)
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(ct) == "text/csv" {
-		rows, err := s.readAppendCSV(w, r, body, name)
+		rows, err := s.readAppendCSV(w, r, http.MaxBytesReader(w, r.Body, maxAppendBytes), name)
 		return rows, nil, err
 	}
-	var req appendRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// A pooled body: decoding reuses its row and column backing arrays,
+	// and every value is copied out below.
+	req := s.pools.appends.Get().(*appendRequest)
+	req.Rows, req.Columns = req.Rows[:0], req.Columns[:0]
+	n, err := s.readJSON(w, r, maxAppendBytes, req, true)
+	defer func() {
+		if n <= maxPooledBytes {
+			s.pools.appends.Put(req)
+		}
+	}()
+	if err != nil {
 		if ctxErr := r.Context().Err(); ctxErr != nil && s.failCtx(w, ctxErr) {
 			return nil, nil, ctxErr
 		}
@@ -191,9 +196,16 @@ func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name s
 		}
 		return nil, cols, nil
 	}
+	// The rows are carved from one slab: the pooled ints are reused by
+	// the next request, and the append does not retain its rows.
+	cells := 0
+	for _, row := range req.Rows {
+		cells += len(row)
+	}
+	slab := make([]table.Value, cells)
 	rows := make([][]table.Value, len(req.Rows))
 	for i, row := range req.Rows {
-		rows[i] = make([]table.Value, len(row))
+		rows[i], slab = slab[:len(row):len(row)], slab[len(row):]
 		for j, v := range row {
 			if v < 1 || v > table.MaxK {
 				err := errors.New("row value outside 1..255")

@@ -243,6 +243,9 @@ func FuzzAppendBody(f *testing.F) {
 			h.ServeHTTP(rec, req)
 			switch rec.Code {
 			case http.StatusOK:
+				if ct == "application/json" && !json.Valid(body) {
+					t.Fatalf("%s %q is not one JSON value, but answered 200: %s", ct, body, rec.Body.Bytes())
+				}
 			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 				if after := generation(); after != before {
 					t.Fatalf("%s %q: rejected with %d but generation moved %d -> %d", ct, body, rec.Code, before, after)

@@ -32,7 +32,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -105,6 +104,7 @@ type Server struct {
 	appendHist *telemetry.Histogram
 
 	obsPool sync.Pool // *reqObs
+	pools   wirePools
 
 	// readyFn backs GET /readyz (nil = always ready); extraStats and
 	// extraMetrics are embedder extension points merged into /stats and
@@ -222,6 +222,7 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 		o(s)
 	}
 	s.initTelemetry()
+	s.pools.init()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if s.tracer != nil {
@@ -243,8 +244,12 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/models/{name}/rules", s.handleRules)
 	s.mux.HandleFunc("GET /v1/models/{name}/similar", s.handleSimilar)
 	s.mux.HandleFunc("GET /v1/models/{name}/dominators", s.handleDominators)
-	s.mux.HandleFunc("POST /v1/models/{name}/classify", s.handleClassify)
-	s.mux.HandleFunc("POST /v1/models/{name}/classify:batch", s.handleClassifyBatch)
+	s.mux.HandleFunc("POST /v1/models/{name}/classify", func(w http.ResponseWriter, r *http.Request) {
+		s.handleClassify(w, r, false)
+	})
+	s.mux.HandleFunc("POST /v1/models/{name}/classify:batch", func(w http.ResponseWriter, r *http.Request) {
+		s.handleClassify(w, r, true)
+	})
 	// ":query" and ":append" are not path segments of their own, so
 	// the ServeMux wildcard grammar cannot name them directly; a
 	// catch-all picks up "{name}:query" / "{name}:append" and rejects
@@ -344,12 +349,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.errs.Inc()
 	s.writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
@@ -435,7 +434,7 @@ func (s *Server) acquire(w http.ResponseWriter, name string) *registry.Served {
 		s.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return nil
 	}
-	w.Header().Set("X-Model-Generation", strconv.FormatInt(sv.Generation(), 10))
+	stamp(w.Header(), nil, sv)
 	s.queries.Inc()
 	sv.CountQuery()
 	return sv
@@ -446,7 +445,13 @@ func (s *Server) acquire(w http.ResponseWriter, name string) *registry.Served {
 // finished exactly once via a deferred method call (a method value on
 // a pooled pointer, so the steady-state telemetry bookkeeping itself
 // performs no heap allocation).
+//
+// While the engine runs, the record is also the request's context:
+// it answers the trace and phase-log keys itself (see Value), so both
+// reach the engine without a value context per request.
 type reqObs struct {
+	context.Context // the request context, set only while the engine runs
+
 	s      *Server
 	name   string
 	kind   string
@@ -457,7 +462,23 @@ type reqObs struct {
 	errMsg string
 	act    *telemetry.Active
 	plog   *runopt.PhaseLog
-	logged bool // plog was attached to the request context
+	logged bool // the engine ran under this record as its context
+}
+
+// Value answers the in-flight trace and the phase log; every other key
+// falls through to the request context.
+//
+//hyper:noalloc
+func (ob *reqObs) Value(key any) any {
+	switch key.(type) {
+	case telemetry.TraceKey:
+		if ob.act != nil {
+			return ob.act
+		}
+	case runopt.PhaseLogKey:
+		return ob.plog
+	}
+	return ob.Context.Value(key)
 }
 
 // setErr records the telemetry-visible outcome of a failed request.
@@ -490,6 +511,7 @@ func (ob *reqObs) finish() {
 		s.tracer.Finish(ob.act, elapsed, ob.status, ob.errMsg)
 	}
 	ob.plog.Reset()
+	ob.Context = nil
 	ob.act = nil
 	ob.errMsg = ""
 	ob.logged = false
@@ -518,14 +540,16 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *en
 	ob.start = time.Now()
 	ob.status = http.StatusOK
 	if s.tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+		// Looked up by its canonical key: Get("traceparent") would
+		// canonicalize, and allocate, on every request.
+		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
 		ob.act = s.tracer.Start(id, ob.kind, name, tenant)
-		w.Header().Set("X-Trace-Id", ob.act.TraceID().String())
 	}
 	defer ob.finish()
 
 	sv := s.reg.Acquire(name)
 	if sv == nil {
+		stamp(w.Header(), ob.act, nil)
 		ob.setErr(http.StatusNotFound, "unknown model")
 		s.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return nil
@@ -533,7 +557,7 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *en
 	defer sv.Release()
 	// The answer below comes from exactly this generation's engine —
 	// stamp it so clients racing an :append can attribute the response.
-	w.Header().Set("X-Model-Generation", strconv.FormatInt(sv.Generation(), 10))
+	stamp(w.Header(), ob.act, sv)
 	s.queries.Inc()
 	sv.CountQuery()
 
@@ -559,12 +583,10 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *en
 	}
 
 	ctx := r.Context()
-	if ob.act != nil {
-		ctx = telemetry.ContextWithTrace(ctx, ob.act)
-	}
 	if ob.act != nil || s.slowQuery > 0 {
 		ob.logged = true
-		ctx = runopt.ContextWithPhaseLog(ctx, ob.plog)
+		ob.Context = ctx
+		ctx = ob
 	}
 	resp, err := sv.Engine().Do(ctx, req)
 	tk.Done(outcomeOf(err)) // nil-safe; idempotent
@@ -897,7 +919,7 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	// correlatable with the client that triggered them.
 	var act *telemetry.Active
 	if s.tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
 		act = s.tracer.Start(id, "load", name, r.Header.Get("X-Tenant"))
 		w.Header().Set("X-Trace-Id", act.TraceID().String())
 	}
@@ -1024,31 +1046,16 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp.Dominators)
 }
 
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req engine.ClassifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
+// handleClassify serves /classify (single observation) and, with batch
+// set, /classify:batch (rows only).
+func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, batch bool) {
+	cb, err := s.readClassify(w, r, batch)
+	defer s.putClassify(cb)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}
-	req.Rows = nil // this endpoint is single-observation only
-	if req.Values == nil {
-		req.Values = map[string]int{}
-	}
-	resp := s.do(w, r, r.PathValue("name"), &engine.Request{Classify: &req})
-	if resp == nil {
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp.Classify)
-}
-
-func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req engine.ClassifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "body: %v", err)
-		return
-	}
-	req.Values = nil // this endpoint is batch only
-	resp := s.do(w, r, r.PathValue("name"), &engine.Request{Classify: &req})
+	resp := s.do(w, r, r.PathValue("name"), &engine.Request{Classify: &cb.req})
 	if resp == nil {
 		return
 	}
@@ -1076,10 +1083,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req engine.Request
-	body := http.MaxBytesReader(w, r.Body, maxQueryBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if _, err := s.readJSON(w, r, maxQueryBytes, &req, true); err != nil {
 		s.fail(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}

@@ -637,5 +637,8 @@ func FuzzQueryBody(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body.Bytes())
 		}
+		if !json.Valid(body) && rec.Code != http.StatusBadRequest {
+			t.Fatalf("%q is not one JSON value, but answered %d: %s", body, rec.Code, rec.Body.Bytes())
+		}
 	})
 }

@@ -27,9 +27,15 @@ const hexDigits = "0123456789abcdef"
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string {
 	var buf [32]byte
+	return string(id.AppendHex(buf[:0]))
+}
+
+// AppendHex appends the 32 lowercase hex digits String renders to dst.
+func (id TraceID) AppendHex(dst []byte) []byte {
+	var buf [32]byte
 	putHex64(buf[:16], id.Hi)
 	putHex64(buf[16:], id.Lo)
-	return string(buf[:])
+	return append(dst, buf[:]...)
 }
 
 // MarshalJSON renders the ID as a hex string, matching the
@@ -277,7 +283,6 @@ type Active struct {
 	kind    string
 	model   string
 	tenant  string
-	start   time.Time
 	nspans  int
 	dropped int
 	pinned  atomic.Bool
@@ -285,7 +290,9 @@ type Active struct {
 }
 
 // Start begins a trace. A zero id mints a fresh one (pass the parsed
-// inbound traceparent ID to continue a distributed trace).
+// inbound traceparent ID to continue a distributed trace). Start reads
+// no clock: most traces are dropped at Finish, so only a retained one
+// pays for a wall-clock read there.
 func (t *Tracer) Start(id TraceID, kind, model, tenant string) *Active {
 	if id.IsZero() {
 		id = t.MintID()
@@ -296,7 +303,6 @@ func (t *Tracer) Start(id TraceID, kind, model, tenant string) *Active {
 	a.kind = kind
 	a.model = model
 	a.tenant = tenant
-	a.start = t.cfg.Now()
 	return a
 }
 
@@ -308,14 +314,6 @@ func (a *Active) TraceID() TraceID {
 		return TraceID{}
 	}
 	return a.id
-}
-
-// Started returns the trace start time (zero on nil).
-func (a *Active) Started() time.Time {
-	if a == nil {
-		return time.Time{}
-	}
-	return a.start
 }
 
 // AddSpan appends one span; on a nil Active it is an allocation-free
@@ -346,6 +344,7 @@ func (a *Active) Pin() {
 // threshold), errored (status >= 400 or errMsg != ""), and pinned
 // traces always land in the slow ring; otherwise one in SampleEvery
 // goes to the recent ring; the rest are dropped without allocating.
+// A retained trace's start is the clock at Finish minus d.
 // The Active is recycled — the caller must not touch it afterwards.
 func (t *Tracer) Finish(a *Active, d time.Duration, status int, errMsg string) {
 	if a == nil {
@@ -375,7 +374,7 @@ func (t *Tracer) Finish(a *Active, d time.Duration, status int, errMsg string) {
 			Kind:     a.kind,
 			Model:    a.model,
 			Tenant:   a.tenant,
-			Start:    a.start,
+			Start:    t.cfg.Now().Add(-d),
 			Duration: d,
 			Status:   status,
 			Err:      errMsg,
@@ -397,7 +396,6 @@ func (a *Active) reset() {
 	a.t = nil
 	a.id = TraceID{}
 	a.kind, a.model, a.tenant = "", "", ""
-	a.start = time.Time{}
 	a.nspans = 0
 	a.dropped = 0
 	a.pinned.Store(false)
@@ -409,22 +407,26 @@ func (t *Tracer) Snapshot() (slow, recent []*Trace) {
 	return t.slow.snapshot(), t.recent.snapshot()
 }
 
-type traceKey struct{}
+// TraceKey is the context key the in-flight trace travels under. A
+// transport whose pooled per-request state is itself a context
+// answers it directly, instead of layering one value context per
+// request with ContextWithTrace.
+type TraceKey struct{}
 
 // ContextWithTrace attaches the in-flight trace to the context.
 func ContextWithTrace(ctx context.Context, a *Active) context.Context {
-	return context.WithValue(ctx, traceKey{}, a)
+	return context.WithValue(ctx, TraceKey{}, a)
 }
 
 // TraceFrom returns the in-flight trace attached to ctx, or nil.
 //
 //hyper:noalloc
 func TraceFrom(ctx context.Context) *Active {
-	// traceKey{} is zero-size: interface conversion points at
+	// TraceKey{} is zero-size: interface conversion points at
 	// runtime.zerobase and performs no heap allocation (pinned by the
 	// cold-path alloc test).
 	//hyperlint:ignore noalloc
-	a, _ := ctx.Value(traceKey{}).(*Active)
+	a, _ := ctx.Value(TraceKey{}).(*Active)
 	return a
 }
 

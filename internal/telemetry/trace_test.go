@@ -134,8 +134,10 @@ func TestTracerRetainsSlowAndErrored(t *testing.T) {
 	if slow[2].Kind != "rules" || len(slow[2].Spans) != 1 || slow[2].Spans[0].Phase != "rules" {
 		t.Fatalf("slow trace lost its spans: %+v", slow[2])
 	}
-	if !slow[2].Start.Equal(start) {
-		t.Fatalf("trace start = %v, want %v", slow[2].Start, start)
+	// The start is read back from the clock at Finish: the fixed clock
+	// minus the 20ms duration.
+	if want := start.Add(-20 * time.Millisecond); !slow[2].Start.Equal(want) {
+		t.Fatalf("trace start = %v, want %v", slow[2].Start, want)
 	}
 }
 
