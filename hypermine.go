@@ -697,9 +697,10 @@ func FrequentItemsetsContext(ctx context.Context, tb *Table, opt AprioriOptions,
 	return apriori.FrequentItemsetsContext(ctx, tb, opt)
 }
 
-// MineRulesContext is MineRules under a context: mining polls ctx per
-// hyperedge (each rebuilds one association table) and returns
-// ctx.Err() promptly when canceled.
+// MineRulesContext is MineRules under a context: the workers mining a
+// head's hyperedges poll ctx per hyperedge (each fills one association
+// table from posting bitmaps) and ctx.Err() is returned promptly when
+// canceled.
 func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions, opts ...Option) ([]ScoredRule, error) {
 	o := gatherOptions(opts)
 	opt.Run = o.mergeHooks(opt.Run)

@@ -43,7 +43,9 @@ type ABC struct {
 
 // NewABC prepares the classifier: it indexes, per target, every
 // hyperedge of the model with head {target} and tail inside dom, and
-// prebuilds the association tables from the model's training table.
+// prebuilds the association tables from the model's training table,
+// all counted through one core.CountingIndex (the table's resident
+// index, or postings built for this call and then dropped).
 // A first pass sizes every table, so the tables, their tails, counts
 // and tail positions, and the per-target edge lists are carved from
 // one slab each instead of being allocated table by table.
@@ -116,6 +118,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 	idSlab := make([]int, ids)
 	posSlab := make([]int32, ids)
 	cellSlab := make([]int32, c.cells)
+	ix := core.CountingIndex(m.Table)
 	next := 0
 	for _, y := range c.targets {
 		// Majority value fallback for targets with no usable edges.
@@ -138,7 +141,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 			at.Tail, idSlab = idSlab[:t:t], idSlab[t:]
 			at.Counts, cellSlab = cellSlab[:rows:rows], cellSlab[rows:]
 			at.HeadCounts, cellSlab = cellSlab[:rows*k:rows*k], cellSlab[rows*k:]
-			if err := at.Fill(m.Table, tail, y); err != nil {
+			if err := at.FillFrom(m.Table, ix, tail, y); err != nil {
 				return nil, fmt.Errorf("classify: AT for edge into %d: %w", y, err)
 			}
 			pos := posSlab[:t:t]

@@ -109,9 +109,9 @@ func (at *AssociationTable) ACV() float64 {
 // the thesis's future-work generalization.
 const MaxTail = 3
 
-// BuildAssociationTable scans the table once and produces the AT for
-// (tail, {head}). Tail must have between one and MaxTail distinct
-// attributes, all distinct from head.
+// BuildAssociationTable produces the AT for (tail, {head}). Tail must
+// have between one and MaxTail distinct attributes, all distinct from
+// head.
 func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationTable, error) {
 	at := &AssociationTable{}
 	if err := at.Fill(tb, tail, head); err != nil {
@@ -120,11 +120,23 @@ func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationT
 	return at, nil
 }
 
-// Fill makes at the association table of (tail, {head}), reusing the
-// slices at already holds where they are large enough, so a caller that
-// sizes them up front (rule mining's one scratch table, the
-// classifier's slab-carved tables) allocates nothing here.
+// Fill makes at the association table of (tail, {head}). It counts
+// from the table's resident TID index when one is fresh; a caller
+// filling many tables shares one CountingIndex through FillFrom.
 func (at *AssociationTable) Fill(tb *table.Table, tail []int, head int) error {
+	return at.FillFrom(tb, tb.IndexIfBuilt(), tail, head)
+}
+
+// FillFrom makes at the association table of (tail, {head}), reusing
+// the slices at already holds where they are large enough, so a caller
+// that sizes them up front (rule mining's per-worker scratch tables,
+// the classifier's slab-carved tables) allocates nothing here. ix,
+// when non-nil, must be an index of tb (see CountingIndex), and for
+// k <= bitsMaxK the posting-bitmap kernel counts the table. Otherwise
+// one scan of the training rows does: for larger k, and for a one-off
+// table with no index, where building postings would cost more than
+// the scan.
+func (at *AssociationTable) FillFrom(tb *table.Table, ix *table.Index, tail []int, head int) error {
 	if len(tail) < 1 || len(tail) > MaxTail {
 		return fmt.Errorf("core: tail size %d outside 1..%d", len(tail), MaxTail)
 	}
@@ -147,15 +159,27 @@ func (at *AssociationTable) Fill(tb *table.Table, tail []int, head int) error {
 			return fmt.Errorf("core: duplicate tail attribute %d", st[i])
 		}
 	}
-	m := tb.NumRows()
-	rows := 1
-	for range st {
-		rows *= k
-	}
-	at.Tail, at.Head, at.K, at.M = st, head, k, m
+	rows := atRows(k, len(st))
+	at.Tail, at.Head, at.K, at.M = st, head, k, tb.NumRows()
 	at.Counts = zeroed(at.Counts, rows)
 	at.HeadCounts = zeroed(at.HeadCounts, rows*k)
-	hc := tb.Column(head)
+	if ix == nil || k > bitsMaxK {
+		at.fillScan(tb)
+		return nil
+	}
+	var tails [MaxTail][]uint64
+	for i, a := range st {
+		tails[i] = ix.Postings(a)
+	}
+	at.countBits(tails, ix.Postings(head), ix.Words())
+	return nil
+}
+
+// fillScan counts at's zeroed cells with one scan of the training
+// rows.
+func (at *AssociationTable) fillScan(tb *table.Table) {
+	k, m, st := at.K, at.M, at.Tail
+	hc := tb.Column(at.Head)
 	switch len(st) {
 	case 1:
 		tc := tb.Column(st[0])
@@ -179,7 +203,6 @@ func (at *AssociationTable) Fill(tb *table.Table, tail []int, head int) error {
 			at.HeadCounts[row*k+int(hc[i]-1)]++
 		}
 	}
-	return nil
 }
 
 // zeroed returns s resized to n zeroed entries, reallocating only when

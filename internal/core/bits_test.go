@@ -141,7 +141,7 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-func randTable(t *testing.T, rng *rand.Rand, nAttrs, k, rows int) *table.Table {
+func randTable(t testing.TB, rng *rand.Rand, nAttrs, k, rows int) *table.Table {
 	t.Helper()
 	attrs := make([]string, nAttrs)
 	for j := range attrs {

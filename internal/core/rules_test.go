@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"hypermine/internal/table"
+	"hypermine/internal/testutil"
 )
 
 func TestMineRulesInterestDB(t *testing.T) {
@@ -83,6 +85,54 @@ func TestFormatRule(t *testing.T) {
 	}
 }
 
+// TestFormatRuleMatchesSprintf: FormatRule's one-buffer rendering is
+// byte-identical to the fmt form it replaced, for one- to three-item
+// antecedents, values of one to three digits, and empty and long
+// attribute names.
+func TestFormatRuleMatchesSprintf(t *testing.T) {
+	sprintfRule := func(tb *table.Table, r Rule) string {
+		side := func(items []Item) string {
+			s := "{"
+			for i, it := range items {
+				if i > 0 {
+					s += ", "
+				}
+				s += fmt.Sprintf("%s=%d", tb.AttrName(it.Attr), it.Val)
+			}
+			return s + "}"
+		}
+		return side(r.X) + " => " + side(r.Y)
+	}
+	tb, err := table.New([]string{"a", "B", "Gamma", "attribute with spaces", "é"}, table.MaxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		attrs := rng.Perm(tb.NumAttrs())
+		nx := 1 + rng.Intn(MaxTail)
+		r := Rule{X: make([]Item, nx), Y: []Item{{Attr: attrs[nx], Val: table.Value(1 + rng.Intn(table.MaxK))}}}
+		for i := range r.X {
+			r.X[i] = Item{Attr: attrs[i], Val: table.Value(1 + rng.Intn(table.MaxK))}
+		}
+		if got, want := FormatRule(tb, r), sprintfRule(tb, r); got != want {
+			t.Fatalf("FormatRule = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestFormatRuleAllocs: a rule renders with one allocation, its string.
+func TestFormatRuleAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tb := interestDB(t)
+	r := Rule{X: []Item{{0, 3}, {1, 3}}, Y: []Item{{2, 1}}}
+	if allocs := testing.AllocsPerRun(100, func() { FormatRule(tb, r) }); allocs != 1 {
+		t.Errorf("FormatRule allocates %v times, want 1", allocs)
+	}
+}
+
 // TestModelSnapshotRoundTrip: the interest-rate fixture's model
 // survives a snapshot round trip with its EdgeACV cache intact and
 // rebuilds the same 2-to-1 association table.
@@ -127,36 +177,64 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// mineRulesOracle is the reference rule miner MineRules must match: a
-// recursive walk over every tail-value combination of each hyperedge's
-// association table, one fully materialized ScoredRule per surviving
-// row, a stable sort by Support*Confidence (ties by Confidence), and
-// truncation to MaxRules last.
-func mineRulesOracle(t *testing.T, m *Model, head int, opt MineOptions) []ScoredRule {
-	t.Helper()
+// scanCounts is the oracles' own association-table count, one scan of
+// the training rows shared with no production code: the support count
+// of every tail-value combination, and its split by head value, in
+// AssociationTable row order (sorted tail, last attribute least
+// significant).
+func scanCounts(tb *table.Table, tail []int, head int) (counts, headCounts []int32) {
+	st := append([]int(nil), tail...)
+	sort.Ints(st)
+	k := tb.K()
+	rows := 1
+	for range st {
+		rows *= k
+	}
+	counts, headCounts = make([]int32, rows), make([]int32, rows*k)
+	for i := 0; i < tb.NumRows(); i++ {
+		row := 0
+		for _, a := range st {
+			row = row*k + int(tb.At(i, a)-1)
+		}
+		counts[row]++
+		headCounts[row*k+int(tb.At(i, head)-1)]++
+	}
+	return counts, headCounts
+}
+
+// mineRulesOracle is the reference rule miner MineRules must match: it
+// counts each hyperedge's association table with scanCounts, walks
+// every tail-value combination recursively, materializes one
+// ScoredRule per surviving row, sorts them stably by
+// Support*Confidence (ties by Confidence), and truncates to MaxRules
+// last.
+func mineRulesOracle(m *Model, head int, opt MineOptions) []ScoredRule {
 	baseCounts := m.Table.ValueCounts(head)
-	n := m.Table.NumRows()
+	n, k := m.Table.NumRows(), m.Table.K()
 	var out []ScoredRule
 	for _, ei := range m.H.In(head) {
-		at, err := BuildAssociationTable(m.Table, m.H.Edge(int(ei)).Tail, head)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]table.Value, len(at.Tail))
+		tail := m.H.Edge(int(ei)).Tail
+		counts, headCounts := scanCounts(m.Table, tail, head)
+		vals := make([]table.Value, len(tail))
 		var walk func(depth, row int)
 		walk = func(depth, row int) {
-			if depth == len(at.Tail) {
-				supp := at.Support(row)
+			if depth == len(tail) {
+				supp := float64(counts[row]) / float64(n)
 				if supp == 0 || supp < opt.MinSupport {
 					return
 				}
-				conf := at.Confidence(row)
+				best, bestCount := table.Value(1), int32(0)
+				for y := range k {
+					if c := headCounts[row*k+y]; c > bestCount {
+						best, bestCount = table.Value(y+1), c
+					}
+				}
+				conf := float64(bestCount) / float64(counts[row])
 				if conf < opt.MinConfidence {
 					return
 				}
-				best, _ := at.Best(row)
-				x := make([]Item, len(at.Tail))
-				for i, a := range at.Tail {
+				x := make([]Item, len(tail))
+				for i, a := range tail {
 					x[i] = Item{Attr: a, Val: vals[i]}
 				}
 				r := ScoredRule{
@@ -170,9 +248,9 @@ func mineRulesOracle(t *testing.T, m *Model, head int, opt MineOptions) []Scored
 				out = append(out, r)
 				return
 			}
-			for v := 1; v <= at.K; v++ {
+			for v := 1; v <= k; v++ {
 				vals[depth] = table.Value(v)
-				walk(depth+1, row*at.K+(v-1))
+				walk(depth+1, row*k+(v-1))
 			}
 		}
 		walk(0, 0)
@@ -217,7 +295,7 @@ func TestMineRulesMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := mineRulesOracle(t, m, head, opt); !reflect.DeepEqual(got, want) {
+					if want := mineRulesOracle(m, head, opt); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d head %d %+v: MineRules differs from the oracle\ngot  %d rules %+v\nwant %d rules %+v",
 							seed, head, opt, len(got), got, len(want), want)
 					}

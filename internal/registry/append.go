@@ -98,16 +98,23 @@ func (r *Registry) appendContext(ctx context.Context, name string, apply func(*d
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	start := time.Now()
-	if e.ds == nil || e.ds.Model() != s.Model() {
+	ds := e.ds.Load()
+	if ds == nil || ds.Model() != s.Model() {
 		// First append on this name, or the model was hot-swapped by a
 		// Load since: (re)seed the live dataset from the serving model.
-		ds, err := delta.NewContext(ctx, s.Model(), delta.Options{})
-		if err != nil {
+		var err error
+		if ds, err = delta.NewContext(ctx, s.Model(), delta.Options{}); err != nil {
 			return nil, err
 		}
-		e.ds = ds
+		// Keep it only while s is still published: a Load that swapped
+		// s out has already cleared ds and must not find it refilled.
+		r.mu.RLock()
+		if e.cur.Load() == s {
+			e.ds.Store(ds)
+		}
+		r.mu.RUnlock()
 	}
-	m, ch, err := apply(e.ds)
+	m, ch, err := apply(ds)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"hypermine/internal/core"
 	"hypermine/internal/delta"
@@ -152,6 +154,59 @@ func TestAppendReseedsAfterLoad(t *testing.T) {
 	if want := m2.Table.NumRows() + len(rows); info.Rows != want {
 		t.Fatalf("append extended the replaced model: rows %d, want %d", info.Rows, want)
 	}
+}
+
+// TestLoadReleasesLiveDataset: a Load drops the live dataset of the
+// model it replaces at once, instead of pinning that model, its rows,
+// its extended index and its joint counts until the next append. The
+// same holds for a replicated load at an explicit generation.
+func TestLoadReleasesLiveDataset(t *testing.T) {
+	for _, replicated := range []bool{false, true} {
+		r := New(Options{})
+		if _, err := r.Load("m", testModel(t, 51, 8, 200)); err != nil {
+			t.Fatal(err)
+		}
+		info, err := r.AppendRows("m", appendRows(52, 8, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended := weakServedModel(t, r, "m")
+		m2 := testModel(t, 53, 8, 220)
+		if replicated {
+			_, err = r.LoadGenerationContext(context.Background(), "m", m2, info.Generation+1)
+		} else {
+			_, err = r.Load("m", m2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			runtime.GC()
+		}
+		if appended.Value() != nil {
+			t.Fatalf("replicated=%v: the replaced model is still reachable after the load", replicated)
+		}
+		// The next append reseeds from the model now served.
+		rows := appendRows(54, 8, 5)
+		info, err = r.AppendRows("m", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := m2.Table.NumRows() + len(rows); info.Rows != want {
+			t.Fatalf("replicated=%v: append after load has %d rows, want %d", replicated, info.Rows, want)
+		}
+	}
+}
+
+// weakServedModel returns a weak pointer to the model served as name.
+func weakServedModel(t *testing.T, r *Registry, name string) weak.Pointer[core.Model] {
+	t.Helper()
+	sv := r.Acquire(name)
+	if sv == nil {
+		t.Fatalf("%s not served", name)
+	}
+	defer sv.Release()
+	return weak.Make(sv.Model())
 }
 
 // TestAppendConflict: a Load that lands while the delta is being

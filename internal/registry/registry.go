@@ -169,12 +169,15 @@ type entry struct {
 	cur      atomic.Pointer[Served]
 	lastUsed atomic.Int64
 
-	// appendMu serializes appends on this name; ds is the live-dataset
-	// state behind AppendContext (guarded by appendMu). A Load or
-	// Remove does not touch ds — the append path notices the published
-	// model moved out from under the dataset and reseeds.
+	// appendMu serializes appends on this name. ds is the live-dataset
+	// state behind AppendContext: only an append holding appendMu
+	// advances it, and it is stored only while r.mu shows the model it
+	// extends still published. A Load clears ds under r.mu without
+	// waiting for appendMu, so a replaced model's rows, index and joint
+	// counts are released at once; an append in flight then fails its
+	// publish with ErrConflict, and the next append reseeds.
 	appendMu sync.Mutex
-	ds       *delta.Dataset
+	ds       atomic.Pointer[delta.Dataset]
 }
 
 // Registry is the named model registry. The zero value is not usable;
@@ -331,6 +334,7 @@ func (r *Registry) LoadContext(ctx context.Context, name string, m *core.Model) 
 		r.entries[name] = e
 	}
 	old := e.cur.Swap(s)
+	e.ds.Store(nil)
 	e.lastUsed.Store(r.clock.Add(1))
 	evictedNames, drains := r.evictOverBoundLocked(name)
 	r.mu.Unlock()
@@ -424,6 +428,7 @@ func (r *Registry) LoadGenerationContext(ctx context.Context, name string, m *co
 	}
 	r.raiseGen(gen)
 	old := e.cur.Swap(s)
+	e.ds.Store(nil)
 	e.lastUsed.Store(r.clock.Add(1))
 	evictedNames, drains := r.evictOverBoundLocked(name)
 	r.mu.Unlock()

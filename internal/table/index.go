@@ -57,6 +57,11 @@ func (t *Table) IndexIfBuilt() *Index {
 	return nil
 }
 
+// BuildIndex builds a fresh index of t without caching it on the
+// table: a caller that needs the postings for one call drops them
+// with the index, and the table's resident memory does not grow.
+func (t *Table) BuildIndex() *Index { return buildIndex(t) }
+
 func buildIndex(t *Table) *Index {
 	words := (t.rows + 63) / 64
 	ix := &Index{
@@ -128,6 +133,14 @@ func (ix *Index) Words() int { return ix.words }
 func (ix *Index) Posting(a int, v Value) []uint64 {
 	off := (a*ix.k + int(v-1)) * ix.words
 	return ix.bits[off : off+ix.words : off+ix.words]
+}
+
+// Postings returns the k posting bitmaps of attribute a as one block:
+// value v's bitmap is block[(v-1)*Words() : v*Words()]. The slice
+// aliases the index's storage and must be treated as read-only.
+func (ix *Index) Postings(a int) []uint64 {
+	n := ix.k * ix.words
+	return ix.bits[a*n : (a+1)*n : (a+1)*n]
 }
 
 // Count returns the support count of the single item (a, v), i.e. the
