@@ -139,11 +139,6 @@ var (
 	OutSim = similarity.OutSim
 	// SimilarityDistance is 1 - (in-sim + out-sim)/2.
 	SimilarityDistance = similarity.Distance
-	// BuildSimilarityGraph induces SG_S over a vertex collection with
-	// GOMAXPROCS workers; BuildSimilarityGraphParallel takes an
-	// explicit worker count (1 = serial, bit-identical output).
-	BuildSimilarityGraph         = similarity.BuildGraph
-	BuildSimilarityGraphParallel = similarity.BuildGraphParallel
 	// EuclideanSim is the §5.3.1 baseline similarity.
 	EuclideanSim = similarity.EuclideanSim
 	// TClustering is the Gonzalez 2-approximation (Algorithm 2).
@@ -674,6 +669,19 @@ func BuildContext(ctx context.Context, tb *Table, cfg Config, opts ...Option) (*
 	}
 	cfg.Run = o.mergeHooks(cfg.Run)
 	return core.BuildContext(ctx, tb, cfg)
+}
+
+// BuildSimilarityGraph induces SG_S over a vertex collection with
+// GOMAXPROCS workers.
+func BuildSimilarityGraph(h *Hypergraph, s []int) (*SimilarityGraph, error) {
+	return BuildSimilarityGraphContext(context.Background(), h, s)
+}
+
+// BuildSimilarityGraphParallel is BuildSimilarityGraph with an explicit
+// worker count (0 means GOMAXPROCS). The output is bit-identical at
+// every worker count.
+func BuildSimilarityGraphParallel(h *Hypergraph, s []int, parallelism int) (*SimilarityGraph, error) {
+	return BuildSimilarityGraphContext(context.Background(), h, s, WithWorkers(parallelism))
 }
 
 // BuildSimilarityGraphContext is BuildSimilarityGraph under a

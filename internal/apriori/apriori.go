@@ -192,7 +192,7 @@ func FrequentItemsetsContext(ctx context.Context, tb *table.Table, opt Options) 
 	if tb.NumRows() == 0 {
 		return nil, errors.New("apriori: empty table")
 	}
-	if opt.MinSupport <= 0 || opt.MinSupport > 1 {
+	if !(opt.MinSupport > 0 && opt.MinSupport <= 1) {
 		return nil, fmt.Errorf("apriori: MinSupport %v outside (0,1]", opt.MinSupport)
 	}
 	chk := runopt.NewChecker(ctx, opt.Run.Stride(), DefaultCheckEvery)
@@ -385,7 +385,7 @@ func itemsetKey(items []core.Item, buf []byte) []byte {
 // threshold is kept — the same exact-threshold contract as
 // FrequentItemsets' minCountFor.
 func GenerateRules(freq []Frequent, minConfidence float64) ([]Rule, error) {
-	if minConfidence < 0 || minConfidence > 1 {
+	if !(minConfidence >= 0 && minConfidence <= 1) {
 		return nil, fmt.Errorf("apriori: minConfidence %v outside [0,1]", minConfidence)
 	}
 	index := make(map[string]Frequent, len(freq))

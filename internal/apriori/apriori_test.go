@@ -75,11 +75,17 @@ func TestFrequentItemsetsMarketBasket(t *testing.T) {
 
 func TestFrequentItemsetsValidation(t *testing.T) {
 	tb := marketBasket(t)
-	if _, err := FrequentItemsets(tb, Options{MinSupport: 0}); err == nil {
-		t.Error("want error for MinSupport=0")
-	}
-	if _, err := FrequentItemsets(tb, Options{MinSupport: 1.5}); err == nil {
-		t.Error("want error for MinSupport>1")
+	for _, tc := range []struct{ minSupport, minConfidence float64 }{
+		{0, 0.5},
+		{1.5, 0.5},
+		{math.NaN(), 0.5}, // NaN passes x <= 0 || x > 1
+		{0.5, -0.1},
+		{0.5, 1.5},
+		{0.5, math.NaN()},
+	} {
+		if _, err := Mine(tb, Options{MinSupport: tc.minSupport}, tc.minConfidence); err == nil {
+			t.Errorf("MinSupport %v, minConfidence %v: want error", tc.minSupport, tc.minConfidence)
+		}
 	}
 	empty, _ := table.New([]string{"A"}, 2)
 	if _, err := FrequentItemsets(empty, Options{MinSupport: 0.5}); err == nil {

@@ -548,9 +548,10 @@ func (a *App) cmdDominator(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *frac < 1 {
+	if *frac != 1 {
 		// Edge filtering changes the graph itself, so it happens before
-		// the engine wraps it.
+		// the engine wraps it. TopFractionThreshold rejects a fraction
+		// outside (0, 1], NaN included.
 		h := eng.Model().H
 		th, err := h.TopFractionThreshold(*frac)
 		if err != nil {

@@ -152,6 +152,12 @@ func TestSubcommandErrors(t *testing.T) {
 		{"similar", "-model", snapPath, "-a", "NOPE"},
 		{"similar", "-model", snapPath, "-a", "XOM", "-b", "NOPE"},
 		{"dominator", "-model", snapPath, "-alg", "9"},
+		{"dominator", "-model", snapPath, "-top", "NaN"},
+		{"dominator", "-model", snapPath, "-top", "1.5"},
+		{"frequent", "-in", tablePath, "-min-support", "NaN"},
+		{"frequent", "-in", tablePath, "-min-confidence", "NaN"},
+		{"build", "-in", tablePath, "-config", "custom", "-gamma1", "NaN"},
+		{"build", "-in", tablePath, "-config", "custom", "-gamma2", "NaN"},
 		{"classify", "-train", "/nonexistent.csv"},
 		{"classify", "-train", tablePath, "-alg", "9"},
 		{"rules", "-in", tablePath, "-node", "NOPE"},

@@ -48,7 +48,9 @@ type Config struct {
 	// generalization: 3-to-1 hyperedges seeded from admitted 2-to-1
 	// edges). 0 defaults to 2.
 	MaxTailSize int
-	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS.
+	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS. It is
+	// persisted in snapshots, but a live dataset (internal/delta)
+	// re-mines on GOMAXPROCS workers whatever a snapshot says.
 	Parallelism int
 	// Candidates picks the tail-pair enumeration strategy.
 	Candidates CandidateStrategy
@@ -95,18 +97,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate(tb *table.Table) error {
-	if c.K != 0 && c.K != tb.K() {
-		return fmt.Errorf("core: config expects k=%d but table has k=%d", c.K, tb.K())
+// check rejects a config whose fields no build accepts, given the
+// value-set size k of the table it applies to. Every comparison is
+// written so that NaN fails it. Build runs it on the table it mines;
+// ReadSnapshot runs it on a decoded config before delta can re-mine
+// under it.
+func (c Config) check(k int) error {
+	if c.K != 0 && c.K != k {
+		return fmt.Errorf("config expects K=%d but table has k=%d", c.K, k)
 	}
-	if c.GammaEdge < 1 || c.GammaPair < 1 {
-		return fmt.Errorf("core: gamma values must be >= 1 (Definition 3.7), got %v and %v", c.GammaEdge, c.GammaPair)
+	if !(c.GammaEdge >= 1) {
+		return fmt.Errorf("GammaEdge %v must be >= 1 (Definition 3.7)", c.GammaEdge)
+	}
+	if !(c.GammaPair >= 1) {
+		return fmt.Errorf("GammaPair %v must be >= 1 (Definition 3.7)", c.GammaPair)
 	}
 	if c.MaxTailSize < 1 || c.MaxTailSize > 3 {
-		return fmt.Errorf("core: MaxTailSize %d outside 1..3", c.MaxTailSize)
+		return fmt.Errorf("MaxTailSize %d outside 1..3", c.MaxTailSize)
 	}
-	if c.MaxTailSize == 3 && c.GammaTriple < 1 {
-		return fmt.Errorf("core: GammaTriple %v must be >= 1", c.GammaTriple)
+	if c.MaxTailSize == 3 && !(c.GammaTriple >= 1) {
+		return fmt.Errorf("GammaTriple %v must be >= 1", c.GammaTriple)
+	}
+	return nil
+}
+
+func (c Config) validate(tb *table.Table) error {
+	if err := c.check(tb.K()); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if tb.NumRows() == 0 {
 		return fmt.Errorf("core: empty table")

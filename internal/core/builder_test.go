@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -149,6 +150,9 @@ func TestBuildConfigValidation(t *testing.T) {
 		{GammaEdge: 0.9, GammaPair: 1.1},                 // gamma < 1
 		{GammaEdge: 1.1, GammaPair: 0.5},                 // gamma < 1
 		{GammaEdge: 1.1, GammaPair: 1.1, MaxTailSize: 4}, // tail too big
+		{GammaEdge: math.NaN(), GammaPair: 1.1},          // NaN passes x < 1
+		{GammaEdge: 1.1, GammaPair: math.NaN()},
+		{GammaEdge: 1.1, GammaPair: 1.1, MaxTailSize: 3, GammaTriple: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if _, err := Build(tb, cfg); err == nil {

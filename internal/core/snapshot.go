@@ -323,6 +323,11 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	if cfg.GammaTriple, err = sec.float64(); err != nil {
 		return nil, err
 	}
+	// A config Build would reject must not reach a re-mine: delta
+	// derives every appended generation under this config.
+	if err := cfg.withDefaults().check(int(k64)); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
 
 	// Edges.
 	sec, err = sr.section("edges")
@@ -472,7 +477,7 @@ func (r *snapReader) appendIDs(buf []int, what string) ([]int, error) {
 // WriteSnapshot emits canonical (sorted) sets, so every edge it wrote
 // takes that path. An unsorted set goes through AddEdge, which
 // validates it in file order and stores sorted copies, so such input
-// is accepted or rejected exactly as before, with the same error text.
+// is accepted or rejected exactly as before.
 func addDecodedEdge(h *hypergraph.H, tail, head []int, w float64) error {
 	if !sort.IntsAreSorted(tail) || !sort.IntsAreSorted(head) {
 		return h.AddEdge(tail, head, w)

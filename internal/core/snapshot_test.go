@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -257,6 +258,47 @@ func TestReadSnapshotRejectsCorruptInputs(t *testing.T) {
 			t.Fatalf("error = %v, want version complaint", err)
 		}
 	})
+}
+
+// TestReadSnapshotRejectsBadConfig: a snapshot whose config Build
+// would reject on its table fails to decode, with an error naming the
+// field, so delta never re-mines under it. The worker count is not
+// checked: delta re-mines on the host's own workers.
+func TestReadSnapshotRejectsBadConfig(t *testing.T) {
+	m, err := Build(interestDB(t), Config{GammaEdge: 1.0, GammaPair: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"", func(c *Config) { c.Parallelism = 50000 }},
+		{"K", func(c *Config) { c.K = 7 }},
+		{"GammaEdge", func(c *Config) { c.GammaEdge = 0.5 }},
+		{"GammaEdge", func(c *Config) { c.GammaEdge = nan }},
+		{"GammaPair", func(c *Config) { c.GammaPair = nan }},
+		{"MaxTailSize", func(c *Config) { c.MaxTailSize = 9 }},
+		{"GammaTriple", func(c *Config) { c.MaxTailSize, c.GammaTriple = 3, nan }},
+		{"GammaTriple", func(c *Config) { c.MaxTailSize, c.GammaTriple = 3, 0.5 }},
+	} {
+		bad := *m
+		tc.edit(&bad.Config)
+		for _, opt := range []SaveOptions{{}, {OmitRows: true}} {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, &bad, opt); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadSnapshot(&buf)
+			switch {
+			case tc.field == "" && err != nil:
+				t.Errorf("%+v (omit rows %v): %v", bad.Config, opt.OmitRows, err)
+			case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+				t.Errorf("%+v (omit rows %v): error %v, want one naming %s", bad.Config, opt.OmitRows, err, tc.field)
+			}
+		}
+	}
 }
 
 // TestReadSnapshotSortsUnsortedSets: the decoder stores WriteSnapshot's

@@ -126,6 +126,9 @@ func NewContext(ctx context.Context, m *core.Model, opts Options) (*Dataset, err
 		return nil, fmt.Errorf("delta: %w", err)
 	}
 	d := &Dataset{model: m, cfg: m.Config, opts: opts}
+	// Re-mines run on this host's workers, not on the worker count a
+	// decoded snapshot carries; published models keep that value.
+	d.cfg.Parallelism = 0
 	if d.cfg.MaxTailSize == 0 {
 		d.cfg.MaxTailSize = 2
 	}
@@ -227,12 +230,12 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 		}
 	} else {
 		ch.FullRebuild = true
-		cfg := d.cfg
 		var err error
-		m, err = core.BuildContext(ctx, nt, cfg)
+		m, err = core.BuildContext(ctx, nt, d.cfg)
 		if err != nil {
 			return nil, Changes{}, err
 		}
+		m.Config.Parallelism = old.Config.Parallelism
 	}
 	ch.EdgesAfter = m.H.NumEdges()
 	d.model = m

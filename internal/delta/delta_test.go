@@ -1,14 +1,18 @@
 package delta_test
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"hypermine/internal/core"
 	"hypermine/internal/delta"
+	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
 
@@ -427,5 +431,61 @@ func TestInvalidAppendRejected(t *testing.T) {
 	}
 	if ds.Model() != m0 {
 		t.Fatal("failed append moved the dataset's model")
+	}
+}
+
+// TestAppendIgnoresSnapshotParallelism: a snapshot can carry any
+// worker count, and an append re-mines on the host's GOMAXPROCS
+// workers instead, on the count-maintained path and on the full
+// re-mine fallback alike. The published config keeps the decoded
+// value, so a snapshot round trip still compares equal.
+func TestAppendIgnoresSnapshotParallelism(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tb, err := table.FromRows(attrNames(5), 2, genRows(rng, 2000, 5, 2, 0.3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Build(tb, core.Config{GammaEdge: 1.0, GammaPair: 1.0, MaxTailSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Config.Parallelism = 50000
+	var buf bytes.Buffer
+	if err := core.WriteSnapshot(&buf, m, core.SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []delta.Options{{}, {MaxCountBytes: -1}} {
+		decoded, err := core.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		peak, triples := 0, 0
+		decoded.Config.Run = &runopt.Hooks{Progress: func(ph runopt.Phase, _, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
+			peak = max(peak, runtime.NumGoroutine())
+			if ph == runopt.PhaseTriples {
+				triples++
+			}
+		}}
+		ds, err := delta.New(decoded, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		got, _, err := ds.AppendRowsContext(context.Background(), [][]table.Value{{1, 2, 1, 2, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if triples == 0 {
+			t.Fatal("the triple stage never ran, so its workers went unobserved")
+		}
+		if limit := base + runtime.GOMAXPROCS(0) + 4; peak > limit {
+			t.Errorf("MaxCountBytes %d: %d goroutines during the append, want at most %d", opts.MaxCountBytes, peak, limit)
+		}
+		if got.Config.Parallelism != 50000 {
+			t.Errorf("published Parallelism %d, want the decoded 50000", got.Config.Parallelism)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestWarmSimilarBar(t *testing.T) {
 	e := newEngine(t, m, Options{})
 	warmBar(t, "warm similar ranking",
 		func() error {
-			g, err := similarity.BuildGraphParallel(m.H, all, 1)
+			g, err := similarity.BuildGraphContext(context.Background(), m.H, all, similarity.GraphOptions{Parallelism: 1})
 			if err == nil && g.Dist(0, 1) < 0 {
 				err = errors.New("negative distance")
 			}

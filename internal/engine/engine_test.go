@@ -171,7 +171,7 @@ func TestSimilarDifferential(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	vg, err := similarity.BuildGraph(h, all)
+	vg, err := similarity.BuildGraphContext(context.Background(), h, all, similarity.GraphOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -48,7 +49,7 @@ func RunFig53(e *Env) (*Fig53Report, error) {
 	for i := range all {
 		all[i] = i
 	}
-	g, err := similarity.BuildGraph(h, all)
+	g, err := similarity.BuildGraphContext(context.Background(), h, all, similarity.GraphOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -201,32 +201,13 @@ func (h *H) Reserve(n int, outDeg, inDeg []int) {
 
 // AddEdge inserts the directed hyperedge (tail, head) with the given
 // weight. It enforces Definition 2.9 (nonempty, disjoint sets) and
-// rejects duplicate (tail, head) pairs.
+// rejects duplicate (tail, head) pairs. The graph stores sorted copies
+// of tail and head.
 func (h *H) AddEdge(tail, head []int, weight float64) error {
 	if err := validSets(len(h.names), tail, head); err != nil {
 		return err
 	}
-	id := int32(len(h.edges))
-	if pk, ok := PackEdgeKey(tail, head); ok {
-		if _, dup := h.pkeys[pk]; dup {
-			return fmt.Errorf("hypergraph: duplicate edge %s", h.formatEdge(tail, head))
-		}
-		h.pkeys[pk] = id
-	} else {
-		key := EdgeKey(tail, head)
-		if _, dup := h.keys[key]; dup {
-			return fmt.Errorf("hypergraph: duplicate edge %s", h.formatEdge(tail, head))
-		}
-		h.keys[key] = id
-	}
-	h.edges = append(h.edges, Edge{Tail: sortedCopy(tail), Head: sortedCopy(head), Weight: weight})
-	for _, v := range tail {
-		h.out[v] = append(h.out[v], id)
-	}
-	for _, v := range head {
-		h.in[v] = append(h.in[v], id)
-	}
-	return nil
+	return h.insert(sortedCopy(tail), sortedCopy(head), weight)
 }
 
 // AddEdgeShared is AddEdge for canonical slices the caller hands over
@@ -249,6 +230,12 @@ func (h *H) AddEdgeShared(tail, head []int, weight float64) error {
 	if !sort.IntsAreSorted(tail) || !sort.IntsAreSorted(head) {
 		return fmt.Errorf("hypergraph: AddEdgeShared requires sorted slices for edge %s", h.formatEdge(tail, head))
 	}
+	return h.insert(tail, head, weight)
+}
+
+// insert stores a validated edge with sorted tail and head under the
+// next edge id: its key, the edge, and its incidence entries.
+func (h *H) insert(tail, head []int, weight float64) error {
 	id := int32(len(h.edges))
 	if pk, ok := PackEdgeKey(tail, head); ok {
 		if _, dup := h.pkeys[pk]; dup {
@@ -364,7 +351,7 @@ func (h *H) FilterByWeight(min float64) *H {
 // by weight. This realizes the "top 40%/30%/20% hyperedges w.r.t.
 // ACVs" thresholds of §5.4. frac must be in (0, 1].
 func (h *H) TopFractionThreshold(frac float64) (float64, error) {
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) {
 		return 0, fmt.Errorf("hypergraph: fraction %v outside (0,1]", frac)
 	}
 	if len(h.edges) == 0 {

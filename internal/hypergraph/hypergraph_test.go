@@ -178,11 +178,10 @@ func TestFilterByWeightAndTopFraction(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Errorf("filtered Validate: %v", err)
 	}
-	if _, err := h.TopFractionThreshold(0); err == nil {
-		t.Error("want error for frac=0")
-	}
-	if _, err := h.TopFractionThreshold(1.5); err == nil {
-		t.Error("want error for frac>1")
+	for _, frac := range []float64{0, 1.5, math.NaN()} {
+		if _, err := h.TopFractionThreshold(frac); err == nil {
+			t.Errorf("want error for frac=%v", frac)
+		}
 	}
 	empty := newH(t, "A")
 	if _, err := empty.TopFractionThreshold(0.5); err == nil {

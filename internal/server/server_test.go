@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -389,6 +390,39 @@ func TestPutSnapshotHotSwap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("corrupt PUT: code %d", resp.StatusCode)
+	}
+}
+
+// TestPutSnapshotBadConfig: a snapshot whose config no build accepts
+// is a 400, and the model it would have replaced keeps serving.
+func TestPutSnapshotBadConfig(t *testing.T) {
+	ts, _, m := serving(t)
+	for _, edit := range []func(*core.Config){
+		func(c *core.Config) { c.GammaEdge = math.NaN() },
+		func(c *core.Config) { c.MaxTailSize = 9 },
+	} {
+		bad := *m
+		edit(&bad.Config)
+		var buf bytes.Buffer
+		if err := core.WriteSnapshot(&buf, &bad, core.SaveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/demo", &buf)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT with config %+v: code %d (%s), want 400", bad.Config, resp.StatusCode, raw)
+		}
+	}
+	var detail struct {
+		Generation int `json:"generation"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/models/demo", &detail); code != 200 || detail.Generation != 1 {
+		t.Fatalf("after rejected PUTs: code %d, generation %d, want 200 at generation 1", code, detail.Generation)
 	}
 }
 

@@ -1,6 +1,7 @@
 package similarity_test
 
 import (
+	"context"
 	"testing"
 
 	"hypermine/internal/benchfix"
@@ -40,14 +41,14 @@ func BenchmarkBuildGraph(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := similarity.BuildGraph(h, all); err != nil {
+		if _, err := similarity.BuildGraphContext(context.Background(), h, all, similarity.GraphOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkBuildGraphSerial pins Parallelism to 1, quantifying the
-// worker-pool speedup of the default BuildGraph.
+// worker-pool speedup of the default.
 func BenchmarkBuildGraphSerial(b *testing.B) {
 	h := benchfix.RandomHypergraph(3, 40, 2000, 2)
 	all := make([]int, 40)
@@ -57,7 +58,7 @@ func BenchmarkBuildGraphSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := similarity.BuildGraphParallel(h, all, 1); err != nil {
+		if _, err := similarity.BuildGraphContext(context.Background(), h, all, similarity.GraphOptions{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

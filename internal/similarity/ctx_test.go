@@ -10,9 +10,9 @@ import (
 	"hypermine/internal/runopt"
 )
 
-// TestBuildGraphContextBackgroundIdentical proves the context form is
-// bit-identical to BuildGraph at every parallelism level when never
-// canceled, with hooks set.
+// TestBuildGraphContextBackgroundIdentical proves that progress hooks
+// and the poll stride leave the graph bit-identical to the default
+// build at every parallelism level when never canceled.
 func TestBuildGraphContextBackgroundIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomSimGraph(t, rng, 25, 120)
@@ -20,7 +20,7 @@ func TestBuildGraphContextBackgroundIdentical(t *testing.T) {
 	for i := range s {
 		s[i] = i
 	}
-	want, err := BuildGraph(h, s)
+	want, err := BuildGraphContext(context.Background(), h, s, GraphOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBuildGraphContextBackgroundIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d: BuildGraphContext differs from BuildGraph", par)
+			t.Fatalf("parallelism %d: hooks changed the graph", par)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,33 +157,22 @@ func TestBuildGraphParallelDeterministic(t *testing.T) {
 	for i := range s {
 		s[i] = i
 	}
-	serial, err := BuildGraphParallel(h, s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4, 8, 64} {
-		g, err := BuildGraphParallel(h, s, par)
+	build := func(par int) *Graph {
+		g, err := BuildGraphContext(context.Background(), h, s, GraphOptions{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return g
+	}
+	serial := build(1)
+	for _, par := range []int{0, 2, 4, 8, 64} {
+		g := build(par)
 		for i := range serial.D {
 			for j := range serial.D[i] {
 				if g.D[i][j] != serial.D[i][j] {
 					t.Fatalf("parallelism %d: D[%d][%d] = %v, serial %v",
 						par, i, j, g.D[i][j], serial.D[i][j])
 				}
-			}
-		}
-	}
-	// The default entry point must agree too.
-	g, err := BuildGraph(h, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.D {
-		for j := range serial.D[i] {
-			if g.D[i][j] != serial.D[i][j] {
-				t.Fatalf("BuildGraph: D[%d][%d] differs from serial", i, j)
 			}
 		}
 	}

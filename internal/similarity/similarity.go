@@ -174,28 +174,14 @@ type GraphOptions struct {
 	CheckEvery int
 }
 
-// BuildGraph computes the similarity graph over the collection S of
-// vertex ids of h (Definition 3.13). Diagonal distances are 0. The
-// O(|S|^2) pairwise distance matrix is computed with GOMAXPROCS
-// workers; use BuildGraphContext to pick the worker count, observe
-// progress, or bound the run with a context.
-func BuildGraph(h *hypergraph.H, s []int) (*Graph, error) {
-	return BuildGraphContext(context.Background(), h, s, GraphOptions{})
-}
-
-// BuildGraphParallel is BuildGraph with an explicit parallelism bound
-// (0 means GOMAXPROCS). Every worker owns disjoint rows of the matrix
-// and Distance is a pure function of (h, a1, a2), so the result is
-// bit-identical at every parallelism level.
-func BuildGraphParallel(h *hypergraph.H, s []int, parallelism int) (*Graph, error) {
-	return BuildGraphContext(context.Background(), h, s, GraphOptions{Parallelism: parallelism})
-}
-
-// BuildGraphContext is BuildGraph under a context: workers poll ctx
-// every CheckEvery row stripes and the build returns ctx.Err()
-// promptly once canceled, discarding the partial matrix. With a
-// never-canceled context the result is bit-identical to BuildGraph at
-// every parallelism level.
+// BuildGraphContext computes the similarity graph over the collection
+// S of vertex ids of h (Definition 3.13). Diagonal distances are 0.
+// The O(|S|^2) pairwise distance matrix is computed by opt.Parallelism
+// workers (0 means GOMAXPROCS). Every worker owns disjoint rows of the
+// matrix and Distance is a pure function of (h, a1, a2), so the result
+// is bit-identical at every parallelism level. Workers poll ctx every
+// CheckEvery row stripes and the build returns ctx.Err() promptly once
+// canceled, discarding the partial matrix.
 func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphOptions) (*Graph, error) {
 	if len(s) == 0 {
 		return nil, errors.New("similarity: empty collection")

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,7 +108,10 @@ func TestDistanceAndGraph(t *testing.T) {
 	h, _ := hypergraph.New([]string{"A", "B", "C", "X"})
 	_ = h.AddEdge([]int{0}, []int{3}, 0.5)
 	_ = h.AddEdge([]int{1}, []int{3}, 0.5)
-	g, err := BuildGraph(h, []int{0, 1, 2})
+	build := func(s []int) (*Graph, error) {
+		return BuildGraphContext(context.Background(), h, s, GraphOptions{})
+	}
+	g, err := build([]int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +128,10 @@ func TestDistanceAndGraph(t *testing.T) {
 	if g.MeanDistance() <= 0 {
 		t.Error("mean distance should be positive")
 	}
-	if _, err := BuildGraph(h, nil); err == nil {
+	if _, err := build(nil); err == nil {
 		t.Error("want error for empty collection")
 	}
-	if _, err := BuildGraph(h, []int{99}); err == nil {
+	if _, err := build([]int{99}); err == nil {
 		t.Error("want error for bad vertex")
 	}
 }
