@@ -108,7 +108,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 			}
 			ats++
 			ids += len(tail)
-			c.cells += atRows(k, len(tail)) * (1 + k)
+			c.cells += core.ATRows(k, len(tail)) * (1 + k)
 		}
 	}
 	// Second pass: carve each table's slices, every one capped at its
@@ -136,7 +136,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 			if !usable(tail) {
 				continue
 			}
-			t, rows := len(tail), atRows(k, len(tail))
+			t, rows := len(tail), core.ATRows(k, len(tail))
 			at := &atSlab[next]
 			at.Tail, idSlab = idSlab[:t:t], idSlab[t:]
 			at.Counts, cellSlab = cellSlab[:rows:rows], cellSlab[rows:]
@@ -156,16 +156,6 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 		c.edges[y] = edgeSlab[first:next:next]
 	}
 	return c, nil
-}
-
-// atRows is the row count k^t of an association table with t tail
-// attributes.
-func atRows(k, t int) int {
-	rows := 1
-	for range t {
-		rows *= k
-	}
-	return rows
 }
 
 // TableBytes returns the resident size of the classifier's association

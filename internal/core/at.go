@@ -31,6 +31,16 @@ type AssociationTable struct {
 // NumRows returns K^len(Tail).
 func (at *AssociationTable) NumRows() int { return len(at.Counts) }
 
+// ATRows is the row count k^t of an association table with t tail
+// attributes over values 1..k.
+func ATRows(k, t int) int {
+	rows := 1
+	for range t {
+		rows *= k
+	}
+	return rows
+}
+
 // RowIndex returns the dense row index of the given tail values, which
 // must be listed in at.Tail order.
 func (at *AssociationTable) RowIndex(vals []table.Value) (int, error) {
@@ -159,7 +169,7 @@ func (at *AssociationTable) FillFrom(tb *table.Table, ix *table.Index, tail []in
 			return fmt.Errorf("core: duplicate tail attribute %d", st[i])
 		}
 	}
-	rows := atRows(k, len(st))
+	rows := ATRows(k, len(st))
 	at.Tail, at.Head, at.K, at.M = st, head, k, tb.NumRows()
 	at.Counts = zeroed(at.Counts, rows)
 	at.HeadCounts = zeroed(at.HeadCounts, rows*k)

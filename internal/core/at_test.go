@@ -217,7 +217,7 @@ func TestFastKernelsMatchAT(t *testing.T) {
 			tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
 		}
 		want2, _ := ACV(tb, []int{0, 1}, 2)
-		got2 := acvPair(tailRow, tb.Column(2), k, cnt)
+		got2 := acvTail(tailRow, tb.Column(2), k, cnt)
 		return almost(got2, want2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -58,7 +58,7 @@ func BenchmarkACVPairKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = acvPair(tailRow, colC, 3, cnt)
+		_ = acvTail(tailRow, colC, 3, cnt)
 	}
 	b.SetBytes(int64(tb.NumRows()))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestACVKernelsBitsMatchScalar(t *testing.T) {
 					if c == a || c == b {
 						continue
 					}
-					scalar := acvPair(tailRow, tb.Column(c), k, cntP)
+					scalar := acvTail(tailRow, tb.Column(c), k, cntP)
 					bits := acvPairBits(ix, pairBuf, pairCnt, c)
 					if scalar != bits {
 						t.Fatalf("trial %d: acvPair({%d,%d},%d) scalar=%v bits=%v", trial, a, b, c, scalar, bits)
@@ -86,8 +87,8 @@ func TestACVKernelsBitsMatchScalar(t *testing.T) {
 
 // TestBuildBitsMatchesScalar: a full Build on the bitset kernels must
 // be byte-identical — same EdgeACV cache, same admitted edges in the
-// same order with the same weights — to a Build forced onto the scalar
-// kernels, across strategies and tail sizes.
+// same order with the same weights — to the stage driver run with the
+// scalar table scorer, across strategies and tail sizes.
 func TestBuildBitsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 8; trial++ {
@@ -99,16 +100,11 @@ func TestBuildBitsMatchesScalar(t *testing.T) {
 			{GammaEdge: 1.0, GammaPair: 1.0, Candidates: EdgeSeeded},
 			{GammaEdge: 1.0, GammaPair: 1.0, MaxTailSize: 3},
 		} {
-			scalarCfg := cfg
-			scalarCfg.noBits = true
 			mBits, err := Build(tb, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mScalar, err := Build(tb, scalarCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mScalar := buildScalar(t, tb, cfg)
 			for i := range mScalar.EdgeACV {
 				if mBits.EdgeACV[i] != mScalar.EdgeACV[i] {
 					t.Fatalf("trial %d cfg %+v: EdgeACV[%d] bits=%v scalar=%v",
@@ -127,6 +123,21 @@ func TestBuildBitsMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// buildScalar mines tb through the stage driver with the scalar table
+// scorer, whatever k is.
+func buildScalar(t *testing.T, tb *table.Table, cfg Config) *Model {
+	t.Helper()
+	null := make([]float64, tb.NumAttrs())
+	for c := range null {
+		null[c] = NullACV(tb, c)
+	}
+	m, _, err := MineStages(context.Background(), tb, cfg, tableScorers(tb, nil, null), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func intsEqual(a, b []int) bool {

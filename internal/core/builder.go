@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hypermine/internal/hypergraph"
 	"hypermine/internal/runopt"
@@ -62,11 +64,6 @@ type Config struct {
 	// evaluations (0 = DefaultCheckEvery). Held by pointer so Config
 	// stays comparable; never persisted to JSON or snapshots.
 	Run *runopt.Hooks `json:"-"`
-
-	// noBits disables the TID-bitset counting kernels regardless of k.
-	// It exists so differential tests can force the scalar reference
-	// kernels; production callers leave it unset.
-	noBits bool
 }
 
 // DefaultCheckEvery is the default ACV-evaluation stride between
@@ -199,21 +196,20 @@ func acvEdge(colA, colC []table.Value, k int, cnt []int32) float64 {
 	return float64(sum) / float64(len(colA))
 }
 
-// acvPair computes ACV({a,b},{c}) given the precomputed tail row index
-// per observation and a k*k*k scratch buffer.
-func acvPair(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
-	kk := k * k
-	for i := range cnt[:kk*k] {
-		cnt[i] = 0
-	}
+// acvTail computes ACV(T,{c}) given the precomputed tail row index per
+// observation (each row's combination of T's values) and a scratch
+// buffer of k cells per combination: k*k*k for a pair, k^4 for a
+// triple.
+func acvTail(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
+	clear(cnt)
 	for i, tr := range tailRow {
 		cnt[int(tr)*k+int(colC[i]-1)]++
 	}
 	var sum int64
-	for r := 0; r < kk; r++ {
+	for r := 0; r < len(cnt); r += k {
 		best := int32(0)
-		for c := 0; c < k; c++ {
-			if v := cnt[r*k+c]; v > best {
+		for _, v := range cnt[r : r+k] {
+			if v > best {
 				best = v
 			}
 		}
@@ -238,6 +234,9 @@ func Build(tb *table.Table, cfg Config) (*Model, error) {
 // unset) and the whole build returns ctx.Err() promptly once the
 // context is canceled or its deadline passes, discarding partial
 // results. Config.Run.Progress, when set, observes stage progress.
+//
+// It validates the table, counts each head's baseline ACV(∅,{c}) and
+// runs MineStages with a scorer that counts on the table's rows.
 func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(tb); err != nil {
@@ -249,129 +248,158 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 	if err := tb.Validate(); err != nil {
 		return nil, err
 	}
-	n := tb.NumAttrs()
-	k := tb.K()
-	m := tb.NumRows()
-
-	model := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
-
-	// Baseline ACV(empty, {c}) per head.
-	null := make([]float64, n)
-	for c := 0; c < n; c++ {
+	null := make([]float64, tb.NumAttrs())
+	for c := range null {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		null[c] = NullACV(tb, c)
 	}
-
 	// For small k the counting kernels run on the TID-bitset index
 	// (built once, shared by every worker); see bitsMaxK for the
 	// crossover argument.
-	useBits := k <= bitsMaxK && !cfg.noBits
 	var ix *table.Index
-	if useBits {
+	if tb.K() <= bitsMaxK {
 		ix = tb.Index()
 	}
+	m, _, err := MineStages(ctx, tb, cfg, tableScorers(tb, ix, null), nil)
+	return m, err
+}
 
-	// Stage 1: all directed edges, parallel over heads. Workers poll
-	// ctx every CheckEvery ACVs; once canceled they drain the channel
-	// without computing so the feeder never blocks.
-	edgeAdmit := make([]bool, n*n)
-	prog := runopt.NewMeter(runopt.PhaseEdges, n, cfg.Run.Func())
-	var wg sync.WaitGroup
-	heads := make(chan int)
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			var cnt []int32
-			if !useBits {
-				cnt = make([]int32, k*k)
-			}
-			for c := range heads {
-				if chk.Err() != nil {
-					continue
-				}
-				colC := tb.Column(c)
-				for a := 0; a < n; a++ {
-					if a == c {
-						continue
-					}
-					if chk.Tick() != nil {
-						break
-					}
-					var acv float64
-					if useBits {
-						acv = acvEdgeBits(ix, a, c)
-					} else {
-						acv = acvEdge(tb.Column(a), colC, k, cnt)
-					}
-					model.EdgeACV[a*n+c] = acv
-					if acv >= cfg.GammaEdge*null[c] {
-						edgeAdmit[a*n+c] = true
-					}
-				}
-				if chk.Err() == nil {
-					prog.Tick(1)
-				}
-			}
-		}()
+// Scorer counts the ACVs (Definition 3.6) that MineStages admits
+// candidates by. Each worker of stages 1 and 2 gets its own Scorer, so
+// a Scorer may keep scratch between calls.
+type Scorer interface {
+	// Null returns the baseline ACV(∅,{c}) = Maj(c)/M.
+	Null(c int) float64
+	// Edge returns ACV({a},{c}).
+	Edge(a, c int) float64
+	// Pair returns ACV({a,b},{c}), a < b. Stage 2 asks for every head
+	// of one tail pair in turn, so a Scorer may materialize the tail
+	// once and reuse it across heads.
+	Pair(a, b, c int) float64
+}
+
+// tableScorers returns BuildContext's Scorer factory: each Scorer
+// counts on tb's rows, with the posting-bitmap kernels over ix or, when
+// ix is nil, with the scalar row-scan kernels, and reads the baselines
+// from null.
+func tableScorers(tb *table.Table, ix *table.Index, null []float64) func() Scorer {
+	return func() Scorer { return &tableScorer{tb: tb, ix: ix, null: null, a: -1} }
+}
+
+// tableScorer is the Scorer behind tableScorers. Its scratch is
+// allocated on first use, since a stage calls either Edge or Pair.
+type tableScorer struct {
+	tb   *table.Table
+	ix   *table.Index
+	null []float64
+	a, b int // the tail pair materialized for Pair; a = -1 before the first
+
+	cnt     []int32  // scalar: contingency counts, k*k*k cells
+	tailRow []int32  // scalar: each row's (a, b) value combination
+	pairBuf []uint64 // bitmaps: the k*k tail intersections
+	pairCnt []int    // bitmaps: their popcounts
+}
+
+func (s *tableScorer) Null(c int) float64 { return s.null[c] }
+
+func (s *tableScorer) Edge(a, c int) float64 {
+	if s.ix != nil {
+		return acvEdgeBits(s.ix, a, c)
 	}
-	for c := 0; c < n && ctx.Err() == nil; c++ {
-		select {
-		case heads <- c:
-		case <-ctx.Done():
+	k := s.tb.K()
+	if s.cnt == nil {
+		s.cnt = make([]int32, k*k*k)
+	}
+	return acvEdge(s.tb.Column(a), s.tb.Column(c), k, s.cnt)
+}
+
+func (s *tableScorer) Pair(a, b, c int) float64 {
+	if a != s.a || b != s.b {
+		s.tail(a, b)
+	}
+	if s.ix != nil {
+		return acvPairBits(s.ix, s.pairBuf, s.pairCnt, c)
+	}
+	return acvTail(s.tailRow, s.tb.Column(c), s.tb.K(), s.cnt)
+}
+
+// tail materializes the tail pair (a, b): k*k bitmaps on the bitmap
+// path, a per-row tail index otherwise.
+func (s *tableScorer) tail(a, b int) {
+	s.a, s.b = a, b
+	k := s.tb.K()
+	if s.ix != nil {
+		if s.pairBuf == nil {
+			s.pairBuf, s.pairCnt = make([]uint64, k*k*s.ix.Words()), make([]int, k*k)
 		}
+		fillTailPairBits(s.ix, a, b, s.pairBuf, s.pairCnt)
+		return
 	}
-	close(heads)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if s.tailRow == nil {
+		s.cnt, s.tailRow = make([]int32, k*k*k), make([]int32, s.tb.NumRows())
 	}
+	colA, colB := s.tb.Column(a), s.tb.Column(b)
+	for i := range s.tailRow {
+		s.tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
+	}
+}
 
-	if cfg.MaxTailSize < 2 {
-		return assembled(model, edgeAdmit, nil, nil)
-	}
+// significant is the admission rule of Definition 3.7: a candidate is
+// gamma-significant iff its ACV is at least gamma times its baseline.
+func significant(acv, gamma, base float64) bool { return acv >= gamma*base }
 
-	// Stage 2: 2-to-1 hyperedges, parallel over tail pairs.
-	type pairJob struct{ a, b int }
-	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
-	jobs := make(chan pairJob)
-	results := make(chan []TailPair, cfg.Parallelism)
-	var wg2 sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg2.Add(1)
-		go func() {
-			defer wg2.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			var cnt, tailRow []int32
-			var pairBuf []uint64
-			var pairCnt []int
-			if useBits {
-				pairBuf = make([]uint64, k*k*ix.Words())
-				pairCnt = make([]int, k*k)
-			} else {
-				cnt = make([]int32, k*k*k)
-				tailRow = make([]int32, m)
-			}
-			var local []TailPair
-			for job := range jobs {
-				if chk.Err() != nil {
+// MineStages is the stage driver of §3.2.1, shared by BuildContext and
+// the live datasets of internal/delta. It builds the hypergraph head
+// set by head set and admits each candidate iff it is significant:
+//
+//   - stage 1 scores every directed edge ({a},{c}) against GammaEdge
+//     times the baseline of c;
+//   - stage 2 (MaxTailSize >= 2) scores every ({a,b},{c}), under
+//     EdgeSeeded only those with an admitted constituent edge, against
+//     GammaPair times the larger of ACV({a},{c}) and ACV({b},{c});
+//   - stage 3 (MaxTailSize 3) extends each admitted ({a,b},{d}) by
+//     every other attribute v and scores ({a,b,v},{d}) against
+//     GammaTriple times its largest constituent pair ACV.
+//
+// Each stage spreads its jobs over cfg.Parallelism workers. newScorer
+// gives each worker of stages 1 and 2 its Scorer; stage 3 counts on
+// tb's rows with the scalar kernel. MineStages reads tb's rows in no
+// other stage and validates neither tb nor cfg: the caller does. The
+// result, edge order included, does not depend on the worker count.
+// The graph shares the id slices of every edge donor also holds (see
+// assembleGraph), and the int result counts those edges. Workers poll
+// ctx and report progress as BuildContext documents.
+func MineStages(ctx context.Context, tb *table.Table, cfg Config, newScorer func() Scorer, donor *hypergraph.H) (*Model, int, error) {
+	cfg = cfg.withDefaults()
+	n := tb.NumAttrs()
+	m := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
+	edgeAdmit := make([]bool, n*n)
+	// Stage 1: one job per head c; each writes its own cells.
+	_, err := stage(ctx, cfg, runopt.PhaseEdges, n, 0, newScorer,
+		func(s Scorer, chk *runopt.Checker, c int, _ []struct{}) []struct{} {
+			null := s.Null(c)
+			for a := 0; a < n; a++ {
+				if a == c {
 					continue
 				}
-				a, b := job.a, job.b
-				// Materialize the tail once per pair: k*k bitmaps for
-				// the bitset path, a per-row tail index otherwise.
-				// Either is reused across all n-2 heads below.
-				if useBits {
-					fillTailPairBits(ix, a, b, pairBuf, pairCnt)
-				} else {
-					colA, colB := tb.Column(a), tb.Column(b)
-					for i := 0; i < m; i++ {
-						tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
-					}
+				if chk.Tick() != nil {
+					break
 				}
+				acv := s.Edge(a, c)
+				m.EdgeACV[a*n+c] = acv
+				edgeAdmit[a*n+c] = significant(acv, cfg.GammaEdge, null)
+			}
+			return nil
+		})
+	// Stage 2: one job per tail pair (a, b), emitting heads in order,
+	// so the admitted pairs come out sorted by (a, b, c).
+	var pairs []tailPair
+	if err == nil && cfg.MaxTailSize >= 2 {
+		pairs, err = stage(ctx, cfg, runopt.PhasePairs, n*(n-1)/2, n-2, newScorer,
+			func(s Scorer, chk *runopt.Checker, j int, out []tailPair) []tailPair {
+				a, b := pairAt(j, n)
 				for c := 0; c < n; c++ {
 					if c == a || c == b {
 						continue
@@ -382,87 +410,121 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 					if chk.Tick() != nil {
 						break
 					}
-					base := model.EdgeACV[a*n+c]
-					if x := model.EdgeACV[b*n+c]; x > base {
-						base = x
-					}
-					var acv float64
-					if useBits {
-						acv = acvPairBits(ix, pairBuf, pairCnt, c)
-					} else {
-						acv = acvPair(tailRow, tb.Column(c), k, cnt)
-					}
-					if acv >= cfg.GammaPair*base {
-						local = append(local, TailPair{a, b, c, acv})
+					acv := s.Pair(a, b, c)
+					if significant(acv, cfg.GammaPair, max(m.EdgeACV[a*n+c], m.EdgeACV[b*n+c])) {
+						out = append(out, tailPair{a, b, c, acv})
 					}
 				}
-				if chk.Err() == nil {
-					prog2.Tick(1)
+				return out
+			})
+	}
+	// Stage 3: one job per candidate tail triple, emitting heads in
+	// order, so the admitted triples come out sorted.
+	var triples []tailTriple
+	if err == nil && cfg.MaxTailSize >= 3 {
+		groups := tripleGroups(pairs, n)
+		triples, err = stage(ctx, cfg, runopt.PhaseTriples, len(groups), n,
+			func() *tripleScorer { return newTripleScorer(tb) },
+			func(s *tripleScorer, chk *runopt.Checker, j int, out []tailTriple) []tailTriple {
+				s.tail(groups[j][0])
+				for _, t := range groups[j] {
+					if chk.Tick() != nil {
+						break
+					}
+					base := max(s.pair(t.a, t.b, t.d), s.pair(t.a, t.c, t.d), s.pair(t.b, t.c, t.d))
+					if acv := s.triple(t.d); significant(acv, cfg.GammaTriple, base) {
+						out = append(out, tailTriple{t.a, t.b, t.c, t.d, acv})
+					}
 				}
+				return out
+			})
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	shared, err := assembleGraph(m, edgeAdmit, pairs, triples, donor)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, shared, nil
+}
+
+// pairAt returns the j-th tail pair (a, b), a < b, in (a, b) order.
+func pairAt(j, n int) (a, b int) {
+	for j >= n-a-1 {
+		j -= n - a - 1
+		a++
+	}
+	return a, a + 1 + j
+}
+
+// stage runs one stage of MineStages: jobs 0..jobs-1, claimed in order
+// by up to cfg.Parallelism workers, the calling goroutine among them.
+// Each worker owns a scorer from newScorer, a Checker, and a buffer
+// with room for perJob admissions; run scores job j and appends its
+// admissions to out. stage returns every job's admissions in job
+// order, whatever the schedule. It ticks the phase's progress once per
+// finished job, and once ctx is canceled the workers stop claiming and
+// stage returns ctx.Err().
+func stage[S, T any](ctx context.Context, cfg Config, phase runopt.Phase, jobs, perJob int,
+	newScorer func() S, run func(s S, chk *runopt.Checker, j int, out []T) []T) ([]T, error) {
+	prog := runopt.NewMeter(phase, jobs, cfg.Run.Func())
+	// The workers' shared state, one allocation: the next unclaimed
+	// job and the admissions in completion order.
+	var sh struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		all  []T
+	}
+	spans := make([][2]int, jobs) // job j's admissions are all[off:off+len]
+	work := func() {
+		s := newScorer()
+		chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
+		buf := make([]T, 0, perJob)
+		for chk.Err() == nil {
+			j := int(sh.next.Add(1) - 1)
+			if j >= jobs {
+				return
 			}
-			results <- local
+			buf = run(s, chk, j, buf[:0])
+			if chk.Err() != nil {
+				return
+			}
+			if len(buf) > 0 {
+				sh.mu.Lock()
+				spans[j] = [2]int{len(sh.all), len(buf)}
+				sh.all = append(sh.all, buf...)
+				sh.mu.Unlock()
+			}
+			prog.Tick(1)
+		}
+	}
+	for w := 1; w < min(cfg.Parallelism, jobs); w++ {
+		sh.wg.Add(1)
+		go func() {
+			defer sh.wg.Done()
+			work()
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				select {
-				case jobs <- pairJob{a, b}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	var admitted []TailPair
-	done := make(chan struct{})
-	go func() {
-		for local := range results {
-			admitted = append(admitted, local...)
-		}
-		close(done)
-	}()
-	wg2.Wait()
-	close(results)
-	<-done
+	if jobs > 0 {
+		work()
+	}
+	sh.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Deterministic edge order regardless of scheduling.
-	sort.Slice(admitted, func(i, j int) bool {
-		if admitted[i].A != admitted[j].A {
-			return admitted[i].A < admitted[j].A
-		}
-		if admitted[i].B != admitted[j].B {
-			return admitted[i].B < admitted[j].B
-		}
-		return admitted[i].C < admitted[j].C
-	})
-	if cfg.MaxTailSize < 3 {
-		return assembled(model, edgeAdmit, admitted, nil)
+	out := make([]T, 0, len(sh.all))
+	for _, sp := range spans {
+		out = append(out, sh.all[sp[0]:sp[0]+sp[1]]...)
 	}
-	triples, err := buildTriples(ctx, tb, admitted, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return assembled(model, edgeAdmit, admitted, triples)
+	return out, nil
 }
 
-// assembled is BuildContext's last step: the graph of every admitted
-// edge, with its ids carved from one slab.
-func assembled(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailTriple) (*Model, error) {
-	if _, err := AssembleGraph(m, edgeAdmit, pairs, triples, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// AssembleGraph builds m.H from every edge one build admitted, in
+// assembleGraph builds m.H from every edge one build admitted, in
 // BuildContext's edge order: the directed edges ({a},{c}) marked in
 // edgeAdmit[a*n+c], weighted by m.EdgeACV, in (a, c) order; then pairs;
-// then triples (each sorted as its stage sorts). Knowing every edge up
+// then triples (each in its stage's output order). Knowing every edge up
 // front, it counts exact degrees and reserves the graph once, so the
 // edge list, packed key index and incidence lists never grow.
 //
@@ -471,7 +533,7 @@ func assembled(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailTripl
 // an edge the donor also holds shares the donor's id slices, and only
 // an edge new to this graph copies its own, so no slab outlives the
 // generation that allocated it. It returns the number of shared edges.
-func AssembleGraph(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailTriple, donor *hypergraph.H) (shared int, err error) {
+func assembleGraph(m *Model, edgeAdmit []bool, pairs []tailPair, triples []tailTriple, donor *hypergraph.H) (shared int, err error) {
 	n := m.Table.NumAttrs()
 	h, err := hypergraph.New(m.Table.Attrs())
 	if err != nil {
@@ -542,212 +604,96 @@ func AssembleGraph(m *Model, edgeAdmit []bool, pairs []TailPair, triples []TailT
 	return shared, nil
 }
 
-// TailPair is an admitted 2-to-1 hyperedge ({A,B},{C}) with its ACV,
-// in the canonical A < B order stage 2 produces. It is the seed unit
-// for stage 3 and the exchange format between BuildContext and the
-// incremental re-miner in internal/delta.
-type TailPair struct {
+// tailPair is an admitted 2-to-1 hyperedge ({A,B},{C}) with its ACV,
+// A < B: stage 2's output and stage 3's seed.
+type tailPair struct {
 	A, B, C int
 	ACV     float64
 }
 
-// TailTriple is an admitted 3-to-1 hyperedge ({A,B,C},{D}) with its
+// tailTriple is an admitted 3-to-1 hyperedge ({A,B,C},{D}) with its
 // ACV, tail sorted A < B < C.
-type TailTriple struct {
+type tailTriple struct {
 	A, B, C, D int
 	ACV        float64
-}
-
-// BuildTriplesContext runs stage 3 of BuildContext standalone: it
-// seeds 3-to-1 candidates from the given admitted 2-to-1 hyperedges,
-// evaluates them against tb, and returns the admitted triples in the
-// order a full build inserts them. pairs must be the complete admitted
-// stage-2 set (A < B, sorted as stage 2 sorts); the result is then
-// bit-identical to the stage-3 portion of BuildContext under the same
-// config. internal/delta uses this to finish a MaxTailSize=3
-// incremental update, where maintaining 4-way joint counts would not
-// pay for itself.
-func BuildTriplesContext(ctx context.Context, tb *table.Table, pairs []TailPair, cfg Config) ([]TailTriple, error) {
-	return buildTriples(ctx, tb, pairs, cfg.withDefaults())
 }
 
 // tripleKey identifies a 3-to-1 candidate: sorted tail a<b<c, head d.
 type tripleKey struct{ a, b, c, d int }
 
-// buildTriples is stage 3 (the thesis's future-work generalization):
-// candidate 3-to-1 hyperedges are seeded by extending each admitted
-// 2-to-1 hyperedge's tail with every other attribute, deduplicated,
-// and admitted under the gamma-significance rule of Definition 3.7 —
-// ACV(T, H) >= GammaTriple * max over v in T of ACV(T - {v}, H),
-// where the 2-to-1 constituent ACVs are computed on demand.
-func buildTriples(ctx context.Context, tb *table.Table, pairs []TailPair, cfg Config) ([]TailTriple, error) {
-	n := tb.NumAttrs()
-	k := tb.K()
-	m := tb.NumRows()
-
-	// Enumerate candidates: each admitted ({a,b},{d}) extends to
-	// ({a,b,v},{d}) for all v outside {a,b,d}.
-	candSet := make(map[tripleKey]struct{})
+// tripleGroups seeds stage 3: each admitted ({a,b},{d}) extends to a
+// candidate ({a,b,v},{d}) for every v outside {a,b,d}. It returns the
+// distinct candidates sorted and split into runs sharing one tail
+// triple, the unit of work (and of progress) for stage 3.
+func tripleGroups(pairs []tailPair, n int) [][]tripleKey {
+	var cands []tripleKey
 	for _, p := range pairs {
 		for v := 0; v < n; v++ {
 			if v == p.A || v == p.B || v == p.C {
 				continue
 			}
 			t := [3]int{p.A, p.B, v}
-			sort.Ints(t[:])
-			candSet[tripleKey{t[0], t[1], t[2], p.C}] = struct{}{}
+			slices.Sort(t[:])
+			cands = append(cands, tripleKey{t[0], t[1], t[2], p.C})
 		}
 	}
-	cands := make([]tripleKey, 0, len(candSet))
-	for key := range candSet {
-		cands = append(cands, key)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		if a.b != b.b {
-			return a.b < b.b
-		}
-		if a.c != b.c {
-			return a.c < b.c
-		}
-		return a.d < b.d
+	slices.SortFunc(cands, func(x, y tripleKey) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.c, y.c), cmp.Compare(x.d, y.d))
 	})
-
-	// Group by tail triple so the tail-row index is computed once.
-	groups := groupByTail(cands)
-	prog := runopt.NewMeter(runopt.PhaseTriples, len(groups), cfg.Run.Func())
-	jobs := make(chan []tripleKey)
-	results := make(chan []TailTriple, cfg.Parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			kkk := k * k * k
-			cnt := make([]int32, kkk*k)
-			pairCnt := make([]int32, kkk)
-			tailRow := make([]int32, m)
-			pairRow := make([]int32, m)
-			pairCache := map[tripleKey]float64{}
-			acvOfPair := func(x, y, d int) float64 {
-				key := tripleKey{x, y, -1, d}
-				if v, ok := pairCache[key]; ok {
-					return v
-				}
-				colX, colY := tb.Column(x), tb.Column(y)
-				for i := 0; i < m; i++ {
-					pairRow[i] = int32(colX[i]-1)*int32(k) + int32(colY[i]-1)
-				}
-				v := acvPair(pairRow, tb.Column(d), k, pairCnt)
-				pairCache[key] = v
-				return v
-			}
-			var local []TailTriple
-			for group := range jobs {
-				if chk.Err() != nil {
-					continue
-				}
-				first := group[0]
-				colA, colB, colC := tb.Column(first.a), tb.Column(first.b), tb.Column(first.c)
-				for i := 0; i < m; i++ {
-					tailRow[i] = (int32(colA[i]-1)*int32(k)+int32(colB[i]-1))*int32(k) + int32(colC[i]-1)
-				}
-				for _, cand := range group {
-					if chk.Tick() != nil {
-						break
-					}
-					base := acvOfPair(cand.a, cand.b, cand.d)
-					if v := acvOfPair(cand.a, cand.c, cand.d); v > base {
-						base = v
-					}
-					if v := acvOfPair(cand.b, cand.c, cand.d); v > base {
-						base = v
-					}
-					colD := tb.Column(cand.d)
-					for i := range cnt[:kkk*k] {
-						cnt[i] = 0
-					}
-					for i, tr := range tailRow {
-						cnt[int(tr)*k+int(colD[i]-1)]++
-					}
-					var sum int64
-					for r := 0; r < kkk; r++ {
-						best := int32(0)
-						for c := 0; c < k; c++ {
-							if v := cnt[r*k+c]; v > best {
-								best = v
-							}
-						}
-						sum += int64(best)
-					}
-					acv := float64(sum) / float64(m)
-					if acv >= cfg.GammaTriple*base {
-						local = append(local, TailTriple{cand.a, cand.b, cand.c, cand.d, acv})
-					}
-				}
-				if chk.Err() == nil {
-					prog.Tick(1)
-				}
-			}
-			results <- local
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for _, group := range groups {
-			select {
-			case jobs <- group:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var admitted []TailTriple
-	done := make(chan struct{})
-	go func() {
-		for local := range results {
-			admitted = append(admitted, local...)
-		}
-		close(done)
-	}()
-	wg.Wait()
-	close(results)
-	<-done
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	sort.Slice(admitted, func(i, j int) bool {
-		a, b := admitted[i], admitted[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		if a.C != b.C {
-			return a.C < b.C
-		}
-		return a.D < b.D
-	})
-	return admitted, nil
-}
-
-// groupByTail splits the sorted candidate list into runs sharing one
-// tail triple, the unit of work (and of progress) for stage 3.
-func groupByTail(cands []tripleKey) [][]tripleKey {
+	cands = slices.Compact(cands)
 	var groups [][]tripleKey
-	start := 0
-	for i := 1; i <= len(cands); i++ {
-		if i == len(cands) || cands[i].a != cands[start].a ||
-			cands[i].b != cands[start].b || cands[i].c != cands[start].c {
-			groups = append(groups, cands[start:i])
-			start = i
+	for len(cands) > 0 {
+		i := 1
+		for i < len(cands) && cands[i].a == cands[0].a && cands[i].b == cands[0].b && cands[i].c == cands[0].c {
+			i++
 		}
+		groups = append(groups, cands[:i:i])
+		cands = cands[i:]
 	}
 	return groups
+}
+
+// tripleScorer is a stage-3 worker's scalar counter: tail indexes each
+// row by one tail triple's value combination, triple counts ACV(T,{d})
+// over that index, and pair memoizes the constituent 2-to-1 ACVs,
+// counted by a scalar tableScorer, across the worker's jobs.
+type tripleScorer struct {
+	tb      *table.Table
+	pairs   *tableScorer
+	memo    map[tripleKey]float64
+	tailRow []int32
+	cnt     []int32
+}
+
+func newTripleScorer(tb *table.Table) *tripleScorer {
+	k := tb.K()
+	return &tripleScorer{
+		tb:      tb,
+		pairs:   &tableScorer{tb: tb, a: -1},
+		memo:    map[tripleKey]float64{},
+		tailRow: make([]int32, tb.NumRows()),
+		cnt:     make([]int32, k*k*k*k),
+	}
+}
+
+func (s *tripleScorer) tail(t tripleKey) {
+	k := int32(s.tb.K())
+	colA, colB, colC := s.tb.Column(t.a), s.tb.Column(t.b), s.tb.Column(t.c)
+	for i := range s.tailRow {
+		s.tailRow[i] = (int32(colA[i]-1)*k+int32(colB[i]-1))*k + int32(colC[i]-1)
+	}
+}
+
+func (s *tripleScorer) triple(d int) float64 {
+	return acvTail(s.tailRow, s.tb.Column(d), s.tb.K(), s.cnt)
+}
+
+func (s *tripleScorer) pair(x, y, d int) float64 {
+	key := tripleKey{x, y, -1, d}
+	v, ok := s.memo[key]
+	if !ok {
+		v = s.pairs.Pair(x, y, d)
+		s.memo[key] = v
+	}
+	return v
 }

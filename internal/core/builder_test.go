@@ -9,6 +9,7 @@ import (
 
 	"hypermine/internal/hypergraph"
 	"hypermine/internal/table"
+	"hypermine/internal/testutil"
 )
 
 func edgeSet(h *hypergraph.H) map[string]float64 {
@@ -203,58 +204,52 @@ func mustACV(t *testing.T, tb *table.Table, tail []int, head int) float64 {
 	return v
 }
 
-// Property: on random tables, Build never admits an edge violating
-// Definition 3.7, and all weights equal freshly computed ACVs.
+// TestBuildAdmissionProperty: Build admits exactly what Definitions
+// 3.6 and 3.7 admit, as testutil.MineAdmission counts it straight from
+// the rows — the same EdgeACV matrix and the same directed, 2-to-1 and
+// 3-to-1 edges in the same order with the same weights — under both
+// candidate strategies and every tail size, on the bitmap kernels
+// (k <= 4) and the scalar ones (k = 9). Gammas of 1 make ties between
+// an ACV and its bound common, so the comparison's direction is pinned
+// too.
 func TestBuildAdmissionProperty(t *testing.T) {
-	seeds := []int64{3, 17, 29, 51}
-	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		tb := randomTable(rng, 6, 2+rng.Intn(3), 40+rng.Intn(100))
-		gammaE := 1.0 + rng.Float64()*0.3
-		gammaP := 1.0 + rng.Float64()*0.1
-		m, err := Build(tb, Config{GammaEdge: gammaE, GammaPair: gammaP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range m.H.Edges() {
-			want := mustACV(t, tb, e.Tail, e.Head[0])
-			if !almost(e.Weight, want) {
-				t.Fatalf("seed %d: weight %v != ACV %v", seed, e.Weight, want)
-			}
-			var bound float64
-			if len(e.Tail) == 1 {
-				bound = gammaE * NullACV(tb, e.Head[0])
-			} else {
-				a := mustACV(t, tb, e.Tail[:1], e.Head[0])
-				b := mustACV(t, tb, e.Tail[1:], e.Head[0])
-				bound = gammaP * maxF(a, b)
-			}
-			if e.Weight < bound-1e-12 {
-				t.Fatalf("seed %d: edge %v below significance bound %v", seed, e, bound)
-			}
-		}
-		// Completeness: every gamma-significant directed edge is present.
-		n := tb.NumAttrs()
-		for a := 0; a < n; a++ {
-			for c := 0; c < n; c++ {
-				if a == c {
-					continue
-				}
-				acv := mustACV(t, tb, []int{a}, c)
-				_, present := m.H.Lookup([]int{a}, []int{c})
-				if acv >= gammaE*NullACV(tb, c) && !present {
-					t.Fatalf("seed %d: significant edge %d->%d missing", seed, a, c)
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{2, 3, 4, 9} {
+		for maxTail := 1; maxTail <= 3; maxTail++ {
+			for _, cand := range []CandidateStrategy{AllPairs, EdgeSeeded} {
+				tb := randomTable(rng, 6, k, 40+rng.Intn(100))
+				for _, cfg := range []Config{
+					{GammaEdge: 1, GammaPair: 1},
+					{GammaEdge: 1.1, GammaPair: 1, GammaTriple: 1},
+					{GammaEdge: 1 + rng.Float64()*0.3, GammaPair: 1 + rng.Float64()*0.1, GammaTriple: 1 + rng.Float64()*0.1},
+				} {
+					cfg.MaxTailSize, cfg.Candidates = maxTail, cand
+					m, err := Build(tb, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := admissionDiff(m); diff != "" {
+						t.Fatalf("k=%d %+v: %s", k, cfg, diff)
+					}
 				}
 			}
 		}
 	}
 }
 
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
+// admissionDiff compares m against testutil.MineAdmission on m's table
+// under m's config; "" means they agree bit for bit.
+func admissionDiff(m *Model) string {
+	c := m.Config
+	want := testutil.MineAdmission(m.Table, testutil.AdmissionConfig{
+		GammaEdge: c.GammaEdge, GammaPair: c.GammaPair, GammaTriple: c.GammaTriple,
+		MaxTail: c.MaxTailSize, EdgeSeeded: c.Candidates == EdgeSeeded,
+	})
+	var got []testutil.AdmittedEdge
+	for _, e := range m.H.Edges() {
+		got = append(got, testutil.AdmittedEdge{Tail: e.Tail, Head: e.Head[0], ACV: e.Weight})
 	}
-	return b
+	return want.Diff(m.EdgeACV, got)
 }
 
 // Sanity on sorted edge output: 2-to-1 edges appear after directed

@@ -30,7 +30,7 @@ type ScoredRule struct {
 // MineOptions filters mined rules.
 type MineOptions struct {
 	// MinSupport and MinConfidence are the classical thresholds
-	// (§1.1); zero values accept everything.
+	// (§1.1), each in [0, 1]; zero values accept everything.
 	MinSupport    float64
 	MinConfidence float64
 	// MaxRules caps the result (0 = unlimited). Rules are ranked by
@@ -71,6 +71,14 @@ func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions) 
 	if head < 0 || head >= m.Table.NumAttrs() {
 		return nil, fmt.Errorf("core: head attribute %d out of range", head)
 	}
+	// Written so that NaN fails: it would fail every < filter below
+	// and keep every rule.
+	if !(0 <= opt.MinSupport && opt.MinSupport <= 1) {
+		return nil, fmt.Errorf("core: MinSupport %v outside [0, 1]", opt.MinSupport)
+	}
+	if !(0 <= opt.MinConfidence && opt.MinConfidence <= 1) {
+		return nil, fmt.Errorf("core: MinConfidence %v outside [0, 1]", opt.MinConfidence)
+	}
 	if err := m.RequireRows(); err != nil {
 		return nil, err
 	}
@@ -91,7 +99,7 @@ func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions) 
 	// the workers poll ctx per edge.
 	//hyperlint:ignore ctxpoll
 	for i, ei := range in {
-		rows := atRows(k, len(m.H.Edge(int(ei)).Tail))
+		rows := ATRows(k, len(m.H.Edge(int(ei)).Tail))
 		off[i+1] = off[i] + rows
 		maxRows = max(maxRows, rows)
 	}
@@ -184,7 +192,7 @@ func (r *ruleMiner) run(ctx context.Context, cells []int32) error {
 			return err
 		}
 		tail := r.m.H.Edge(int(r.in[i])).Tail
-		rows := atRows(k, len(tail))
+		rows := ATRows(k, len(tail))
 		at.Counts, at.HeadCounts = cells[:rows:rows], cells[rows:rows*(1+k)]
 		if err := at.FillFrom(r.m.Table, r.ix, tail, r.head); err != nil {
 			r.next.Store(int64(len(r.in)))
@@ -194,16 +202,6 @@ func (r *ruleMiner) run(ctx context.Context, cells []int32) error {
 		r.used[i] = len(appendRuleCands(dst, &at, tail, int32(i), r.opt, r.baseCounts, n))
 		r.prog.Tick(1)
 	}
-}
-
-// atRows is the row count k^t of an association table with t tail
-// attributes.
-func atRows(k, t int) int {
-	rows := 1
-	for range t {
-		rows *= k
-	}
-	return rows
 }
 
 // ruleCand is a mined rule before materialization: the edge's

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -72,6 +73,19 @@ func TestMineRulesInterestDB(t *testing.T) {
 	}
 	if _, err := MineRules(m, 99, MineOptions{}); err == nil {
 		t.Error("want error for bad head")
+	}
+	// Thresholds outside [0, 1], NaN included, are errors; the bounds
+	// themselves are not.
+	for _, opt := range []MineOptions{
+		{MinSupport: math.NaN()}, {MinConfidence: math.NaN()},
+		{MinSupport: -0.1}, {MinSupport: 1.5}, {MinConfidence: -1}, {MinConfidence: 2},
+	} {
+		if _, err := MineRules(m, music, opt); err == nil {
+			t.Errorf("%+v: want error", opt)
+		}
+	}
+	if _, err := MineRules(m, music, MineOptions{MinSupport: 1, MinConfidence: 1}); err != nil {
+		t.Errorf("thresholds of 1: %v", err)
 	}
 }
 

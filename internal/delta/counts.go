@@ -8,6 +8,7 @@ package delta
 
 import (
 	"context"
+	"slices"
 
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
@@ -30,6 +31,8 @@ func countBytes(n, k int, maxTailSize int) int64 {
 	return b
 }
 
+// jointCounts is also the core.Scorer every worker of an append's
+// stage driver counts with; the tables are read-only while it runs.
 type jointCounts struct {
 	n, k int
 	rows int
@@ -182,10 +185,16 @@ func (jc *jointCounts) apply(row []table.Value, sign int32) {
 	}
 }
 
-// edgeACV computes ACV({a},{c}) from the pair counts: the sum over
-// tail values of the best head-value joint count, over the row count —
-// the same integers acvEdgeBits popcounts, hence the same float64.
-func (jc *jointCounts) edgeACV(a, c int) float64 {
+// Null computes ACV(∅,{c}) from the value counts: the largest value
+// count over the row count.
+func (jc *jointCounts) Null(c int) float64 {
+	return float64(slices.Max(jc.val[c*jc.k:(c+1)*jc.k])) / float64(jc.rows)
+}
+
+// Edge computes ACV({a},{c}) from the pair counts: the sum over tail
+// values of the best head-value joint count, over the row count — the
+// same integers the builder's kernels count, hence the same float64.
+func (jc *jointCounts) Edge(a, c int) float64 {
 	k := jc.k
 	var sum int64
 	if a < c {
@@ -214,11 +223,11 @@ func (jc *jointCounts) edgeACV(a, c int) float64 {
 	return float64(sum) / float64(jc.rows)
 }
 
-// pairACV computes ACV({a,b},{c}) from the triple counts. The triple
+// Pair computes ACV({a,b},{c}) from the triple counts. The triple
 // array stores sorted (x<y<z) cells once; the roles of a, b, c map to
 // strides k², k, 1 by sorted position, so one array serves every head
 // choice.
-func (jc *jointCounts) pairACV(a, b, c int) float64 {
+func (jc *jointCounts) Pair(a, b, c int) float64 {
 	k := jc.k
 	x, y, z := sort3(a, b, c)
 	base := jc.tripleBase(x, y, z)

@@ -12,33 +12,41 @@
 // per-attribute value counts, unordered-pair counts (k² cells per
 // attribute pair), and unordered-triple counts (k³ cells per attribute
 // triple) — and updates them in O(appended · n³) increment time per
-// append, with no rescans of old rows. Re-deriving the model from the
-// updated counts reproduces the exact integer sums of
-// core.BuildContext on the concatenated table, hence the exact float64
-// ACVs, the exact gamma-significance admissions, and the exact edge
-// order. The differential tests in this package pin that equivalence,
-// bit for bit, across randomized append schedules.
+// append, with no rescans of old rows.
+//
+// An append does not re-run admissions itself. It hands the counts to
+// the builder's own stage driver, core.MineStages, as the core.Scorer
+// its workers count ACVs with: the baseline from the value counts,
+// ACV({a},{c}) from the pair counts, ACV({a,b},{c}) from the triple
+// counts. The driver applies the same gamma-significance rule,
+// candidate filter and edge order as core.BuildContext, here on
+// GOMAXPROCS workers, and the counts yield the same integer sums,
+// hence the same float64 ACVs. The differential tests in this package pin
+// that equivalence, bit for bit, across randomized append schedules,
+// and check every published model against an admission oracle that
+// shares no code with the driver.
 //
 // Counts are seeded once per Dataset from the table's TID-bitset index
 // (the PR-1 bitmap kernels: one PopcountAnd per joint cell), and the
 // index itself is extended copy-on-write per append (see
-// table.AppendRows), so no stage of the pipeline rescans old rows.
+// table.AppendRows), so neither seeding nor stages 1 and 2 rescan
+// old rows.
 //
 // A MaxTailSize=3 configuration would need 4-way joint counts to
-// delta-update stage 3; instead the Dataset maintains counts through
-// stage 2 and finishes with core.BuildTriplesContext — the very
-// function a full build runs — on the concatenated table, keeping
-// bit-for-bit equivalence at the cost of one stage-3 pass.
+// score 3-to-1 candidates; the driver's stage 3 instead counts them,
+// and their constituent 2-to-1 ACVs, on the concatenated table with
+// the builder's scalar kernel, as a full build does, at the cost of
+// one stage-3 pass over the rows.
 //
 // # Structural sharing and fallback
 //
 // The emitted *core.Model is immutable and is assembled by the
-// builder's own step, core.AssembleGraph: it counts exact degrees and
-// sizes the graph's edge list, key index and incidence lists once
-// (hypergraph.Reserve), so nothing grows edge by edge. Edges that also
-// existed in the previous model share its vertex-id slices
-// (hypergraph.AddEdgeShared); only genuinely new edges copy theirs,
-// two small allocations each, so no id slab is pinned across
+// builder's own last step inside core.MineStages: it counts exact
+// degrees and sizes the graph's edge list, key index and incidence
+// lists once (hypergraph.Reserve), so nothing grows edge by edge.
+// Edges that also existed in the previous model share its vertex-id
+// slices (hypergraph.AddEdgeShared); only genuinely new edges copy
+// theirs, two small allocations each, so no id slab is pinned across
 // generations. Weights are stored by value, so shared slices are safe
 // even though every ACV shifts when the denominator grows.
 //
@@ -57,7 +65,6 @@ import (
 	"sync"
 
 	"hypermine/internal/core"
-	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
 
@@ -129,11 +136,10 @@ func NewContext(ctx context.Context, m *core.Model, opts Options) (*Dataset, err
 	// Re-mines run on this host's workers, not on the worker count a
 	// decoded snapshot carries; published models keep that value.
 	d.cfg.Parallelism = 0
+	// The count tables are sized by the tail size the stage driver
+	// will default to; it fills in the other defaults itself.
 	if d.cfg.MaxTailSize == 0 {
 		d.cfg.MaxTailSize = 2
-	}
-	if d.cfg.GammaTriple == 0 {
-		d.cfg.GammaTriple = d.cfg.GammaPair
 	}
 	max := opts.MaxCountBytes
 	if max == 0 {
@@ -215,13 +221,19 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 		return old, Changes{EdgesBefore: old.H.NumEdges(), EdgesAfter: old.H.NumEdges()}, nil
 	}
 	ch := Changes{Appended: len(rows), EdgesBefore: old.H.NumEdges()}
-	var m *core.Model
+	var (
+		m   *core.Model
+		err error
+	)
 	if d.counts != nil {
-		if err := d.counts.add(ctx, rows); err != nil {
+		if err = d.counts.add(ctx, rows); err != nil {
 			return nil, Changes{}, err
 		}
-		var err error
-		m, err = d.derive(ctx, nt, &ch)
+		// The builder's own stage driver admits from the counts, which
+		// every worker reads as its Scorer, and shares the id slices
+		// of every edge the old model also holds.
+		scorer := func() core.Scorer { return d.counts }
+		m, ch.SharedEdges, err = core.MineStages(ctx, nt, d.cfg, scorer, old.H)
 		if err != nil {
 			// Roll the counts back so the dataset still matches
 			// d.model exactly; a canceled apply must leave no trace.
@@ -230,116 +242,12 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 		}
 	} else {
 		ch.FullRebuild = true
-		var err error
-		m, err = core.BuildContext(ctx, nt, d.cfg)
-		if err != nil {
+		if m, err = core.BuildContext(ctx, nt, d.cfg); err != nil {
 			return nil, Changes{}, err
 		}
-		m.Config.Parallelism = old.Config.Parallelism
 	}
+	m.Config.Parallelism = old.Config.Parallelism
 	ch.EdgesAfter = m.H.NumEdges()
 	d.model = m
 	return m, ch, nil
-}
-
-// derive re-runs the admission pipeline of core.BuildContext against
-// the maintained joint counts: identical integer sums, identical
-// float64 ACVs, identical admissions, identical edge order — with no
-// scan of any row. Stage 3 (MaxTailSize=3) delegates to
-// core.BuildTriplesContext on the concatenated table.
-func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*core.Model, error) {
-	jc := d.counts
-	cfg := d.cfg
-	n, k := jc.n, jc.k
-	model := &core.Model{Table: nt, Config: d.model.Config, EdgeACV: make([]float64, n*n)}
-
-	// Stage 1: directed edges. Baseline ACV(∅,{c}) is the max value
-	// count over the rows; admissions mirror BuildContext's head-major
-	// parallel stage, and edges land in the same (a, c) order.
-	chk := runopt.NewChecker(ctx, cfg.Run.Stride(), core.DefaultCheckEvery)
-	prog := runopt.NewMeter(runopt.PhaseEdges, n, cfg.Run.Func())
-	null := make([]float64, n)
-	for c := 0; c < n; c++ {
-		best := int32(0)
-		for v := 0; v < k; v++ {
-			if x := jc.val[c*k+v]; x > best {
-				best = x
-			}
-		}
-		null[c] = float64(best) / float64(jc.rows)
-	}
-	edgeAdmit := make([]bool, n*n)
-	for c := 0; c < n; c++ {
-		for a := 0; a < n; a++ {
-			if a == c {
-				continue
-			}
-			if err := chk.Tick(); err != nil {
-				return nil, err
-			}
-			acv := jc.edgeACV(a, c)
-			model.EdgeACV[a*n+c] = acv
-			if acv >= cfg.GammaEdge*null[c] {
-				edgeAdmit[a*n+c] = true
-			}
-		}
-		prog.Tick(1)
-	}
-	var (
-		admitted []core.TailPair
-		triples  []core.TailTriple
-		err      error
-	)
-	if cfg.MaxTailSize >= 2 {
-		admitted, err = d.derivePairs(chk, model.EdgeACV, edgeAdmit)
-	}
-	if err == nil && cfg.MaxTailSize >= 3 {
-		// Stage 3 runs the full builder's own triple stage on the
-		// concatenated table — same function, same inputs, same result.
-		triples, err = core.BuildTriplesContext(ctx, nt, admitted, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The builder's own assembly step inserts the edges, sharing the
-	// id slices of every edge the previous model also holds.
-	if ch.SharedEdges, err = core.AssembleGraph(model, edgeAdmit, admitted, triples, d.model.H); err != nil {
-		return nil, err
-	}
-	return model, nil
-}
-
-// derivePairs is stage 2 of derive: the 2-to-1 hyperedges admitted by
-// the triple counts. The serial a<b, c loops produce them already in
-// BuildContext's post-sort (a, b, c) order.
-func (d *Dataset) derivePairs(chk *runopt.Checker, edgeACV []float64, edgeAdmit []bool) ([]core.TailPair, error) {
-	jc, cfg := d.counts, d.cfg
-	n := jc.n
-	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
-	var admitted []core.TailPair
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			for c := 0; c < n; c++ {
-				if c == a || c == b {
-					continue
-				}
-				if cfg.Candidates == core.EdgeSeeded && !edgeAdmit[a*n+c] && !edgeAdmit[b*n+c] {
-					continue
-				}
-				if err := chk.Tick(); err != nil {
-					return nil, err
-				}
-				base := edgeACV[a*n+c]
-				if x := edgeACV[b*n+c]; x > base {
-					base = x
-				}
-				acv := jc.pairACV(a, b, c)
-				if acv >= cfg.GammaPair*base {
-					admitted = append(admitted, core.TailPair{A: a, B: b, C: c, ACV: acv})
-				}
-			}
-			prog2.Tick(1)
-		}
-	}
-	return admitted, nil
 }

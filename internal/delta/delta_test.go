@@ -14,6 +14,7 @@ import (
 	"hypermine/internal/delta"
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
+	"hypermine/internal/testutil"
 )
 
 // genRows draws n rows whose attributes correlate through a hidden
@@ -126,7 +127,7 @@ func attrNames(n int) []string {
 // in a Dataset, run a randomized append schedule (drifting the
 // distribution so admissions cross thresholds both ways), and after
 // every step require delta.Apply ≡ core.Build on the concatenated
-// table, bit for bit.
+// table, bit for bit, and both ≡ the admission oracle.
 func runSchedule(t *testing.T, seed int64, attrs, k int, cfg core.Config, opts delta.Options, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -163,6 +164,27 @@ func runSchedule(t *testing.T, seed int64, attrs, k int, cfg core.Config, opts d
 			t.Fatalf("step %d: Changes.Appended=%d want %d", step, ch.Appended, len(batch))
 		}
 		modelsEqual(t, got, fullRemine(t, names, k, all, cfg))
+		admissionEqual(t, got)
+	}
+}
+
+// admissionEqual asserts that m holds exactly what
+// testutil.MineAdmission admits from m's table under m's config. The
+// re-mine above shares its stage driver with the append, so only this
+// oracle checks the admission rule itself.
+func admissionEqual(t *testing.T, m *core.Model) {
+	t.Helper()
+	c := m.Config
+	want := testutil.MineAdmission(m.Table, testutil.AdmissionConfig{
+		GammaEdge: c.GammaEdge, GammaPair: c.GammaPair, GammaTriple: c.GammaTriple,
+		MaxTail: c.MaxTailSize, EdgeSeeded: c.Candidates == core.EdgeSeeded,
+	})
+	var got []testutil.AdmittedEdge
+	for _, e := range m.H.Edges() {
+		got = append(got, testutil.AdmittedEdge{Tail: e.Tail, Head: e.Head[0], ACV: e.Weight})
+	}
+	if diff := want.Diff(m.EdgeACV, got); diff != "" {
+		t.Fatalf("against the admission oracle: %s", diff)
 	}
 }
 
@@ -260,6 +282,7 @@ func TestThresholdCrossingsBothDirections(t *testing.T) {
 		t.Fatal("edge z->y should have been promoted by the correlated append")
 	}
 	modelsEqual(t, got, fullRemine(t, names, 2, all, cfg))
+	admissionEqual(t, got)
 }
 
 // TestNoOpAppend pins that a zero-row append returns the previous

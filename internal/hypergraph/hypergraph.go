@@ -213,7 +213,7 @@ func (h *H) AddEdge(tail, head []int, weight float64) error {
 // AddEdgeShared is AddEdge for canonical slices the caller hands over
 // without a copy: tail and head must already be sorted ascending, and
 // they are stored as given. Two owners in internal/core use it. The
-// edge assembly step (core.AssembleGraph) stores capped sub-slices of
+// edge assembly step of core.MineStages stores capped sub-slices of
 // one id slab per full build, and, for the incremental re-miner in
 // internal/delta, shares the vertex-id slices of edges that persist
 // across a delta update with the previous model's H, so a republished
