@@ -39,6 +39,7 @@ import (
 	"hypermine/internal/runopt"
 	"hypermine/internal/similarity"
 	"hypermine/internal/table"
+	"hypermine/internal/telemetry"
 )
 
 // DefaultRuleCacheEntries is the default bound on the mined-rule LRU.
@@ -243,7 +244,7 @@ func (e *Engine) Index(ctx context.Context) (*table.Index, error) {
 		if e.model.Table == nil || e.model.Table.NumRows() == 0 {
 			return nil, unavailablef("engine: model has no training rows to index")
 		}
-		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseIndex)()
+		defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseIndex))()
 		ix := e.model.Table.Index()
 		e.indexBuilds.Add(1)
 		e.derivedBytes.Add(indexFootprint(e.model.Table))
@@ -258,7 +259,7 @@ func (e *Engine) SimilarityGraph(ctx context.Context) (*similarity.Graph, error)
 		return v, err
 	}
 	return e.sim.get(ctx, func() (*similarity.Graph, error) {
-		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseSimilarity)()
+		defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseSimilarity))()
 		g, err := similarity.BuildGraphContext(ctx, e.model.H, e.allVertices(), similarity.GraphOptions{})
 		if err != nil {
 			return nil, err
@@ -300,7 +301,7 @@ func (e *Engine) dominator(ctx context.Context, spec DomSpec) (*domAnswer, error
 		return v, err
 	}
 	return m.get(ctx, func() (*domAnswer, error) {
-		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseDominator)()
+		defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseDominator))()
 		opt := cover.Options{
 			Complete:     spec.Complete,
 			Enhancement1: spec.Enhancement1,
@@ -381,7 +382,7 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 	dom := ans.res
 	// The dominator's own time is attributed above; this span covers
 	// the classifier-specific work (association tables, pool setup).
-	defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseClassifier)()
+	defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseClassifier))()
 	set := &classifierSet{dom: dom, targets: ans.targets}
 	switch {
 	case e.model.RequireRows() != nil:
@@ -556,7 +557,7 @@ func (e *Engine) ruleAnswer(ctx context.Context, head int, opt core.MineOptions)
 	mine := func() (ruleAnswer, error) {
 		// Only a cache miss does mining work, so only the winning
 		// build is attributed; a cache hit records nothing.
-		defer runopt.PhaseLogFrom(ctx).Span(runopt.PhaseRules)()
+		defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseRules))()
 		rules, err := core.MineRulesContext(ctx, e.model, head, opt)
 		if err != nil {
 			return ruleAnswer{}, err

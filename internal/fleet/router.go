@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hypermine/internal/admit"
+	"hypermine/internal/server"
 	"hypermine/internal/telemetry"
 )
 
@@ -318,16 +319,7 @@ func (rt *Router) handleModelScoped(w http.ResponseWriter, r *http.Request) {
 		if rej != nil {
 			rt.shed.Inc()
 			status, errMsg = rej.Status, "overloaded: "+string(rej.Reason)
-			secs := int((rej.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, rej.Status, map[string]any{
-				"error":               "overloaded: " + string(rej.Reason),
-				"reason":              string(rej.Reason),
-				"retry_after_seconds": secs,
-			})
+			server.WriteRejection(w, rej)
 			return
 		}
 		defer func() {

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"hypermine/internal/admit"
 )
 
 // scripted is a fake replica endpoint with a swappable response and a
@@ -230,6 +234,39 @@ func TestRouterTracePropagation(t *testing.T) {
 	rt.Handler().ServeHTTP(rec, req)
 	if got := seen.Load(); got == nil || !strings.Contains(*got, "0123456789abcdef0123456789abcdef") {
 		t.Fatalf("traceparent not propagated: %v", got)
+	}
+}
+
+// TestRouterShedsBeforeForwarding: a request router-side admission
+// sheds never reaches a replica, and its answer is the serving node's
+// rejection: 429, a whole-second Retry-After, and the rejection body.
+func TestRouterShedsBeforeForwarding(t *testing.T) {
+	rt, model, owners := newScriptedRouter(t)
+	rt.cfg.Admission = admit.NewController(admit.Config{TenantRate: 0.001, TenantBurst: 1})
+	if rec := doRoute(t, rt, http.MethodGet, "/v1/models/"+model+"/dominators", ""); rec.Code != http.StatusOK {
+		t.Fatalf("first request: %d, want 200", rec.Code)
+	}
+	rec := doRoute(t, rt, http.MethodGet, "/v1/models/"+model+"/dominators", "")
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("second request: %d, want 429", rec.Code)
+	}
+	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("Retry-After %q, want whole seconds >= 1", rec.Header().Get("Retry-After"))
+	}
+	var body struct {
+		Error             string `json:"error"`
+		Reason            string `json:"reason"`
+		RetryAfterSeconds int    `json:"retry_after_seconds"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Reason != string(admit.ReasonTenantRateLimited) || body.Error != "overloaded: "+body.Reason ||
+		strconv.Itoa(body.RetryAfterSeconds) != rec.Header().Get("Retry-After") {
+		t.Fatalf("rejection body %+v (Retry-After %q)", body, rec.Header().Get("Retry-After"))
+	}
+	if hits := owners[0].hits.Load() + owners[1].hits.Load(); hits != 1 {
+		t.Fatalf("replicas saw %d requests, want 1 (the shed one must not be forwarded)", hits)
 	}
 }
 

@@ -34,12 +34,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hypermine/internal/classify"
 	"hypermine/internal/core"
-	"hypermine/internal/cover"
 	"hypermine/internal/delta"
 	"hypermine/internal/engine"
-	"hypermine/internal/similarity"
 )
 
 // Options tunes a Registry.
@@ -73,8 +70,8 @@ type Options struct {
 
 // Served is one immutable serving model: an engine.Engine plus the
 // registry's lifecycle state (name, generation, refcount, retirement).
-// Derived-artifact accessors delegate to the engine and build lazily;
-// they are safe from any number of goroutines.
+// Queries and derived artifacts go through Engine, which builds them
+// lazily and is safe from any number of goroutines.
 type Served struct {
 	name     string
 	gen      int64 // registry-wide load generation, for observability
@@ -102,63 +99,11 @@ func (s *Served) Model() *core.Model { return s.eng.Model() }
 // LoadedAt returns when the model was published.
 func (s *Served) LoadedAt() time.Time { return s.loadedAt }
 
-// Dominator returns the serving dominator result, building it on
-// first use; nil only if the build failed.
-func (s *Served) Dominator() *cover.Result {
-	res, err := s.eng.Dominator(context.Background(), engine.DefaultDomSpec())
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// Targets returns the classifiable target attributes (covered by the
-// dominator, not inside it), in ascending order; nil if derivation
-// failed.
-func (s *Served) Targets() []int {
-	targets, err := s.eng.Targets(context.Background())
-	if err != nil {
-		return nil
-	}
-	return targets
-}
-
-// Classifier returns the prepared ABC, building it on first use, or
-// an error explaining why classification is unavailable on this model
-// (row-less snapshot, or a dominator covering no targets).
-func (s *Served) Classifier() (*classify.ABC, error) {
-	return s.eng.Classifier(context.Background())
-}
-
-// SimilarityGraph returns the all-vertices similarity graph, building
-// it on first use; nil only if the build failed.
-func (s *Served) SimilarityGraph() *similarity.Graph {
-	g, err := s.eng.SimilarityGraph(context.Background())
-	if err != nil {
-		return nil
-	}
-	return g
-}
-
 // Queries returns how many queries have been counted on this model.
 func (s *Served) Queries() int64 { return s.queries.Load() }
 
 // CountQuery increments the model's query counter.
 func (s *Served) CountQuery() { s.queries.Add(1) }
-
-// BorrowPredictor takes a scratch-reusing predictor from the engine's
-// pool; pair with ReturnPredictor. The steady-state borrow performs no
-// heap allocation once the pool is warm.
-//
-//hyper:noalloc
-func (s *Served) BorrowPredictor() (*classify.Predictor, error) {
-	return s.eng.BorrowPredictor(context.Background())
-}
-
-// ReturnPredictor puts a borrowed predictor back in the pool.
-func (s *Served) ReturnPredictor(p *classify.Predictor) {
-	s.eng.ReturnPredictor(context.Background(), p)
-}
 
 // Release ends an Acquire. The Served must not be used afterwards.
 //
@@ -260,13 +205,6 @@ func (r *Registry) buildServed(ctx context.Context, name string, m *core.Model, 
 		loadedAt: time.Now(),
 	}, nil
 }
-
-// RaiseGeneration lifts the registry-wide generation counter to at
-// least gen. The fleet layer calls it when it learns (via a delete
-// tombstone or gossip digest) that the fleet has already used
-// generations this registry has never seen, so later local Loads and
-// appends number strictly past them and cannot fork history.
-func (r *Registry) RaiseGeneration(gen int64) { r.raiseGen(gen) }
 
 // raiseGen lifts the registry-wide generation counter to at least gen,
 // so locally assigned generations after an explicit-generation publish

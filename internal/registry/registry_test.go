@@ -83,17 +83,18 @@ func TestLoadAcquireRelease(t *testing.T) {
 	if s.Model() != m {
 		t.Fatal("served model is not the loaded model")
 	}
-	if len(s.Targets()) == 0 {
-		t.Fatal("no targets — fixture should classify")
+	ctx := context.Background()
+	if targets, err := s.Engine().Targets(ctx); err != nil || len(targets) == 0 {
+		t.Fatalf("targets %v, %v — fixture should classify", targets, err)
 	}
-	if _, err := s.Classifier(); err != nil {
+	if _, err := s.Engine().Classifier(ctx); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.BorrowPredictor()
+	p, err := s.Engine().BorrowPredictor(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ReturnPredictor(p)
+	s.Engine().ReturnPredictor(ctx, p)
 	s.Release()
 
 	if got := r.Acquire("nope"); got != nil {
@@ -123,15 +124,19 @@ func TestRowlessModelClassifyUnavailable(t *testing.T) {
 	}
 	s := r.Acquire("slim")
 	defer s.Release()
-	if _, err := s.Classifier(); err == nil || !strings.Contains(err.Error(), "cannot classify") {
+	ctx := context.Background()
+	if _, err := s.Engine().Classifier(ctx); err == nil || !strings.Contains(err.Error(), "cannot classify") {
 		t.Fatalf("Classifier error = %v, want cannot-classify", err)
 	}
-	if _, err := s.BorrowPredictor(); err == nil {
+	if _, err := s.Engine().BorrowPredictor(ctx); err == nil {
 		t.Fatal("BorrowPredictor on row-less model succeeded")
 	}
 	// Graph queries still served.
-	if s.SimilarityGraph() == nil || len(s.Dominator().DomSet) == 0 {
-		t.Fatal("graph artifacts missing on row-less model")
+	if _, err := s.Engine().SimilarityGraph(ctx); err != nil {
+		t.Fatalf("similarity graph on row-less model: %v", err)
+	}
+	if dom, err := s.Engine().Dominator(ctx, engine.DefaultDomSpec()); err != nil || len(dom.DomSet) == 0 {
+		t.Fatalf("dominator on row-less model: %v", err)
 	}
 }
 
@@ -140,13 +145,18 @@ func TestRowlessModelClassifyUnavailable(t *testing.T) {
 // the hot-swap test compares against.
 func expectedAnswers(t *testing.T, s *Served, queries [][]table.Value) map[int][]table.Value {
 	t.Helper()
-	abc, err := s.Classifier()
+	ctx := context.Background()
+	abc, err := s.Engine().Classifier(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, err := s.Engine().Targets(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := abc.NewPredictor()
 	out := make(map[int][]table.Value)
-	for _, target := range s.Targets() {
+	for _, target := range targets {
 		preds := make([]table.Value, len(queries))
 		for i, q := range queries {
 			v, _, err := p.Predict(q, target)
@@ -173,9 +183,17 @@ func TestHotSwapBitIdentical(t *testing.T) {
 	}
 
 	// Deterministic query batch over the dominator attributes.
+	ctx := context.Background()
 	s0 := r.Acquire("m")
-	dom := s0.Dominator().DomSet
-	targets := s0.Targets()
+	res, err := s0.Engine().Dominator(ctx, engine.DefaultDomSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := res.DomSet
+	targets, err := s0.Engine().Targets(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(99))
 	queries := make([][]table.Value, 64)
 	for i := range queries {
@@ -204,7 +222,7 @@ func TestHotSwapBitIdentical(t *testing.T) {
 					errCh <- fmt.Errorf("model vanished mid-swap")
 					return
 				}
-				p, err := s.BorrowPredictor()
+				p, err := s.Engine().BorrowPredictor(ctx)
 				if err != nil {
 					s.Release()
 					errCh <- err
@@ -213,7 +231,7 @@ func TestHotSwapBitIdentical(t *testing.T) {
 				q := queries[i%len(queries)]
 				target := targets[i%len(targets)]
 				v, _, err := p.Predict(q, target)
-				s.ReturnPredictor(p)
+				s.Engine().ReturnPredictor(ctx, p)
 				s.Release()
 				if err != nil {
 					errCh <- err
@@ -450,8 +468,8 @@ func TestLazyLoadThenWarmupPolicy(t *testing.T) {
 		t.Fatalf("lazy load prebuilt artifacts: %+v", st)
 	}
 	// First use builds, exactly once.
-	if s.SimilarityGraph() == nil {
-		t.Fatal("similarity graph unavailable")
+	if _, err := s.Engine().SimilarityGraph(context.Background()); err != nil {
+		t.Fatalf("similarity graph unavailable: %v", err)
 	}
 	if got := s.Engine().Stats().SimilarityBuilds; got != 1 {
 		t.Fatalf("similarity builds %d, want 1", got)
@@ -493,10 +511,10 @@ func TestEvictionSeesDerivedArtifactCost(t *testing.T) {
 	// Queries against m1 build its similarity graph, classifier, and a
 	// few rule-cache entries; m2 is touched afterwards so m1 is LRU.
 	s := r.Acquire("m1")
-	if s.SimilarityGraph() == nil {
-		t.Fatal("similarity graph unavailable")
+	if _, err := s.Engine().SimilarityGraph(context.Background()); err != nil {
+		t.Fatalf("similarity graph unavailable: %v", err)
 	}
-	if _, err := s.Classifier(); err != nil {
+	if _, err := s.Engine().Classifier(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Engine().Rules(context.Background(), 0, core.MineOptions{MaxRules: 10}); err != nil {

@@ -13,8 +13,9 @@ import (
 )
 
 // Phase names one stage of the mining/query pipeline, as reported to
-// progress callbacks. The work unit behind (done, total) is
-// phase-specific and documented on each constant.
+// progress callbacks and as the engine names its trace spans. The work
+// unit behind (done, total) is phase-specific and documented on each
+// constant.
 type Phase string
 
 const (

@@ -349,9 +349,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		BreakerFailures: 5,
 	})
 	ts := servingAdmit(t, ctl)
-	// Touch the model so tenant/model/breaker state exists.
+	// Touch the model so tenant/model/breaker state exists. Both queries
+	// are cold, so each builds its phase on this untraced server.
 	if code, body, _ := getTenant(t, ts.URL+"/v1/models/demo/dominators", "alice"); code != 200 {
 		t.Fatalf("priming query: %d (%s)", code, body)
+	}
+	if code := getJSON(t, ts.URL+"/v1/models/demo/rules?head=A00", nil); code != 200 {
+		t.Fatalf("cold rules query: %d", code)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -430,6 +434,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`hypermined_breaker_state{model="demo"} 0`,
 		`hypermined_request_seconds_bucket{kind="dominators",class="cheap",le="+Inf"} 1`,
 		`hypermined_request_seconds_count{kind="dominators",class="cheap"} 1`,
+		`hypermined_phase_seconds_count{phase="dominator"} 1`,
+		`hypermined_phase_seconds_count{phase="rules"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, strings.Join(sampleLines, "\n"))

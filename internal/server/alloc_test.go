@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -63,7 +64,7 @@ func newAllocFixture(t *testing.T) *allocFixture {
 		t.Fatal(err)
 	}
 	sv := reg.Acquire("bench")
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func newAllocFixture(t *testing.T) *allocFixture {
 		f.values[m.H.VertexName(a)] = 1 + j%3
 		f.row = append(f.row, 1+(j+1)%3)
 	}
-	f.target = m.H.VertexName(sv.Targets()[0])
+	f.target = m.H.VertexName(abc.Targets()[0])
 	sv.Release()
 	f.h = New(reg, WithLogger(slog.New(slog.DiscardHandler)),
 		WithTracer(telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: -1}))).Handler()

@@ -19,7 +19,6 @@ import (
 	"hypermine/internal/admit"
 	"hypermine/internal/registry"
 	"hypermine/internal/table"
-	"hypermine/internal/telemetry"
 )
 
 // maxAppendBytes bounds an :append body. Appends are incremental by
@@ -59,72 +58,40 @@ type appendResponse struct {
 // the handleQuery catch-all. The body is JSON rows/columns or text/csv
 // (header must match the model's attribute schema).
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name string) {
-	var act *telemetry.Active
-	start := time.Now()
-	if s.tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
-		act = s.tracer.Start(id, "append", name, r.Header.Get("X-Tenant"))
-		w.Header().Set("X-Trace-Id", act.TraceID().String())
-	}
-	finish := func(status int, errMsg string) {
-		if s.tracer != nil {
-			s.tracer.Finish(act, time.Since(start), status, errMsg)
-		}
-	}
-
+	ob := s.open(r, name, "append", s.appendHist)
+	defer ob.finish()
+	stamp(w.Header(), ob.act.TraceID(), nil)
 	// Appends compete for the expensive cost class: they run mining
 	// kernels and engine rebuilds, so under overload they queue and shed
 	// like mining-shaped queries instead of starving cheap reads.
-	var tk admit.Ticket
-	if s.admission != nil {
-		_, rej, err := s.admission.AdmitInto(r.Context(), &tk, r.Header.Get("X-Tenant"), name, admit.Expensive)
-		if err != nil {
-			if s.failCtx(w, err) {
-				finish(ctxStatus(err), err.Error())
-				return
-			}
-			finish(http.StatusInternalServerError, err.Error())
-			s.fail(w, http.StatusInternalServerError, "admission: %v", err)
-			return
-		}
-		if rej != nil {
-			finish(rej.Status, "overloaded: "+string(rej.Reason))
-			s.reject(w, rej)
-			return
-		}
+	if !ob.admit(w, admit.Expensive) {
+		return
 	}
 
-	rows, cols, err := s.decodeAppendBody(w, r, name)
+	rows, cols, err := ob.decodeAppendBody(w, r)
 	if err != nil {
-		tk.Done(admit.OutcomeOK) // a malformed body is not a model fault
-		// decodeAppendBody already wrote the response; an aborted upload
-		// surfaces as a body read error and reports as its context
-		// outcome there too.
-		finish(appendStatus(err), err.Error())
+		// decodeAppendBody already wrote and recorded the answer. A
+		// malformed or aborted body is not a model fault, whatever its
+		// status.
+		ob.tk.Done(admit.OutcomeOK)
 		return
 	}
 
 	var info *registry.AppendInfo
 	if cols != nil {
-		info, err = s.reg.AppendRawContext(r.Context(), name, cols)
+		info, err = s.reg.AppendRawContext(ob, name, cols)
 	} else {
-		info, err = s.reg.AppendRowsContext(r.Context(), name, rows)
+		info, err = s.reg.AppendRowsContext(ob, name, rows)
 	}
-	tk.Done(appendOutcome(err))
 	if err != nil {
-		status := appendStatus(err)
-		finish(status, err.Error())
-		if s.failCtx(w, err) {
-			return
+		if !ob.failCtx(w, err) {
+			ob.fail(w, appendStatus(err), "append: %v", err)
 		}
-		s.fail(w, status, "append: %v", err)
 		return
 	}
 
-	elapsed := time.Since(start)
-	s.appendHist.Observe(elapsed)
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "append published",
-		slog.String("trace_id", act.TraceID().String()),
+		slog.String("trace_id", ob.act.TraceID().String()),
 		slog.String("kind", "append"),
 		slog.String("model", name),
 		slog.Int64("generation", info.Generation),
@@ -133,10 +100,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		slog.Int("edges", info.Edges),
 		slog.Bool("swapped", info.Swapped),
 		slog.Bool("full_rebuild", info.FullRebuild),
-		slog.Duration("duration", elapsed.Round(time.Microsecond)))
-	finish(http.StatusOK, "")
+		slog.Duration("duration", time.Since(ob.start).Round(time.Microsecond)))
 	w.Header().Set("X-Model-Generation", strconv.FormatInt(info.Generation, 10))
-	s.writeJSON(w, http.StatusOK, appendResponse{
+	writeJSON(w, http.StatusOK, appendResponse{
 		Name:        name,
 		Generation:  info.Generation,
 		Appended:    info.Appended,
@@ -152,11 +118,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 // decodeAppendBody parses the :append body into row-major values or
 // column-major raw bytes (exactly one is non-nil on success; both nil
 // means an explicit empty no-op). On error the response has already
-// been written.
-func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name string) ([][]table.Value, [][]byte, error) {
+// been written and recorded.
+func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]table.Value, [][]byte, error) {
+	s := ob.s
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(ct) == "text/csv" {
-		rows, err := s.readAppendCSV(w, r, http.MaxBytesReader(w, r.Body, maxAppendBytes), name)
+		rows, err := ob.readAppendCSV(w, r, http.MaxBytesReader(w, r.Body, maxAppendBytes))
 		return rows, nil, err
 	}
 	// A pooled body: decoding reuses its row and column backing arrays,
@@ -170,15 +137,14 @@ func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name s
 		}
 	}()
 	if err != nil {
-		if ctxErr := r.Context().Err(); ctxErr != nil && s.failCtx(w, ctxErr) {
-			return nil, nil, ctxErr
+		if !ob.failCtx(w, r.Context().Err()) {
+			ob.fail(w, http.StatusBadRequest, "body: %v", err)
 		}
-		s.fail(w, http.StatusBadRequest, "body: %v", err)
 		return nil, nil, err
 	}
 	if len(req.Rows) > 0 && len(req.Columns) > 0 {
 		err := errors.New("body sets both rows and columns")
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		ob.fail(w, http.StatusBadRequest, "%v", err)
 		return nil, nil, err
 	}
 	if len(req.Columns) > 0 {
@@ -188,7 +154,7 @@ func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name s
 			for i, v := range col {
 				if v < 1 || v > table.MaxK {
 					err := errors.New("column value outside 1..255")
-					s.fail(w, http.StatusBadRequest, "columns[%d][%d]: value %d outside 1..%d", j, i, v, table.MaxK)
+					ob.fail(w, http.StatusBadRequest, "columns[%d][%d]: value %d outside 1..%d", j, i, v, table.MaxK)
 					return nil, nil, err
 				}
 				cols[j][i] = byte(v)
@@ -209,7 +175,7 @@ func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name s
 		for j, v := range row {
 			if v < 1 || v > table.MaxK {
 				err := errors.New("row value outside 1..255")
-				s.fail(w, http.StatusBadRequest, "rows[%d][%d]: value %d outside 1..%d", i, j, v, table.MaxK)
+				ob.fail(w, http.StatusBadRequest, "rows[%d][%d]: value %d outside 1..%d", i, j, v, table.MaxK)
 				return nil, nil, err
 			}
 			rows[i][j] = table.Value(v)
@@ -222,11 +188,11 @@ func (s *Server) decodeAppendBody(w http.ResponseWriter, r *http.Request, name s
 // the model's attributes in schema order, then one record per appended
 // observation. The header is checked against the serving model so a
 // column-order mistake is a 400, not silently transposed data.
-func (s *Server) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.Reader, name string) ([][]table.Value, error) {
-	sv := s.reg.Peek(name)
+func (ob *reqObs) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.Reader) ([][]table.Value, error) {
+	sv := ob.s.reg.Peek(ob.name)
 	if sv == nil {
 		err := errors.New("unknown model")
-		s.fail(w, http.StatusNotFound, "unknown model %q", name)
+		ob.fail(w, http.StatusNotFound, "unknown model %q", ob.name)
 		return nil, err
 	}
 	attrs := sv.Model().Table.Attrs()
@@ -235,22 +201,21 @@ func (s *Server) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.R
 
 	tb, err := table.ReadCSV(body, k)
 	if err != nil {
-		if ctxErr := r.Context().Err(); ctxErr != nil && s.failCtx(w, ctxErr) {
-			return nil, ctxErr
+		if !ob.failCtx(w, r.Context().Err()) {
+			ob.fail(w, http.StatusBadRequest, "csv: %v", err)
 		}
-		s.fail(w, http.StatusBadRequest, "csv: %v", err)
 		return nil, err
 	}
 	got := tb.Attrs()
 	if len(got) != len(attrs) {
 		err := errors.New("csv header width mismatch")
-		s.fail(w, http.StatusBadRequest, "csv: header has %d columns, model has %d attributes", len(got), len(attrs))
+		ob.fail(w, http.StatusBadRequest, "csv: header has %d columns, model has %d attributes", len(got), len(attrs))
 		return nil, err
 	}
 	for j := range got {
 		if got[j] != attrs[j] {
 			err := errors.New("csv header mismatch")
-			s.fail(w, http.StatusBadRequest, "csv: header column %d is %q, model attribute is %q", j, got[j], attrs[j])
+			ob.fail(w, http.StatusBadRequest, "csv: header column %d is %q, model attribute is %q", j, got[j], attrs[j])
 			return nil, err
 		}
 	}
@@ -261,15 +226,12 @@ func (s *Server) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.R
 	return rows, nil
 }
 
-// appendStatus maps an append error to its HTTP status: context
-// outcomes keep 504/499, unknown model is 404, a lost admin race is
-// 409, and anything else (malformed rows, width/value mismatches) is
-// 400 — appends never half-apply, so a failed append left the serving
-// model untouched.
+// appendStatus maps an append error that is not context-shaped to its
+// HTTP status: unknown model is 404, a lost admin race is 409, and
+// anything else (malformed rows, width/value mismatches) is 400 —
+// appends never half-apply, so a failed append left the serving model
+// untouched.
 func appendStatus(err error) int {
-	if code := ctxStatus(err); code != 0 {
-		return code
-	}
 	switch {
 	case errors.Is(err, registry.ErrNotFound):
 		return http.StatusNotFound
@@ -277,21 +239,4 @@ func appendStatus(err error) int {
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest
-}
-
-// appendOutcome classifies an append error for the model's circuit
-// breaker, mirroring outcomeOf: client-shaped rejections (bad rows,
-// unknown model, lost race) mean the pipeline worked; a deadline expiry
-// mid-delta is a model failure; a client hangup is neutral.
-func appendOutcome(err error) admit.Outcome {
-	if err == nil {
-		return admit.OutcomeOK
-	}
-	switch appendStatus(err) {
-	case StatusClientClosedRequest:
-		return admit.OutcomeCanceled
-	case http.StatusGatewayTimeout:
-		return admit.OutcomeFailure
-	}
-	return admit.OutcomeOK
 }

@@ -32,7 +32,7 @@ func overheadBar(t *testing.T, what string, part func() error) {
 		t.Fatal(err)
 	}
 	sv := reg.Acquire("bench")
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func overheadBar(t *testing.T, what string, part func() error) {
 	for j, a := range abc.Dominator() {
 		values[m.H.VertexName(a)] = 1 + j%3
 	}
-	body, err := json.Marshal(classifyRequest{Target: m.H.VertexName(sv.Targets()[0]), Values: values})
+	body, err := json.Marshal(classifyRequest{Target: m.H.VertexName(abc.Targets()[0]), Values: values})
 	sv.Release()
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func TestClientCancelReturns499(t *testing.T) {
 	if sv == nil {
 		t.Fatal("demo missing")
 	}
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestClientCancelReturns499(t *testing.T) {
 		}
 		rows[i] = row
 	}
-	target := m.Table.AttrName(sv.Targets()[0])
+	target := m.Table.AttrName(abc.Targets()[0])
 	sv.Release()
 	body, err := json.Marshal(map[string]any{"target": target, "rows": rows})
 	if err != nil {

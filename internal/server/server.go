@@ -40,6 +40,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,13 +164,14 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(s *Server) { s.queryTimeout = d }
 }
 
-// WithAdmission puts an admission controller in front of every query:
-// each request through the do() funnel is checked against the
-// per-model circuit breaker, the per-tenant (X-Tenant header) and
-// per-model token buckets, and the cost-class concurrency gate before
-// it reaches Engine.Do. Shed requests get 429/503 with a Retry-After
-// header; admitted requests feed their outcome back to the breaker.
-// Metadata endpoints (model list/detail) and admin writes are exempt.
+// WithAdmission puts an admission controller in front of every query
+// and :append: each is checked against the per-model circuit breaker,
+// the per-tenant (X-Tenant header) and per-model token buckets, and the
+// cost-class concurrency gate (queries by cost, appends expensive)
+// before it does any work. Shed requests get 429/503 with a
+// Retry-After header; admitted requests feed their outcome back to the
+// breaker. Metadata endpoints (model list/detail) and admin writes
+// (PUT, DELETE) are exempt.
 // nil disables admission (the default).
 func WithAdmission(c *admit.Controller) Option {
 	return func(s *Server) { s.admission = c }
@@ -182,9 +184,10 @@ func WithPprof(enabled bool) Option {
 	return func(s *Server) { s.pprofOn = enabled }
 }
 
-// WithSlowQueryLog logs every query whose handling exceeds threshold
-// as a structured slog event carrying trace_id, kind (request
-// variant), model, tenant, total duration, and per-phase attribution
+// WithSlowQueryLog logs every model-scoped request (queries, :append,
+// PUT, DELETE) whose handling exceeds threshold as a structured slog
+// event carrying trace_id, kind (request variant, or append, load,
+// unload), model, tenant, total duration, and per-phase attribution
 // from the engine's build sites (phases=none means the time went to
 // warm reads, not artifact builds). When tracing is enabled the event
 // also pins its trace in the retention ring, so the logged trace_id is
@@ -204,13 +207,15 @@ func WithLogger(logger *slog.Logger) Option {
 	}
 }
 
-// WithTracer enables request tracing: every query through the do()
-// funnel gets a trace ID (minted, or adopted from an inbound W3C
-// traceparent header), echoed as X-Trace-Id; engine phase spans attach
-// to the trace; slow, errored, shed, and pinned traces are always
-// retained in the tracer's ring and served at GET /debug/traces
-// (mounted only when tracing is on, like pprof). nil disables tracing
-// (the default): no trace IDs, no /debug/traces.
+// WithTracer enables request tracing: every model-scoped request
+// (queries, :append, PUT, DELETE) gets a trace ID (minted, or adopted
+// from an inbound W3C traceparent header), echoed as X-Trace-Id; the
+// engine's phase spans land in the trace; slow, errored, shed, and
+// pinned traces are always retained in the tracer's ring and served at
+// GET /debug/traces (mounted only when tracing is on, like pprof). nil
+// disables tracing (the default): no trace IDs, no /debug/traces. The
+// phase histograms and the slow-query log read the same spans with
+// tracing on or off.
 func WithTracer(t *telemetry.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
@@ -280,7 +285,7 @@ func (s *Server) initTelemetry() {
 	for ki, kind := range queryKinds {
 		for ci, class := range classes {
 			s.reqHist[ki][ci] = s.tel.Histogram("hypermined_request_seconds",
-				"Query latency through the query funnel (admission wait + engine), per request kind and cost class.",
+				"Query latency (admission wait + engine), per request kind and cost class; every request is observed, whatever its outcome.",
 				`kind="`+kind+`",class="`+class.String()+`"`)
 		}
 	}
@@ -300,9 +305,9 @@ func (s *Server) initTelemetry() {
 			`phase="`+string(ph)+`"`)
 	}
 	s.snapHist = s.tel.Histogram("hypermined_snapshot_load_seconds",
-		"Wall time to decode and publish a PUT snapshot (read + engine wrap + warmup + swap).", "")
+		"Wall time of a PUT snapshot (read + engine wrap + warmup + swap); every request is observed, whatever its outcome.", "")
 	s.appendHist = s.tel.Histogram("hypermined_append_seconds",
-		"Wall time to delta-append rows and republish a model (parse + delta + rewarm + swap).", "")
+		"Wall time of an :append (parse + delta + rewarm + swap); every request is observed, whatever its outcome.", "")
 
 	if s.admission != nil {
 		s.admission.ObserveQueueWait(func(class admit.Class, d time.Duration) {
@@ -311,11 +316,7 @@ func (s *Server) initTelemetry() {
 			}
 		})
 	}
-	s.obsPool.New = func() any {
-		ob := &reqObs{plog: runopt.NewPhaseLog()}
-		ob.plog.KeepRecords(telemetry.MaxTraceSpans)
-		return ob
-	}
+	s.obsPool.New = func() any { return new(reqObs) }
 }
 
 // Telemetry exposes the shared counter/histogram registry (tests use
@@ -349,49 +350,39 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
+// fail writes an error answer, counts it as an error, and returns its
+// message.
+func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) string {
+	msg := fmt.Sprintf(format, args...)
 	s.errs.Inc()
-	s.writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, errorBody{Error: msg})
+	return msg
 }
 
-// failCtx maps a context-shaped failure to its distinct status —
+// failCtx answers a context-shaped failure with its distinct status —
 // 504 for an expired server-side query deadline, 499 for a client
-// that went away — and reports whether it handled err. Neither case
-// counts as a server error: they land in the timeouts / canceled
-// counters instead of errs. Handlers fall through to their normal
-// error mapping when failCtx returns false.
-func (s *Server) failCtx(w http.ResponseWriter, err error) bool {
+// that went away — and returns that status, or 0 when err (nil
+// included) is not context-shaped. Neither case counts as a server
+// error: they land in the timeouts / canceled counters instead of
+// errs. Handlers fall through to their own status when it returns 0.
+func (s *Server) failCtx(w http.ResponseWriter, err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()
-		s.writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "query deadline exceeded"})
-		return true
-	case errors.Is(err, context.Canceled):
-		s.canceled.Inc()
-		s.writeJSON(w, StatusClientClosedRequest, errorBody{Error: "request canceled by client"})
-		return true
-	}
-	return false
-}
-
-// ctxStatus maps a context-shaped failure to the status failCtx
-// writes for it (0 when err is not context-shaped).
-func ctxStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
+		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "query deadline exceeded"})
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
+		s.canceled.Inc()
+		writeJSON(w, StatusClientClosedRequest, errorBody{Error: "request canceled by client"})
 		return StatusClientClosedRequest
 	}
 	return 0
 }
 
-// engineStatus maps an Engine.Do error to the HTTP status failEngine
-// writes for it; telemetry records the same value.
+// engineStatus maps an Engine.Do error that is not context-shaped to
+// its HTTP status: typed engine errors map by kind (bad_request ->
+// 400, unavailable -> 409), anything else is a 500.
 func engineStatus(err error) int {
-	if code := ctxStatus(err); code != 0 {
-		return code
-	}
 	var ee *engine.Error
 	if errors.As(err, &ee) {
 		switch ee.Kind {
@@ -404,26 +395,20 @@ func engineStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// failEngine maps an Engine.Do error onto HTTP: context outcomes keep
-// their 504/499 semantics, typed engine errors map by kind
-// (bad_request -> 400, unavailable -> 409), anything else is a 500.
-func (s *Server) failEngine(w http.ResponseWriter, err error) {
-	if s.failCtx(w, err) {
-		return
+// failEngine answers an Engine.Do error: context outcomes keep their
+// 504/499, every other error gets engineStatus and the typed error's
+// message. It returns the status and message it wrote.
+func (s *Server) failEngine(w http.ResponseWriter, err error) (int, string) {
+	if code := s.failCtx(w, err); code != 0 {
+		return code, err.Error()
 	}
+	msg := err.Error()
 	var ee *engine.Error
 	if errors.As(err, &ee) {
-		switch ee.Kind {
-		case engine.ErrBadRequest:
-			s.fail(w, http.StatusBadRequest, "%s", ee.Message)
-		case engine.ErrUnavailable:
-			s.fail(w, http.StatusConflict, "%s", ee.Message)
-		default:
-			s.fail(w, http.StatusInternalServerError, "%s", ee.Message)
-		}
-		return
+		msg = ee.Message
 	}
-	s.fail(w, http.StatusInternalServerError, "%v", err)
+	code := engineStatus(err)
+	return code, s.fail(w, code, "%s", msg)
 }
 
 // acquire resolves the named model or writes a 404, stamping the
@@ -434,165 +419,196 @@ func (s *Server) acquire(w http.ResponseWriter, name string) *registry.Served {
 		s.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return nil
 	}
-	stamp(w.Header(), nil, sv)
+	stamp(w.Header(), telemetry.TraceID{}, sv)
 	s.queries.Inc()
 	sv.CountQuery()
 	return sv
 }
 
-// reqObs is the pooled per-request observation record behind the do()
-// funnel: latency histogram indices, trace state, and the phase log,
-// finished exactly once via a deferred method call (a method value on
-// a pooled pointer, so the steady-state telemetry bookkeeping itself
-// performs no heap allocation).
+// reqObs is the pooled record of one model-scoped request, the funnel
+// every front door (queries, :append, PUT, DELETE) opens and closes
+// through. Per door only data changes: the trace kind, the admission
+// class, and the latency histogram. Everything else is one path: the
+// trace, admission and the breaker's outcome, the phase spans, the
+// phase histograms, the slow-query log, and the recorded status of a
+// failure. finish is deferred as a method value on a pooled pointer,
+// so the bookkeeping itself performs no heap allocation.
 //
-// While the engine runs, the record is also the request's context:
-// it answers the trace and phase-log keys itself (see Value), so both
-// reach the engine without a value context per request.
+// The record is also the request's context: it answers the trace key
+// with its span record (see Value), so the engine's build sites write
+// their spans straight into it without a value context per request.
 type reqObs struct {
-	context.Context // the request context, set only while the engine runs
+	context.Context // the request context
 
 	s      *Server
 	name   string
 	kind   string
 	tenant string
-	ki, ci int
+	hist   *telemetry.Histogram // the door's latency histogram; nil for none
 	start  time.Time
 	status int
 	errMsg string
-	act    *telemetry.Active
-	plog   *runopt.PhaseLog
-	logged bool // the engine ran under this record as its context
+	tk     admit.Ticket      // zero unless admitted; Done is then a no-op
+	act    *telemetry.Active // the span record: the tracer's, or &rec
+	rec    telemetry.Active  // the span record when tracing is off
 }
 
-// Value answers the in-flight trace and the phase log; every other key
-// falls through to the request context.
+// Value answers the trace key with the request's span record; every
+// other key falls through to the request context.
 //
 //hyper:noalloc
 func (ob *reqObs) Value(key any) any {
-	switch key.(type) {
-	case telemetry.TraceKey:
-		if ob.act != nil {
-			return ob.act
-		}
-	case runopt.PhaseLogKey:
-		return ob.plog
+	if _, ok := key.(telemetry.TraceKey); ok {
+		return ob.act
 	}
 	return ob.Context.Value(key)
 }
 
-// setErr records the telemetry-visible outcome of a failed request.
-func (ob *reqObs) setErr(status int, msg string) {
-	ob.status = status
-	ob.errMsg = msg
-}
-
-// finish observes the request latency, feeds phase spans to the phase
-// histograms and the trace, emits the slow-query log, completes the
-// trace, and recycles the record.
-func (ob *reqObs) finish() {
-	s := ob.s
-	elapsed := time.Since(ob.start)
-	s.reqHist[ob.ki][ob.ci].Observe(elapsed)
-	if ob.logged {
-		startNs := ob.start
-		ob.plog.VisitRecords(func(rec runopt.PhaseRecord) {
-			if h := s.phaseHist[rec.Phase]; h != nil {
-				h.Observe(rec.Duration)
-			}
-			ob.act.AddSpan(string(rec.Phase), rec.Start.Sub(startNs).Nanoseconds(), rec.Duration.Nanoseconds())
-		})
-	}
-	if s.slowQuery > 0 && elapsed >= s.slowQuery {
-		ob.act.Pin() // nil-safe: keep the logged trace resolvable
-		s.logSlow(ob, elapsed)
-	}
-	if s.tracer != nil {
-		s.tracer.Finish(ob.act, elapsed, ob.status, ob.errMsg)
-	}
-	ob.plog.Reset()
-	ob.Context = nil
-	ob.act = nil
-	ob.errMsg = ""
-	ob.logged = false
-	s.obsPool.Put(ob)
-}
-
-// do routes one typed request through the named model's engine and
-// returns the response, handling 404/admission/err reporting itself
-// (nil means "already written"). It is the single funnel every query
-// handler uses, so admission control, latency histograms, request
-// tracing, slow-query logging, and breaker feedback cover the whole
-// query surface at one call site.
-func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *engine.Request) *engine.Response {
-	class := classOf(req)
+// open starts the record of one request at its front door: a trace of
+// kind (continuing an inbound traceparent) when tracing is on, the
+// span record either way, and hist, observed at finish with the
+// request's latency whatever its outcome. The caller defers finish.
+func (s *Server) open(r *http.Request, name, kind string, hist *telemetry.Histogram) *reqObs {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = admit.DefaultTenant
 	}
-
 	ob := s.obsPool.Get().(*reqObs)
+	ob.Context = r.Context()
 	ob.s = s
 	ob.name = name
-	ob.kind = reqKind(req)
+	ob.kind = kind
 	ob.tenant = tenant
-	ob.ki, ob.ci = kindIndex(req), int(class)
-	ob.start = time.Now()
+	ob.hist = hist
 	ob.status = http.StatusOK
+	ob.act = &ob.rec
 	if s.tracer != nil {
 		// Looked up by its canonical key: Get("traceparent") would
 		// canonicalize, and allocate, on every request.
 		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
-		ob.act = s.tracer.Start(id, ob.kind, name, tenant)
+		ob.act = s.tracer.Start(id, kind, name, tenant)
 	}
+	ob.start = time.Now()
+	ob.act.Begin(ob.start)
+	return ob
+}
+
+// admit passes the request through admission control in class. False
+// means it was not admitted — shed, or its context ended while it
+// waited in a gate queue — and the answer is written and recorded.
+func (ob *reqObs) admit(w http.ResponseWriter, class admit.Class) bool {
+	s := ob.s
+	if s.admission == nil {
+		return true
+	}
+	_, rej, err := s.admission.AdmitInto(ob.Context, &ob.tk, ob.tenant, ob.name, class)
+	if err != nil {
+		// The context ended while the request waited in a gate
+		// queue: report it like any other context outcome.
+		if !ob.failCtx(w, err) {
+			ob.fail(w, http.StatusInternalServerError, "admission: %v", err)
+		}
+		return false
+	}
+	if rej != nil {
+		s.shed.Inc()
+		ob.status, ob.errMsg = rej.Status, "overloaded: "+string(rej.Reason)
+		WriteRejection(w, rej)
+		return false
+	}
+	return true
+}
+
+// fail answers the request with an error and records its outcome.
+func (ob *reqObs) fail(w http.ResponseWriter, code int, format string, args ...any) {
+	ob.status, ob.errMsg = code, ob.s.fail(w, code, format, args...)
+}
+
+// failCtx answers a context-shaped failure (see Server.failCtx) and
+// records it; false when err is not one and nothing was written.
+func (ob *reqObs) failCtx(w http.ResponseWriter, err error) bool {
+	code := ob.s.failCtx(w, err)
+	if code != 0 {
+		ob.status, ob.errMsg = code, err.Error()
+	}
+	return code != 0
+}
+
+// finish closes the record: it settles the admission ticket from the
+// recorded status, observes the door's latency histogram and the
+// phase histograms, emits the slow-query log, completes the trace, and
+// recycles the record.
+func (ob *reqObs) finish() {
+	s := ob.s
+	elapsed := time.Since(ob.start)
+	ob.tk.Done(outcome(ob.status))
+	if ob.hist != nil {
+		ob.hist.Observe(elapsed)
+	}
+	for _, sp := range ob.act.Spans() {
+		if h := s.phaseHist[runopt.Phase(sp.Phase)]; h != nil {
+			h.Observe(time.Duration(sp.DurationNs))
+		}
+	}
+	if s.slowQuery > 0 && elapsed >= s.slowQuery {
+		ob.act.Pin() // keep the logged trace resolvable
+		s.logSlow(ob, elapsed)
+	}
+	if s.tracer != nil {
+		s.tracer.Finish(ob.act, elapsed, ob.status, ob.errMsg)
+	} else {
+		ob.rec.Reset()
+	}
+	ob.Context = nil
+	ob.act = nil
+	ob.hist = nil
+	ob.errMsg = ""
+	s.obsPool.Put(ob)
+}
+
+// outcome classifies a request's status for the model's circuit
+// breaker: an expired deadline (504) or a server fault (5xx) is a
+// model failure; a client hanging up (499) is neutral; a client-shaped
+// rejection (4xx: malformed request, unknown model, lost race) means
+// the model itself worked.
+func outcome(status int) admit.Outcome {
+	switch {
+	case status == StatusClientClosedRequest:
+		return admit.OutcomeCanceled
+	case status >= 500:
+		return admit.OutcomeFailure
+	}
+	return admit.OutcomeOK
+}
+
+// do routes one typed request through the named model's engine and
+// returns the response, handling 404/admission/err reporting itself
+// (nil means "already written"). Every query handler calls it; the
+// latency histogram is the request's kind and cost class.
+func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *engine.Request) *engine.Response {
+	class := classOf(req)
+	ki := kindIndex(req)
+	ob := s.open(r, name, queryKinds[ki], s.reqHist[ki][class])
 	defer ob.finish()
 
 	sv := s.reg.Acquire(name)
 	if sv == nil {
-		stamp(w.Header(), ob.act, nil)
-		ob.setErr(http.StatusNotFound, "unknown model")
-		s.fail(w, http.StatusNotFound, "unknown model %q", name)
+		stamp(w.Header(), ob.act.TraceID(), nil)
+		ob.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return nil
 	}
 	defer sv.Release()
 	// The answer below comes from exactly this generation's engine —
 	// stamp it so clients racing an :append can attribute the response.
-	stamp(w.Header(), ob.act, sv)
+	stamp(w.Header(), ob.act.TraceID(), sv)
 	s.queries.Inc()
 	sv.CountQuery()
-
-	var tk admit.Ticket // zero Ticket when admission is off; Done is a no-op
-	if s.admission != nil {
-		_, rej, err := s.admission.AdmitInto(r.Context(), &tk, r.Header.Get("X-Tenant"), name, class)
-		if err != nil {
-			// The context ended while the request waited in a gate
-			// queue: report it like any other context outcome.
-			if s.failCtx(w, err) {
-				ob.setErr(ctxStatus(err), err.Error())
-			} else {
-				ob.setErr(http.StatusInternalServerError, err.Error())
-				s.fail(w, http.StatusInternalServerError, "admission: %v", err)
-			}
-			return nil
-		}
-		if rej != nil {
-			ob.setErr(rej.Status, "overloaded: "+string(rej.Reason))
-			s.reject(w, rej)
-			return nil
-		}
+	if !ob.admit(w, class) {
+		return nil
 	}
-
-	ctx := r.Context()
-	if ob.act != nil || s.slowQuery > 0 {
-		ob.logged = true
-		ob.Context = ctx
-		ctx = ob
-	}
-	resp, err := sv.Engine().Do(ctx, req)
-	tk.Done(outcomeOf(err)) // nil-safe; idempotent
+	resp, err := sv.Engine().Do(ob, req)
 	if err != nil {
-		ob.setErr(engineStatus(err), err.Error())
-		s.failEngine(w, err)
+		ob.status, ob.errMsg = s.failEngine(w, err)
 		return nil
 	}
 	return resp
@@ -605,26 +621,6 @@ func classOf(req *engine.Request) admit.Class {
 		return admit.Expensive
 	}
 	return admit.Cheap
-}
-
-// outcomeOf classifies an Engine.Do error for the model's circuit
-// breaker: an expired deadline or an internal fault is a model
-// failure; a client hanging up is neutral; a well-formed client error
-// (bad_request, unavailable) means the engine itself worked.
-func outcomeOf(err error) admit.Outcome {
-	switch {
-	case err == nil:
-		return admit.OutcomeOK
-	case errors.Is(err, context.Canceled):
-		return admit.OutcomeCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		return admit.OutcomeFailure
-	}
-	var ee *engine.Error
-	if errors.As(err, &ee) && ee.Kind != engine.ErrInternal {
-		return admit.OutcomeOK
-	}
-	return admit.OutcomeFailure
 }
 
 // retryAfterSeconds renders a Retry-After duration as whole seconds,
@@ -645,24 +641,19 @@ type rejectionBody struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds"`
 }
 
-// reject writes an admission rejection: the controller's chosen status
-// (429 for rate/queue pressure, 503 for an open breaker) plus a
-// Retry-After header. Shedding is the system working as designed, so
-// it lands in the shed counter, not errs.
-func (s *Server) reject(w http.ResponseWriter, rej *admit.Rejection) {
-	s.shed.Inc()
+// WriteRejection writes an admission rejection: the controller's
+// chosen status (429 for rate/queue pressure, 503 for an open breaker)
+// plus a Retry-After header. A serving node and the fleet router both
+// answer shed requests with it, each counting the shed itself
+// (shedding is the system working as designed, not an error).
+func WriteRejection(w http.ResponseWriter, rej *admit.Rejection) {
 	secs := retryAfterSeconds(rej.RetryAfter)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.writeJSON(w, rej.Status, rejectionBody{
+	writeJSON(w, rej.Status, rejectionBody{
 		Error:             "overloaded: " + string(rej.Reason),
 		Reason:            string(rej.Reason),
 		RetryAfterSeconds: secs,
 	})
-}
-
-// reqKind names the request variant for logs and trace records.
-func reqKind(req *engine.Request) string {
-	return queryKinds[kindIndex(req)]
 }
 
 // logSlow emits the structured slow-query event. phases=none means the
@@ -677,11 +668,46 @@ func (s *Server) logSlow(ob *reqObs, elapsed time.Duration) {
 		slog.String("tenant", ob.tenant),
 		slog.Duration("duration", elapsed.Round(time.Microsecond)),
 		slog.Int("status", ob.status),
-		slog.String("phases", ob.plog.String()))
+		slog.String("phases", phaseSummary(ob.act.Spans())))
+}
+
+// phaseSummary renders spans as "phase=dur phase=dur", one entry per
+// phase with its durations summed, longest first (ties by name), or
+// "none" when the request did no phase work.
+func phaseSummary(spans []telemetry.SpanRecord) string {
+	type phaseTotal struct {
+		phase string
+		d     time.Duration
+	}
+	var totals []phaseTotal
+next:
+	for _, sp := range spans {
+		for i := range totals {
+			if totals[i].phase == sp.Phase {
+				totals[i].d += time.Duration(sp.DurationNs)
+				continue next
+			}
+		}
+		totals = append(totals, phaseTotal{sp.Phase, time.Duration(sp.DurationNs)})
+	}
+	if len(totals) == 0 {
+		return "none"
+	}
+	sort.Slice(totals, func(i, j int) bool {
+		if totals[i].d != totals[j].d {
+			return totals[i].d > totals[j].d
+		}
+		return totals[i].phase < totals[j].phase
+	})
+	parts := make([]string, len(totals))
+	for i, t := range totals {
+		parts[i] = t.phase + "=" + t.d.Round(time.Microsecond).String()
+	}
+	return strings.Join(parts, " ")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // SetReadiness installs the readiness probe behind GET /readyz: fn
@@ -705,13 +731,13 @@ func (s *Server) SetReadiness(fn func() error) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if fn := s.readyFn.Load(); fn != nil {
 		if err := (*fn)(); err != nil {
-			s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 				"status": "not ready", "reason": err.Error(),
 			})
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // RegisterStatsSection adds an embedder-computed key to the /stats
@@ -793,7 +819,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			out[sec.key] = sec.fn()
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // tracesResponse is the GET /debug/traces shape: the always-retained
@@ -812,7 +838,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if recent == nil {
 		recent = []*telemetry.Trace{}
 	}
-	s.writeJSON(w, http.StatusOK, tracesResponse{
+	writeJSON(w, http.StatusOK, tracesResponse{
 		SlowThresholdNs: s.tracer.SlowThreshold(),
 		Slow:            slow,
 		Recent:          recent,
@@ -854,7 +880,7 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 		})
 		sv.Release()
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"models": out})
+	writeJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 type modelDetail struct {
@@ -901,7 +927,7 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 		Coverage:  resp.Dominators.Coverage,
 		LoadedAt:  sv.LoadedAt(),
 	}
-	s.writeJSON(w, http.StatusOK, det)
+	writeJSON(w, http.StatusOK, det)
 }
 
 type putResponse struct {
@@ -917,54 +943,35 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Admin writes get trace IDs too: load events in the log must be
 	// correlatable with the client that triggered them.
-	var act *telemetry.Active
-	if s.tracer != nil {
-		id, _ := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
-		act = s.tracer.Start(id, "load", name, r.Header.Get("X-Tenant"))
-		w.Header().Set("X-Trace-Id", act.TraceID().String())
-	}
-	start := time.Now()
-	finish := func(status int, errMsg string) {
-		if s.tracer != nil {
-			s.tracer.Finish(act, time.Since(start), status, errMsg)
-		}
-	}
-	body := http.MaxBytesReader(w, r.Body, maxSnapshotBytes)
-	m, err := core.ReadSnapshot(body)
+	ob := s.open(r, name, "load", s.snapHist)
+	defer ob.finish()
+	stamp(w.Header(), ob.act.TraceID(), nil)
+	m, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
 	if err != nil {
 		// An aborted upload surfaces as a body read error; report it as
 		// the context outcome, not a malformed snapshot.
-		if ctxErr := r.Context().Err(); ctxErr != nil && s.failCtx(w, ctxErr) {
-			finish(ctxStatus(ctxErr), ctxErr.Error())
-			return
+		if !ob.failCtx(w, r.Context().Err()) {
+			ob.fail(w, http.StatusBadRequest, "snapshot: %v", err)
 		}
-		finish(http.StatusBadRequest, err.Error())
-		s.fail(w, http.StatusBadRequest, "snapshot: %v", err)
 		return
 	}
-	info, err := s.reg.LoadContext(r.Context(), name, m)
+	info, err := s.reg.LoadContext(ob, name, m)
 	if err != nil {
-		if s.failCtx(w, err) {
-			finish(ctxStatus(err), err.Error())
-			return
+		if !ob.failCtx(w, err) {
+			ob.fail(w, http.StatusUnprocessableEntity, "load: %v", err)
 		}
-		finish(http.StatusUnprocessableEntity, err.Error())
-		s.fail(w, http.StatusUnprocessableEntity, "load: %v", err)
 		return
 	}
-	elapsed := time.Since(start)
-	s.snapHist.Observe(elapsed)
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "snapshot loaded",
-		slog.String("trace_id", act.TraceID().String()),
+		slog.String("trace_id", ob.act.TraceID().String()),
 		slog.String("kind", "load"),
 		slog.String("model", name),
 		slog.Int64("generation", info.Generation),
 		slog.Int("edges", m.H.NumEdges()),
 		slog.Bool("swapped", info.Swapped),
-		slog.Duration("duration", elapsed.Round(time.Microsecond)))
-	finish(http.StatusOK, "")
+		slog.Duration("duration", time.Since(ob.start).Round(time.Microsecond)))
 	w.Header().Set("X-Model-Generation", strconv.FormatInt(info.Generation, 10))
-	s.writeJSON(w, http.StatusOK, putResponse{
+	writeJSON(w, http.StatusOK, putResponse{
 		Name:       name,
 		Generation: info.Generation,
 		Swapped:    info.Swapped,
@@ -976,20 +983,18 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var id telemetry.TraceID
-	if s.tracer != nil {
-		id = s.tracer.MintID()
-		w.Header().Set("X-Trace-Id", id.String())
-	}
+	ob := s.open(r, name, "unload", nil)
+	defer ob.finish()
+	stamp(w.Header(), ob.act.TraceID(), nil)
 	if !s.reg.Remove(name) {
-		s.fail(w, http.StatusNotFound, "unknown model %q", name)
+		ob.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "model unloaded",
-		slog.String("trace_id", id.String()),
+		slog.String("trace_id", ob.act.TraceID().String()),
 		slog.String("kind", "unload"),
 		slog.String("model", name))
-	s.writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -1018,7 +1023,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp.Rules)
+	writeJSON(w, http.StatusOK, resp.Rules)
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
@@ -1035,7 +1040,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp.Similar)
+	writeJSON(w, http.StatusOK, resp.Similar)
 }
 
 func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
@@ -1043,7 +1048,7 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp.Dominators)
+	writeJSON(w, http.StatusOK, resp.Dominators)
 }
 
 // handleClassify serves /classify (single observation) and, with batch
@@ -1059,7 +1064,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, batch bo
 	if resp == nil {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp.Classify)
+	writeJSON(w, http.StatusOK, resp.Classify)
 }
 
 // handleQuery serves POST /v1/models/{name}:query — the typed engine
@@ -1091,5 +1096,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -197,12 +198,12 @@ func TestClassifyMatchesDirectPredictor(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
 	defer sv.Release()
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dom := abc.Dominator()
-	targets := sv.Targets()
+	targets := abc.Targets()
 	p := abc.NewPredictor()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 25; i++ {
@@ -234,9 +235,9 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
 	defer sv.Release()
-	abc, _ := sv.Classifier()
+	abc, _ := sv.Engine().Classifier(context.Background())
 	dom := abc.Dominator()
-	target := sv.Targets()[0]
+	target := abc.Targets()[0]
 	rng := rand.New(rand.NewSource(6))
 	rows := make([][]int, 40)
 	flat := make([]table.Value, 0, len(rows)*len(dom))
@@ -452,7 +453,7 @@ func TestClassifyAllocations(t *testing.T) {
 	_, reg, _ := serving(t)
 	sv := reg.Acquire("demo")
 	defer sv.Release()
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,19 +462,19 @@ func TestClassifyAllocations(t *testing.T) {
 	for j := range domVals {
 		domVals[j] = table.Value(1 + j%3)
 	}
-	target := sv.Targets()[0]
+	target := abc.Targets()[0]
 	// Warm the pool.
-	p, _ := sv.BorrowPredictor()
-	sv.ReturnPredictor(p)
+	p, _ := sv.Engine().BorrowPredictor(context.Background())
+	sv.Engine().ReturnPredictor(context.Background(), p)
 	allocs := testing.AllocsPerRun(200, func() {
-		p, err := sv.BorrowPredictor()
+		p, err := sv.Engine().BorrowPredictor(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := p.Predict(domVals, target); err != nil {
 			t.Fatal(err)
 		}
-		sv.ReturnPredictor(p)
+		sv.Engine().ReturnPredictor(context.Background(), p)
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state predict path allocates %.1f/op, want 0", allocs)
@@ -485,12 +486,12 @@ func TestClassifyAllocations(t *testing.T) {
 func TestQueryBatchEndpoint(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dom := abc.Dominator()
-	target := m.H.VertexName(sv.Targets()[0])
+	target := m.H.VertexName(abc.Targets()[0])
 	sv.Release()
 
 	values := map[string]int{}
@@ -585,8 +586,8 @@ func TestQueryBatchEndpoint(t *testing.T) {
 func TestClassifyRejectsNonTargets(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
-	domAttr := m.H.VertexName(sv.Dominator().DomSet[0])
-	abc, _ := sv.Classifier()
+	abc, _ := sv.Engine().Classifier(context.Background())
+	domAttr := m.H.VertexName(abc.Dominator()[0])
 	values := map[string]int{}
 	for _, a := range abc.Dominator() {
 		values[m.H.VertexName(a)] = 1
@@ -613,11 +614,11 @@ func TestClassifyRejectsNonTargets(t *testing.T) {
 func TestBodiesCappedAtMaxQueryBytes(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := m.H.VertexName(sv.Targets()[0])
+	target := m.H.VertexName(abc.Targets()[0])
 	sv.Release()
 	values := map[string]int{}
 	row := make([]int, len(abc.Dominator()))

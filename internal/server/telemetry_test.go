@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hypermine/internal/core"
 	"hypermine/internal/registry"
 	"hypermine/internal/telemetry"
 	"hypermine/internal/testutil"
@@ -175,22 +176,40 @@ func TestTraceHeaderAndTracesEndpoint(t *testing.T) {
 }
 
 // TestTraceparentAdoption: an inbound W3C traceparent header's trace
-// ID is adopted (echoed in X-Trace-Id), a malformed one is ignored and
-// a fresh ID minted.
+// ID is adopted (echoed in X-Trace-Id) at every front door — a query,
+// an :append, a PUT and a DELETE — and a malformed one is ignored and a
+// fresh ID minted.
 func TestTraceparentAdoption(t *testing.T) {
 	ts, _ := servingTraced(t, telemetry.TracerConfig{})
-
-	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/models/demo/dominators", nil)
-	req.Header.Set("traceparent", inbound)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	var snap bytes.Buffer
+	if err := core.WriteSnapshot(&snap, testModel(t, 8, 10, 400), core.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Trace-Id"); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("X-Trace-Id = %q, want the inbound traceparent trace-id", got)
+
+	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, "/v1/models/demo/dominators", nil},
+		{http.MethodPost, "/v1/models/demo:append", []byte(`{"rows":[]}`)},
+		{http.MethodPut, "/v1/models/other", snap.Bytes()},
+		{http.MethodDelete, "/v1/models/other", nil},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+		req.Header.Set("traceparent", inbound)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %s: status %d", c.method, c.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Trace-Id"); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
+			t.Fatalf("%s %s: X-Trace-Id = %q, want the inbound traceparent trace-id", c.method, c.path, got)
+		}
 	}
 
 	req2, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/models/demo/dominators", nil)

@@ -27,21 +27,15 @@ const maxPooledBytes = 64 << 10
 // shares, so setting it allocates nothing.
 var jsonContentType = []string{"application/json"}
 
-// wirePools are a server's pooled request and response state.
+// wirePools are a server's pooled request state.
 type wirePools struct {
 	bodies     sync.Pool // *bytes.Buffer: request bodies
-	encoders   sync.Pool // *encoder: JSON answers
 	classifies sync.Pool // *classifyBody
 	appends    sync.Pool // *appendRequest
 }
 
 func (p *wirePools) init() {
 	p.bodies.New = func() any { return new(bytes.Buffer) }
-	p.encoders.New = func() any {
-		e := new(encoder)
-		e.enc = json.NewEncoder(&e.buf)
-		return e
-	}
 	p.classifies.New = func() any { return &classifyBody{values: map[string]int{}} }
 	p.appends.New = func() any { return new(appendRequest) }
 }
@@ -52,13 +46,21 @@ type encoder struct {
 	enc *json.Encoder
 }
 
+// encoders pools the JSON answers of every server and router in the
+// process.
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
 // writeJSON encodes v as the response body with status code. A warm
 // call allocates nothing: the buffer and encoder are pooled, and
 // nothing is written if v does not encode.
 //
 //hyper:noalloc
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	e := s.pools.encoders.Get().(*encoder)
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	e := encoders.Get().(*encoder)
 	e.buf.Reset()
 	err := e.enc.Encode(v)
 	w.Header()["Content-Type"] = jsonContentType
@@ -67,7 +69,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		_, _ = w.Write(e.buf.Bytes())
 	}
 	if e.buf.Cap() <= maxPooledBytes {
-		s.pools.encoders.Put(e)
+		encoders.Put(e)
 	}
 }
 
@@ -166,17 +168,19 @@ func (s *Server) putClassify(cb *classifyBody) {
 }
 
 // stamp sets the headers of a model-scoped answer: X-Trace-Id for a
-// traced request and X-Model-Generation when a published model (sv)
-// answers it. The two values share one string and one backing array.
-func stamp(h http.Header, act *telemetry.Active, sv *registry.Served) {
+// traced request (a nonzero id) and X-Model-Generation when a
+// published model (sv) answers it. The two values share one string and
+// one backing array.
+func stamp(h http.Header, id telemetry.TraceID, sv *registry.Served) {
 	var raw [20 + 32]byte
 	b := raw[:0]
 	if sv != nil {
 		b = strconv.AppendInt(b, sv.Generation(), 10)
 	}
 	gen := len(b)
-	if act != nil {
-		b = act.TraceID().AppendHex(b)
+	traced := !id.IsZero()
+	if traced {
+		b = id.AppendHex(b)
 	}
 	if len(b) == 0 {
 		return
@@ -187,7 +191,7 @@ func stamp(h http.Header, act *telemetry.Active, sv *registry.Served) {
 		vals = append(vals, str[:gen])
 		h["X-Model-Generation"] = vals[0:1:1]
 	}
-	if act != nil {
+	if traced {
 		vals = append(vals, str[gen:])
 		h["X-Trace-Id"] = vals[len(vals)-1 : len(vals) : len(vals)]
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -23,11 +24,11 @@ import (
 func TestTrailingBytesRejected(t *testing.T) {
 	ts, reg, m := serving(t)
 	sv := reg.Acquire("demo")
-	abc, err := sv.Classifier()
+	abc, err := sv.Engine().Classifier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := m.H.VertexName(sv.Targets()[0])
+	target := m.H.VertexName(abc.Targets()[0])
 	sv.Release()
 	values := map[string]int{}
 	row := make([]int, len(abc.Dominator()))

@@ -274,15 +274,18 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Active is the in-flight state of one trace, owned by the request
-// goroutine between Start and Finish. It is pooled: do not retain it
-// after Finish.
+// Active is the in-flight record of one request: its trace identity
+// and its bounded span array, owned by the request goroutine. A tracer
+// hands one out at Start and retains or recycles it at Finish (do not
+// retain it after Finish); an untraced request may own a zero Active
+// as its span record, with the zero trace ID, and Reset it for reuse.
 type Active struct {
 	t       *Tracer
 	id      TraceID
 	kind    string
 	model   string
 	tenant  string
+	begin   time.Time // span offsets count from here
 	nspans  int
 	dropped int
 	pinned  atomic.Bool
@@ -292,7 +295,8 @@ type Active struct {
 // Start begins a trace. A zero id mints a fresh one (pass the parsed
 // inbound traceparent ID to continue a distributed trace). Start reads
 // no clock: most traces are dropped at Finish, so only a retained one
-// pays for a wall-clock read there.
+// pays for a wall-clock read there. An owner that reads the request's
+// start anyway hands it to Begin.
 func (t *Tracer) Start(id TraceID, kind, model, tenant string) *Active {
 	if id.IsZero() {
 		id = t.MintID()
@@ -305,6 +309,9 @@ func (t *Tracer) Start(id TraceID, kind, model, tenant string) *Active {
 	a.tenant = tenant
 	return a
 }
+
+// Begin sets when the request began: span offsets count from it.
+func (a *Active) Begin(start time.Time) { a.begin = start }
 
 // TraceID returns the trace ID; zero on a nil Active.
 //
@@ -330,6 +337,37 @@ func (a *Active) AddSpan(phase string, startNs, durationNs int64) {
 	}
 	a.spans[a.nspans] = SpanRecord{Phase: phase, StartNs: startNs, DurationNs: durationNs}
 	a.nspans++
+}
+
+// Span starts timing one phase of the request and returns the closer;
+// use as
+//
+//	defer telemetry.TraceFrom(ctx).Span("rules")()
+//
+// The span is recorded when the closer runs, its offset counted from
+// Begin (from the first span when the owner set no start). On a nil
+// Active it is a no-op, so instrumented code needs no guard.
+func (a *Active) Span(phase string) func() {
+	if a == nil {
+		return func() {}
+	}
+	start := time.Now()
+	if a.begin.IsZero() {
+		a.begin = start
+	}
+	return func() {
+		a.AddSpan(phase, start.Sub(a.begin).Nanoseconds(), time.Since(start).Nanoseconds())
+	}
+}
+
+// Spans returns the recorded spans in the order they closed. The slice
+// aliases the record: read it before Finish or Reset. Nil on a nil
+// Active.
+func (a *Active) Spans() []SpanRecord {
+	if a == nil {
+		return nil
+	}
+	return a.spans[:a.nspans]
 }
 
 // Pin forces retention of this trace at Finish regardless of sampling
@@ -388,14 +426,18 @@ func (t *Tracer) Finish(a *Active, d time.Duration, status int, errMsg string) {
 			t.recent.publish(rec)
 		}
 	}
-	a.reset()
+	a.Reset()
 	t.pool.Put(a)
 }
 
-func (a *Active) reset() {
+// Reset empties the record for reuse. Finish resets a tracer's record
+// itself; an owner of an untraced record calls Reset when its request
+// ends.
+func (a *Active) Reset() {
 	a.t = nil
 	a.id = TraceID{}
 	a.kind, a.model, a.tenant = "", "", ""
+	a.begin = time.Time{}
 	a.nspans = 0
 	a.dropped = 0
 	a.pinned.Store(false)
