@@ -1,84 +1,210 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 
+	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
 
 // bitsMaxK gates the posting-bitmap counting kernels: the builder's
 // ACV kernels below and the association-table kernel (countBits) that
-// fills the tables of rule mining and the classifier. Deriving an edge
-// (pair) contingency table from posting-bitmap intersections costs
-// O(k^2 * rows/64) (resp. O(k^3 * rows/64)) word operations against
-// O(rows) scalar increments, so bitmaps win only while k^2 (resp. k^3)
-// stays small relative to the 64-rows-per-word payoff. k <= 8 covers
-// the paper's configurations (k = 3 and k = 5) with headroom; larger
-// cardinalities keep the row scan.
+// fills the tables of rule mining and the classifier. The builder
+// popcounts only the cells of a contingency table whose values are all
+// below k and derives the rest from its marginals, so an edge (pair)
+// table costs (k-1)^2 and a 2-to-1 table (k-1)^3 passes of rows/64
+// words, against O(rows) scalar increments; bitmaps win only while
+// that stays small relative to the 64-rows-per-word payoff. k <= 8
+// covers the paper's configurations (k = 3: 8 passes per 2-to-1 table;
+// k = 5: 64) with headroom; larger cardinalities keep the row scan.
 const bitsMaxK = 8
 
-// acvEdgeBits computes ACV({a},{c}) from the TID-bitset index:
-// contingency cell (va, vc) is the popcount of the intersection of the
-// two value postings, and only the per-row maximum is kept, so no k*k
-// scratch table is needed.
-func acvEdgeBits(ix *table.Index, a, c int) float64 {
-	k := ix.K()
-	sum := 0
-	for va := 1; va <= k; va++ {
-		if ix.Count(a, table.Value(va)) == 0 {
-			continue
-		}
-		pa := ix.Posting(a, table.Value(va))
-		best := 0
-		for vc := 1; vc <= k; vc++ {
-			if n := table.PopcountAnd(pa, ix.Posting(c, table.Value(vc))); n > best {
-				best = n
-			}
-		}
-		sum += best
-	}
-	return float64(sum) / float64(ix.Rows())
+// PairCells holds the joint counts of every unordered attribute pair
+// of a table: cell (va, vb) of the pair (a, b), a < b, is the number
+// of rows where a takes va and b takes vb, at
+// Cells[Base(a, b) + (va-1)*k + (vb-1)].
+type PairCells struct {
+	n, k  int
+	Cells []int32
 }
 
-// fillTailPairBits materializes the k*k tail bitmaps of the pair
-// (a, b): slot (va-1)*k+(vb-1) of buf holds posting(a,va) AND
-// posting(b,vb). buf must hold k*k*Words() words; counts (length k*k)
-// receives each slot's popcount so downstream loops can skip empty
-// value combinations. The materialization is what lets one pair's
-// intersections be reused across all n-2 heads.
-func fillTailPairBits(ix *table.Index, a, b int, buf []uint64, counts []int) {
-	k, w := ix.K(), ix.Words()
-	for va := 1; va <= k; va++ {
-		pa := ix.Posting(a, table.Value(va))
-		for vb := 1; vb <= k; vb++ {
-			slot := (va-1)*k + vb - 1
-			dst := buf[slot*w : (slot+1)*w]
-			copy(dst, pa)
-			table.AndInto(dst, ix.Posting(b, table.Value(vb)))
-			counts[slot] = table.Popcount(dst)
+// Base returns the offset of the pair (a, b), a < b, in Cells.
+func (p *PairCells) Base(a, b int) int {
+	return (a*(2*p.n-a-1)/2 + b - a - 1) * p.k * p.k
+}
+
+// view returns the k*k cells of the pair {a, c}, a != c, with the
+// strides that address them by a's and c's 0-based values: the joint
+// count of (a = va, c = vc) is cells[va*sa + vc*sc].
+func (p *PairCells) view(a, c int) (cells []int32, sa, sc int) {
+	k := p.k
+	if a < c {
+		return p.Cells[p.Base(a, c):][:k*k], k, 1
+	}
+	return p.Cells[p.Base(c, a):][:k*k], 1, k
+}
+
+// EdgeSum returns the numerator of ACV({a},{c}): the sum over a's
+// values of the largest joint count with a value of c.
+func (p *PairCells) EdgeSum(a, c int) int64 {
+	cells, sa, sc := p.view(a, c)
+	var sum int64
+	for va := range p.k {
+		best := int32(0)
+		for vc := range p.k {
+			best = max(best, cells[va*sa+vc*sc])
 		}
+		sum += int64(best)
+	}
+	return sum
+}
+
+// CountPairCells counts the pair cells of ix's table on cfg.Parallelism
+// workers (GOMAXPROCS when unset), polling ctx at cfg.Run's stride
+// once per pair; it reports no progress.
+func CountPairCells(ctx context.Context, ix *table.Index, cfg Config) (*PairCells, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Run.Func() != nil {
+		cfg.Run = &runopt.Hooks{CheckEvery: cfg.Run.Stride()}
+	}
+	n, k := ix.Attrs(), ix.K()
+	p := &PairCells{n: n, k: k, Cells: make([]int32, n*(n-1)/2*k*k)}
+	// One job per attribute a fills the pairs (a, b), b > a; without a
+	// progress callback the phase is only a label.
+	_, err := stage(ctx, cfg, runopt.PhaseEdges, n, 0, func() struct{} { return struct{}{} },
+		func(_ struct{}, chk *runopt.Checker, a int, _ []struct{}) []struct{} {
+			for b := a + 1; b < n && chk.Tick() == nil; b++ {
+				p.count(ix, a, b)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// count fills the cells of the pair (a, b), a < b, from ix's postings:
+// it popcounts the (k-1)^2 cells with both values below k, one pass
+// per value of a with a lane per value of b, and derives b's last
+// column and then a's last row from the value counts.
+func (p *PairCells) count(ix *table.Index, a, b int) {
+	k, words := p.k, ix.Words()
+	km := k - 1
+	cells := p.Cells[p.Base(a, b):][:k*k]
+	for lo := 0; lo < km; lo += 4 {
+		hs, n := lanes(ix.Postings(b), lo, km, words)
+		for va := range km {
+			pa := ix.Posting(a, table.Value(va+1))
+			var c [4]int
+			popAnd(c[:n], pa, pa, hs[:n])
+			for y, v := range c[:n] {
+				cells[va*k+lo+y] = int32(v)
+			}
+		}
+	}
+	for va := range km {
+		r := cells[va*k:][:k]
+		r[km] = int32(ix.Count(a, table.Value(va+1))) - sum32(r[:km])
+	}
+	last := cells[km*k:][:k]
+	for vb := range last {
+		last[vb] = int32(ix.Count(b, table.Value(vb+1)))
+	}
+	for va := range km {
+		subInto(last, cells[va*k:])
 	}
 }
 
-// acvPairBits computes ACV({a,b},{c}) from tail bitmaps previously
-// materialized by fillTailPairBits.
-func acvPairBits(ix *table.Index, buf []uint64, counts []int, c int) float64 {
-	k, w := ix.K(), ix.Words()
-	sum := 0
-	for slot := 0; slot < k*k; slot++ {
-		if counts[slot] == 0 {
-			continue
-		}
-		tbits := buf[slot*w : (slot+1)*w]
-		best := 0
-		for vc := 1; vc <= k; vc++ {
-			if n := table.PopcountAnd(tbits, ix.Posting(c, table.Value(vc))); n > best {
-				best = n
+// Triple fills dst[((va-1)*k+(vb-1))*k+(vc-1)] with the number of
+// rows of ix where a takes va, b takes vb and c takes vc; a < b, c is
+// distinct from both, p holds the pair cells of ix's rows, and dst at
+// least k^3 cells. It popcounts only the (k-1)^3 cells whose values
+// are all below k, one pass over each pair of tail postings with a
+// lane per head value, and derives every other cell from the 2-way
+// marginals AB, AC and BC in three subtraction sweeps: the counts are
+// the same integers a full k^3 count gives.
+func (p *PairCells) Triple(ix *table.Index, a, b, c int, dst []int32) {
+	k, words := p.k, ix.Words()
+	km := k - 1
+	ab := p.Cells[p.Base(a, b):][:k*k]
+	for lo := 0; lo < km; lo += 4 {
+		hs, n := lanes(ix.Postings(c), lo, km, words)
+		for va := range km {
+			pa := ix.Posting(a, table.Value(va+1))
+			for vb := range km {
+				row := dst[(va*k+vb)*k+lo:][:n]
+				if ab[va*k+vb] == 0 {
+					clear(row)
+					continue
+				}
+				var cnt [4]int
+				popAnd(cnt[:n], pa, ix.Posting(b, table.Value(vb+1)), hs[:n])
+				for y, v := range cnt[:n] {
+					row[y] = int32(v)
+				}
 			}
 		}
-		sum += best
 	}
-	return float64(sum) / float64(ix.Rows())
+	// Sweep 1: c's last value, from AB (a and b below their last).
+	for va := range km {
+		for vb := range km {
+			r := dst[(va*k+vb)*k:][:k]
+			r[km] = ab[va*k+vb] - sum32(r[:km])
+		}
+	}
+	// Sweep 2: b's last value, from AC (a below its last).
+	ac, sa, sc := p.view(a, c)
+	for va := range km {
+		last := dst[(va*k+km)*k:][:k]
+		for vc := range last {
+			last[vc] = ac[va*sa+vc*sc]
+		}
+		for vb := range km {
+			subInto(last, dst[(va*k+vb)*k:])
+		}
+	}
+	// Sweep 3: a's last value, from BC.
+	bc, sb, sc := p.view(b, c)
+	last := dst[km*k*k:][:k*k]
+	for vb := range k {
+		for vc := range k {
+			last[vb*k+vc] = bc[vb*sb+vc*sc]
+		}
+	}
+	for va := range km {
+		subInto(last, dst[va*k*k:])
+	}
+}
+
+// lanes returns the bitmaps of 0-based values lo, lo+1, ... below hi,
+// at most four, of the posting block h (each words long), and their
+// number: the head lanes of one popAnd pass.
+func lanes(h []uint64, lo, hi, words int) (hs [4][]uint64, n int) {
+	n = min(4, hi-lo)
+	for y := range n {
+		hs[y] = h[(lo+y)*words : (lo+y+1)*words]
+	}
+	return hs, n
+}
+
+// sum32 returns the sum of s.
+func sum32(s []int32) int32 {
+	var sum int32
+	for _, v := range s {
+		sum += v
+	}
+	return sum
+}
+
+// subInto subtracts src from dst cell by cell; src is at least as long
+// as dst.
+func subInto(dst, src []int32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] -= src[i]
+	}
 }
 
 // CountingIndex returns the posting bitmaps that FillFrom reads for

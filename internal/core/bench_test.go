@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,32 +66,37 @@ func BenchmarkACVPairKernel(b *testing.B) {
 
 // BenchmarkACVEdgeKernelBits measures the bitmap directed-edge kernel
 // on the same shape as BenchmarkACVEdgeKernel, for a direct
-// scalar-vs-bitset comparison.
+// scalar-vs-bitset comparison: counting the pair's cells and reading
+// ACV({a},{c}) from them. The cells serve both directions of the pair.
 func BenchmarkACVEdgeKernelBits(b *testing.B) {
 	tb := benchTable(b, 2, 3, 2000)
 	ix := tb.Index()
+	pc := &PairCells{n: 2, k: 3, Cells: make([]int32, 9)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = acvEdgeBits(ix, 0, 1)
+		pc.count(ix, 0, 1)
+		_ = pc.EdgeSum(0, 1)
 	}
 	b.SetBytes(int64(tb.NumRows()))
 }
 
 // BenchmarkACVPairKernelBits measures the bitmap 2-to-1 kernel on the
-// same shape as BenchmarkACVPairKernel. Like the scalar bench, the
-// per-pair tail materialization is done outside the loop: both are
-// amortized over the n-2 heads of a pair job.
+// same shape as BenchmarkACVPairKernel. Like the scalar bench's tail
+// index, the pair cells it derives from are counted outside the loop.
 func BenchmarkACVPairKernelBits(b *testing.B) {
 	tb := benchTable(b, 3, 3, 2000)
 	ix := tb.Index()
-	pairBuf := make([]uint64, 9*ix.Words())
-	pairCnt := make([]int, 9)
-	fillTailPairBits(ix, 0, 1, pairBuf, pairCnt)
+	pc, err := CountPairCells(context.Background(), ix, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := make([]int32, 27)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = acvPairBits(ix, pairBuf, pairCnt, 2)
+		pc.Triple(ix, 0, 1, 2, cells)
+		_ = sumOfMax(cells, 3)
 	}
 	b.SetBytes(int64(tb.NumRows()))
 }

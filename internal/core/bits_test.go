@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hypermine/internal/table"
+	"hypermine/internal/testutil"
 )
 
 // TestSupportCountBitsMatchesScan: on an indexed table, SupportCount
@@ -35,54 +38,175 @@ func TestSupportCountBitsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestACVKernelsBitsMatchScalar: the bitmap edge/pair kernels must
-// produce bit-identical ACVs to the scalar reference kernels — the
-// sums are integer counts either way, so the final divisions are the
-// same floating-point operations.
+// TestACVKernelsBitsMatchScalar: the pair cells and the 3-way counter
+// must produce the very contingency counts the scalar reference kernels
+// count row by row, cell for cell, and so bit-identical ACVs: the
+// numerators are integer counts either way, so the final divisions are
+// the same floating-point operations. It covers k = 1..8 (the gated
+// range), row counts on both sides of a word boundary, and marginals
+// that are zero: attribute 0 never takes its last value (a derived
+// cell) and attribute 1 never its first (a popcounted one).
 func TestACVKernelsBitsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 15; trial++ {
-		k := 2 + rng.Intn(7) // 2..8, the gated range
-		tb := randTable(t, rng, 4, k, 30+rng.Intn(300))
-		ix := tb.Index()
-		m := tb.NumRows()
-		cntE := make([]int32, k*k)
-		cntP := make([]int32, k*k*k)
-		tailRow := make([]int32, m)
-		pairBuf := make([]uint64, k*k*ix.Words())
-		pairCnt := make([]int, k*k)
-		for a := 0; a < tb.NumAttrs(); a++ {
-			for c := 0; c < tb.NumAttrs(); c++ {
-				if a == c {
-					continue
+	for k := 1; k <= bitsMaxK; k++ {
+		for _, rows := range []int{1, 63, 64, 65, 30 + rng.Intn(400)} {
+			tb := randTable(t, rng, 5, k, 0)
+			row := make([]table.Value, tb.NumAttrs())
+			for range rows {
+				for j := range row {
+					row[j] = table.Value(1 + rng.Intn(k))
 				}
-				scalar := acvEdge(tb.Column(a), tb.Column(c), k, cntE)
-				bits := acvEdgeBits(ix, a, c)
-				if scalar != bits {
-					t.Fatalf("trial %d: acvEdge(%d,%d) scalar=%v bits=%v", trial, a, c, scalar, bits)
+				if k > 1 {
+					row[0] = table.Value(1 + rng.Intn(k-1))
+					row[1] = table.Value(2 + rng.Intn(k-1))
+				}
+				if err := tb.AppendRow(row); err != nil {
+					t.Fatal(err)
 				}
 			}
+			checkACVKernels(t, tb)
 		}
-		for a := 0; a < tb.NumAttrs(); a++ {
-			for b := a + 1; b < tb.NumAttrs(); b++ {
-				colA, colB := tb.Column(a), tb.Column(b)
-				for i := 0; i < m; i++ {
-					tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
+	}
+}
+
+// checkACVKernels compares every edge and 2-to-1 table of tb counted by
+// the bitmap kernels against the scalar ones.
+func checkACVKernels(t *testing.T, tb *table.Table) {
+	t.Helper()
+	n, k, m := tb.NumAttrs(), tb.K(), tb.NumRows()
+	ix := tb.Index()
+	pc, err := CountPairCells(context.Background(), ix, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cntE := make([]int32, k*k)
+	cntP := make([]int32, k*k*k)
+	cells := make([]int32, k*k*k)
+	tailRow := make([]int32, m)
+	for a := 0; a < n; a++ {
+		for c := 0; c < n; c++ {
+			if a == c {
+				continue
+			}
+			scalar := acvEdge(tb.Column(a), tb.Column(c), k, cntE)
+			cells, sa, sc := pc.view(a, c)
+			for va := range k {
+				for vc := range k {
+					if got := cells[va*sa+vc*sc]; got != cntE[va*k+vc] {
+						t.Fatalf("k=%d rows=%d: pair cell (%d=%d, %d=%d) = %d, want %d", k, m, a, va+1, c, vc+1, got, cntE[va*k+vc])
+					}
 				}
-				fillTailPairBits(ix, a, b, pairBuf, pairCnt)
-				for c := 0; c < tb.NumAttrs(); c++ {
-					if c == a || c == b {
-						continue
+			}
+			if bits := float64(pc.EdgeSum(a, c)) / float64(m); bits != scalar {
+				t.Fatalf("k=%d rows=%d: acvEdge(%d,%d) scalar=%v bits=%v", k, m, a, c, scalar, bits)
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			colA, colB := tb.Column(a), tb.Column(b)
+			for i := range m {
+				tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
+			}
+			for c := 0; c < n; c++ {
+				if c == a || c == b {
+					continue
+				}
+				scalar := acvTail(tailRow, tb.Column(c), k, cntP)
+				pc.Triple(ix, a, b, c, cells)
+				for i, want := range cntP {
+					if cells[i] != want {
+						t.Fatalf("k=%d rows=%d: ({%d,%d},%d) cell (%d,%d,%d) = %d, want %d",
+							k, m, a, b, c, i/(k*k)+1, i/k%k+1, i%k+1, cells[i], want)
 					}
-					scalar := acvTail(tailRow, tb.Column(c), k, cntP)
-					bits := acvPairBits(ix, pairBuf, pairCnt, c)
-					if scalar != bits {
-						t.Fatalf("trial %d: acvPair({%d,%d},%d) scalar=%v bits=%v", trial, a, b, c, scalar, bits)
-					}
+				}
+				if bits := float64(sumOfMax(cells, k)) / float64(m); bits != scalar {
+					t.Fatalf("k=%d rows=%d: acvPair({%d,%d},%d) scalar=%v bits=%v", k, m, a, b, c, scalar, bits)
 				}
 			}
 		}
 	}
+}
+
+// TestPairStageBar holds stage 2's bitmap kernel, which popcounts
+// (k-1)^3 cells of each 2-to-1 table and derives the rest from the
+// pair cells, at least 2x faster than fullPairStage, which popcounts
+// all k^3, on every ({a,b},{c}) of a 50000x40, k = 3 table on one
+// thread. Both must give the same ACVs.
+func TestPairStageBar(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("timing ratios are not meaningful under the race detector")
+	}
+	tb := randTable(t, rand.New(rand.NewSource(24)), 40, 3, 50000)
+	ix := tb.Index()
+	pc, err := CountPairCells(context.Background(), ix, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tb.NumAttrs()
+	got := make([]float64, 0, n*(n-1)/2*(n-2))
+	want := make([]float64, 0, cap(got))
+	pairStage := func() error {
+		s := tableScorers(tb, ix, pc, nil)()
+		got = got[:0]
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				for c := 0; c < n; c++ {
+					if c != a && c != b {
+						got = append(got, s.Pair(a, b, c))
+					}
+				}
+			}
+		}
+		return nil
+	}
+	full := func() error { want = fullPairStage(ix, want[:0]); return nil }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	kernelNs, fullNs := testutil.BestOfPair(t, pairStage, full)
+	if !slices.Equal(got, want) {
+		t.Fatal("stage-2 kernel ACVs differ from the full k^3 count")
+	}
+	ratio := fullNs / kernelNs
+	t.Logf("%d 2-to-1 tables: kernel %.1f ms, full k^3 count %.1f ms (%.1fx)", len(got), kernelNs/1e6, fullNs/1e6, ratio)
+	if ratio < 2 {
+		t.Errorf("stage 2 is %.1fx faster than the full k^3 count, want >= 2x", ratio)
+	}
+}
+
+// fullPairStage is the 2-to-1 bitmap kernel as it was before cells
+// were derived from marginals, kept as TestPairStageBar's reference:
+// per tail pair it materializes all k^2 intersections, and per head
+// it popcounts every one of the k^3 cells. It appends the ACV of
+// every ({a,b},{c}) to out in stage 2's order.
+func fullPairStage(ix *table.Index, out []float64) []float64 {
+	n, k, w := ix.Attrs(), ix.K(), ix.Words()
+	buf := make([]uint64, k*k*w)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			for va := range k {
+				for vb := range k {
+					dst := buf[(va*k+vb)*w : (va*k+vb+1)*w]
+					copy(dst, ix.Posting(a, table.Value(va+1)))
+					table.AndInto(dst, ix.Posting(b, table.Value(vb+1)))
+				}
+			}
+			for c := 0; c < n; c++ {
+				if c == a || c == b {
+					continue
+				}
+				sum := 0
+				for slot := range k * k {
+					best := 0
+					for vc := range k {
+						best = max(best, table.PopcountAnd(buf[slot*w:(slot+1)*w], ix.Posting(c, table.Value(vc+1))))
+					}
+					sum += best
+				}
+				out = append(out, float64(sum)/float64(ix.Rows()))
+			}
+		}
+	}
+	return out
 }
 
 // TestBuildBitsMatchesScalar: a full Build on the bitset kernels must
@@ -133,7 +257,7 @@ func buildScalar(t *testing.T, tb *table.Table, cfg Config) *Model {
 	for c := range null {
 		null[c] = NullACV(tb, c)
 	}
-	m, _, err := MineStages(context.Background(), tb, cfg, tableScorers(tb, nil, null), nil)
+	m, _, err := MineStages(context.Background(), tb, cfg, tableScorers(tb, nil, nil, null), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

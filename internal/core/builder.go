@@ -67,10 +67,12 @@ type Config struct {
 }
 
 // DefaultCheckEvery is the default ACV-evaluation stride between
-// context polls in BuildContext. One ACV evaluation is O(rows) (or
-// O(rows/64) on the bitset path), so 16 of them keep cancellation
-// latency in the tens of microseconds on paper-scale tables while
-// making the poll cost unmeasurable against the counting work.
+// context polls in BuildContext. One ACV evaluation is O(rows) (or,
+// on the bitset path, a 2-to-1 table's (k-1)^3 popcount passes of
+// rows/64 words and an edge's k^2 reads of pair cells), so 16 of them
+// keep cancellation latency in the tens of microseconds on
+// paper-scale tables while making the poll cost unmeasurable against
+// the counting work.
 const DefaultCheckEvery = 16
 
 // C1 is configuration C1 of §5.1.2: k=3, gamma_{1->1}=1.15,
@@ -177,23 +179,12 @@ func (m *Model) AssociationTableFor(tail []int, head int) (*AssociationTable, er
 
 // acvEdge computes ACV({a},{c}) with a caller-owned k*k scratch buffer.
 func acvEdge(colA, colC []table.Value, k int, cnt []int32) float64 {
-	for i := range cnt[:k*k] {
-		cnt[i] = 0
-	}
+	cnt = cnt[:k*k]
+	clear(cnt)
 	for i, va := range colA {
 		cnt[int(va-1)*k+int(colC[i]-1)]++
 	}
-	var sum int64
-	for r := 0; r < k; r++ {
-		best := int32(0)
-		for c := 0; c < k; c++ {
-			if v := cnt[r*k+c]; v > best {
-				best = v
-			}
-		}
-		sum += int64(best)
-	}
-	return float64(sum) / float64(len(colA))
+	return float64(sumOfMax(cnt, k)) / float64(len(colA))
 }
 
 // acvTail computes ACV(T,{c}) given the precomputed tail row index per
@@ -205,17 +196,18 @@ func acvTail(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
 	for i, tr := range tailRow {
 		cnt[int(tr)*k+int(colC[i]-1)]++
 	}
+	return float64(sumOfMax(cnt, k)) / float64(len(colC))
+}
+
+// sumOfMax returns the numerator of an ACV from its contingency
+// counts, k head values per tail-value combination: the sum over the
+// combinations of the largest head count.
+func sumOfMax(cnt []int32, k int) int64 {
 	var sum int64
 	for r := 0; r < len(cnt); r += k {
-		best := int32(0)
-		for _, v := range cnt[r : r+k] {
-			if v > best {
-				best = v
-			}
-		}
-		sum += int64(best)
+		sum += int64(slices.Max(cnt[r : r+k]))
 	}
-	return float64(sum) / float64(len(colC))
+	return sum
 }
 
 // Build mines the association hypergraph of the table under the given
@@ -256,13 +248,18 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 		null[c] = NullACV(tb, c)
 	}
 	// For small k the counting kernels run on the TID-bitset index
-	// (built once, shared by every worker); see bitsMaxK for the
-	// crossover argument.
+	// (built once, shared by every worker) and on the pair cells
+	// counted from it; see bitsMaxK for the crossover argument.
 	var ix *table.Index
+	var pc *PairCells
 	if tb.K() <= bitsMaxK {
 		ix = tb.Index()
+		var err error
+		if pc, err = CountPairCells(ctx, ix, cfg); err != nil {
+			return nil, err
+		}
 	}
-	m, _, err := MineStages(ctx, tb, cfg, tableScorers(tb, ix, null), nil)
+	m, _, err := MineStages(ctx, tb, cfg, tableScorers(tb, ix, pc, null), nil)
 	return m, err
 }
 
@@ -281,32 +278,33 @@ type Scorer interface {
 }
 
 // tableScorers returns BuildContext's Scorer factory: each Scorer
-// counts on tb's rows, with the posting-bitmap kernels over ix or, when
-// ix is nil, with the scalar row-scan kernels, and reads the baselines
-// from null.
-func tableScorers(tb *table.Table, ix *table.Index, null []float64) func() Scorer {
-	return func() Scorer { return &tableScorer{tb: tb, ix: ix, null: null, a: -1} }
+// counts on tb's rows, with the posting-bitmap kernels over ix and its
+// pair cells pc or, when both are nil, with the scalar row-scan
+// kernels, and reads the baselines from null.
+func tableScorers(tb *table.Table, ix *table.Index, pc *PairCells, null []float64) func() Scorer {
+	return func() Scorer { return &tableScorer{tb: tb, null: null, ix: ix, pc: pc, a: -1} }
 }
 
-// tableScorer is the Scorer behind tableScorers. Its scratch is
+// tableScorer is the Scorer behind tableScorers. Its scalar scratch is
 // allocated on first use, since a stage calls either Edge or Pair.
 type tableScorer struct {
 	tb   *table.Table
-	ix   *table.Index
 	null []float64
-	a, b int // the tail pair materialized for Pair; a = -1 before the first
 
-	cnt     []int32  // scalar: contingency counts, k*k*k cells
-	tailRow []int32  // scalar: each row's (a, b) value combination
-	pairBuf []uint64 // bitmaps: the k*k tail intersections
-	pairCnt []int    // bitmaps: their popcounts
+	ix    *table.Index                          // bitmaps: the postings; nil on the scalar path
+	pc    *PairCells                            // bitmaps: the pair cells of ix
+	cells [bitsMaxK * bitsMaxK * bitsMaxK]int32 // bitmaps: one 2-to-1 table
+
+	a, b    int     // scalar: the tail pair indexed in tailRow; a = -1 before the first
+	cnt     []int32 // scalar: contingency counts, k*k*k cells
+	tailRow []int32 // scalar: each row's (a, b) value combination
 }
 
 func (s *tableScorer) Null(c int) float64 { return s.null[c] }
 
 func (s *tableScorer) Edge(a, c int) float64 {
-	if s.ix != nil {
-		return acvEdgeBits(s.ix, a, c)
+	if s.pc != nil {
+		return float64(s.pc.EdgeSum(a, c)) / float64(s.tb.NumRows())
 	}
 	k := s.tb.K()
 	if s.cnt == nil {
@@ -316,27 +314,22 @@ func (s *tableScorer) Edge(a, c int) float64 {
 }
 
 func (s *tableScorer) Pair(a, b, c int) float64 {
+	k := s.tb.K()
+	if s.pc != nil {
+		cells := s.cells[:k*k*k]
+		s.pc.Triple(s.ix, a, b, c, cells)
+		return float64(sumOfMax(cells, k)) / float64(s.tb.NumRows())
+	}
 	if a != s.a || b != s.b {
 		s.tail(a, b)
 	}
-	if s.ix != nil {
-		return acvPairBits(s.ix, s.pairBuf, s.pairCnt, c)
-	}
-	return acvTail(s.tailRow, s.tb.Column(c), s.tb.K(), s.cnt)
+	return acvTail(s.tailRow, s.tb.Column(c), k, s.cnt)
 }
 
-// tail materializes the tail pair (a, b): k*k bitmaps on the bitmap
-// path, a per-row tail index otherwise.
+// tail indexes each row by its combination of the tail pair (a, b).
 func (s *tableScorer) tail(a, b int) {
 	s.a, s.b = a, b
 	k := s.tb.K()
-	if s.ix != nil {
-		if s.pairBuf == nil {
-			s.pairBuf, s.pairCnt = make([]uint64, k*k*s.ix.Words()), make([]int, k*k)
-		}
-		fillTailPairBits(s.ix, a, b, s.pairBuf, s.pairCnt)
-		return
-	}
 	if s.tailRow == nil {
 		s.cnt, s.tailRow = make([]int32, k*k*k), make([]int32, s.tb.NumRows())
 	}

@@ -209,12 +209,13 @@ func mustACV(t *testing.T, tb *table.Table, tail []int, head int) float64 {
 // the rows — the same EdgeACV matrix and the same directed, 2-to-1 and
 // 3-to-1 edges in the same order with the same weights — under both
 // candidate strategies and every tail size, on the bitmap kernels
-// (k <= 4) and the scalar ones (k = 9). Gammas of 1 make ties between
+// (k <= 8: odd and even lane counts, up to bitsMaxK) and the scalar
+// ones (k = 9). Gammas of 1 make ties between
 // an ACV and its bound common, so the comparison's direction is pinned
 // too.
 func TestBuildAdmissionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range []int{2, 3, 4, 9} {
+	for _, k := range []int{2, 3, 4, 5, 8, 9} {
 		for maxTail := 1; maxTail <= 3; maxTail++ {
 			for _, cand := range []CandidateStrategy{AllPairs, EdgeSeeded} {
 				tb := randomTable(rng, 6, k, 40+rng.Intn(100))

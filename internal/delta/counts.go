@@ -10,13 +10,15 @@ import (
 	"context"
 	"slices"
 
+	"hypermine/internal/core"
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
 
-// seedCheckEvery is the joint-cell stride between context polls while
-// seeding; one cell is a PopcountAnd over the posting words.
-const seedCheckEvery = 64
+// seedCheckEvery is the stride, in 3-way tables, between context
+// polls while seeding the triple cells; one table is (k-1)^3 popcount
+// passes over the posting words.
+const seedCheckEvery = 16
 
 // countBytes is the resident size of the count tables for n attributes
 // at cardinality k: value counts, pair cells, and (for MaxTailSize >=
@@ -37,18 +39,13 @@ type jointCounts struct {
 	n, k int
 	rows int
 
-	val  []int32 // val[a*k + (v-1)]
-	pair []int32 // pair (a<b) at pairBase(a,b), k*k cells: (va-1)*k+(vb-1)
+	val  []int32         // val[a*k + (v-1)]
+	pair *core.PairCells // the builder's pair cells, k*k per pair a<b
 	// triple (a<b<c) at tripleBase(a,b,c), k*k*k cells:
 	// ((va-1)*k+(vb-1))*k+(vc-1). nil when MaxTailSize < 2.
 	triple []int32
 
-	pairOff   []int   // pairOff[a]: ordinal of pair (a, a+1)
 	tripleOff [][]int // tripleOff[a][b-a-1]: ordinal of triple (a, b, b+1)
-}
-
-func (jc *jointCounts) pairBase(a, b int) int {
-	return (jc.pairOff[a] + b - a - 1) * jc.k * jc.k
 }
 
 func (jc *jointCounts) tripleBase(a, b, c int) int {
@@ -56,42 +53,22 @@ func (jc *jointCounts) tripleBase(a, b, c int) int {
 }
 
 // seedCounts builds the tables for tb's current rows from its
-// TID-bitset index: every joint cell is one PopcountAnd over posting
-// bitmaps (two for pairs; triples AND the pair once into a scratch
-// buffer and popcount against each head posting), so seeding costs
-// about one stage-2 mining pass and never rescans rows column-wise.
+// TID-bitset index with the builder's own kernels: the pair cells with
+// core.CountPairCells on GOMAXPROCS workers, and each triple's cells
+// with core.PairCells.Triple, which popcounts (k-1)^3 of them and
+// derives the rest from the pair cells. Seeding so costs about one
+// stage-2 mining pass and never rescans rows column-wise.
 func seedCounts(ctx context.Context, tb *table.Table, maxTailSize int) (*jointCounts, error) {
 	n, k := tb.NumAttrs(), tb.K()
-	jc := &jointCounts{
-		n: n, k: k, rows: tb.NumRows(),
-		val:     make([]int32, n*k),
-		pair:    make([]int32, n*(n-1)/2*k*k),
-		pairOff: make([]int, n),
-	}
-	off := 0
-	for a := 0; a < n; a++ {
-		jc.pairOff[a] = off
-		off += n - a - 1
-	}
 	ix := tb.Index()
-	chk := runopt.NewChecker(ctx, 0, seedCheckEvery)
+	pc, err := core.CountPairCells(ctx, ix, core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	jc := &jointCounts{n: n, k: k, rows: tb.NumRows(), val: make([]int32, n*k), pair: pc}
 	for a := 0; a < n; a++ {
 		for v := 1; v <= k; v++ {
 			jc.val[a*k+v-1] = int32(ix.Count(a, table.Value(v)))
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			base := jc.pairBase(a, b)
-			for va := 1; va <= k; va++ {
-				pa := ix.Posting(a, table.Value(va))
-				for vb := 1; vb <= k; vb++ {
-					if err := chk.Tick(); err != nil {
-						return nil, err
-					}
-					jc.pair[base+(va-1)*k+(vb-1)] = int32(table.PopcountAnd(pa, ix.Posting(b, table.Value(vb))))
-				}
-			}
 		}
 	}
 	if maxTailSize < 2 {
@@ -99,7 +76,7 @@ func seedCounts(ctx context.Context, tb *table.Table, maxTailSize int) (*jointCo
 	}
 	jc.triple = make([]int32, n*(n-1)*(n-2)/6*k*k*k)
 	jc.tripleOff = make([][]int, n)
-	off = 0
+	off := 0
 	for a := 0; a < n; a++ {
 		jc.tripleOff[a] = make([]int, n-a-1)
 		for b := a + 1; b < n; b++ {
@@ -107,25 +84,16 @@ func seedCounts(ctx context.Context, tb *table.Table, maxTailSize int) (*jointCo
 			off += n - b - 1
 		}
 	}
-	buf := make([]uint64, ix.Words())
+	chk := runopt.NewChecker(ctx, 0, seedCheckEvery)
+	kkk := k * k * k
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			for va := 1; va <= k; va++ {
-				pa := ix.Posting(a, table.Value(va))
-				for vb := 1; vb <= k; vb++ {
-					copy(buf, pa)
-					table.AndInto(buf, ix.Posting(b, table.Value(vb)))
-					cell := (va-1)*k + (vb - 1)
-					for c := b + 1; c < n; c++ {
-						base := jc.tripleBase(a, b, c) + cell*k
-						for vc := 1; vc <= k; vc++ {
-							if err := chk.Tick(); err != nil {
-								return nil, err
-							}
-							jc.triple[base+vc-1] = int32(table.PopcountAnd(buf, ix.Posting(c, table.Value(vc))))
-						}
-					}
+			for c := b + 1; c < n; c++ {
+				if err := chk.Tick(); err != nil {
+					return nil, err
 				}
+				base := jc.tripleBase(a, b, c)
+				pc.Triple(ix, a, b, c, jc.triple[base:base+kkk])
 			}
 		}
 	}
@@ -161,11 +129,10 @@ func (jc *jointCounts) apply(row []table.Value, sign int32) {
 	for a := 0; a < n; a++ {
 		jc.val[a*k+int(row[a])-1] += sign
 	}
-	for a := 0; a < n; a++ {
-		va := int(row[a]) - 1
-		pbase := jc.pairOff[a]
+	for a := 0; a < n-1; a++ {
+		cell := jc.pair.Base(a, a+1) + (int(row[a])-1)*k
 		for b := a + 1; b < n; b++ {
-			jc.pair[(pbase+b-a-1)*kk+va*k+int(row[b])-1] += sign
+			jc.pair.Cells[cell+(b-a-1)*kk+int(row[b])-1] += sign
 		}
 	}
 	if jc.triple == nil {
@@ -191,36 +158,10 @@ func (jc *jointCounts) Null(c int) float64 {
 	return float64(slices.Max(jc.val[c*jc.k:(c+1)*jc.k])) / float64(jc.rows)
 }
 
-// Edge computes ACV({a},{c}) from the pair counts: the sum over tail
-// values of the best head-value joint count, over the row count — the
-// same integers the builder's kernels count, hence the same float64.
+// Edge computes ACV({a},{c}) from the pair counts: the builder's own
+// numerator over the row count, hence the same float64.
 func (jc *jointCounts) Edge(a, c int) float64 {
-	k := jc.k
-	var sum int64
-	if a < c {
-		cells := jc.pair[jc.pairBase(a, c):]
-		for va := 0; va < k; va++ {
-			best := int32(0)
-			for _, v := range cells[va*k : va*k+k] {
-				if v > best {
-					best = v
-				}
-			}
-			sum += int64(best)
-		}
-	} else {
-		cells := jc.pair[jc.pairBase(c, a):]
-		for va := 0; va < k; va++ {
-			best := int32(0)
-			for vc := 0; vc < k; vc++ {
-				if v := cells[vc*k+va]; v > best {
-					best = v
-				}
-			}
-			sum += int64(best)
-		}
-	}
-	return float64(sum) / float64(jc.rows)
+	return float64(jc.pair.EdgeSum(a, c)) / float64(jc.rows)
 }
 
 // Pair computes ACV({a,b},{c}) from the triple counts. The triple

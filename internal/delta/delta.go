@@ -27,10 +27,11 @@
 // shares no code with the driver.
 //
 // Counts are seeded once per Dataset from the table's TID-bitset index
-// (the PR-1 bitmap kernels: one PopcountAnd per joint cell), and the
-// index itself is extended copy-on-write per append (see
-// table.AppendRows), so neither seeding nor stages 1 and 2 rescan
-// old rows.
+// with the builder's own kernels (core.CountPairCells and
+// core.PairCells.Triple: only the cells whose values are all below k
+// are popcounted, the rest derived from the marginals), and the index
+// itself is extended copy-on-write per append (see table.AppendRows),
+// so neither seeding nor stages 1 and 2 rescan old rows.
 //
 // A MaxTailSize=3 configuration would need 4-way joint counts to
 // score 3-to-1 candidates; the driver's stage 3 instead counts them,

@@ -445,6 +445,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	checkHistogramCoherence(t, text)
 }
 
+// TestModelDetailRecordsPhase: GET /v1/models/{name} builds the
+// dominator of a lazy model, and on an untraced server that build must
+// land in the phase histogram like a query's. The read stays exempt
+// from admission: its tenant's admitted count stays 0.
+func TestModelDetailRecordsPhase(t *testing.T) {
+	ts := servingAdmit(t, admit.NewController(admit.Config{
+		TenantRate: 100, TenantBurst: 100,
+		CheapCapacity: 4, CheapQueue: 8,
+		ExpensiveCapacity: 1, ExpensiveQueue: 2,
+	}))
+	if code := getJSON(t, ts.URL+"/v1/models/demo", nil); code != 200 {
+		t.Fatalf("model detail: %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	if want := `hypermined_phase_seconds_count{phase="dominator"} 1`; !strings.Contains(text, want) {
+		t.Errorf("metrics missing %q after a model detail read", want)
+	}
+	if want := `hypermined_tenant_admitted_total{tenant="default"} 0`; !strings.Contains(text, want) {
+		t.Errorf("metrics missing %q: the model detail read went through admission", want)
+	}
+}
+
 // histogramBase strips a histogram sample suffix, or returns "".
 func histogramBase(name string) string {
 	for _, suf := range []string{"_bucket", "_sum", "_count"} {

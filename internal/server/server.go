@@ -411,23 +411,28 @@ func (s *Server) failEngine(w http.ResponseWriter, err error) (int, string) {
 	return code, s.fail(w, code, "%s", msg)
 }
 
-// acquire resolves the named model or writes a 404, stamping the
-// serving generation on the response.
-func (s *Server) acquire(w http.ResponseWriter, name string) *registry.Served {
-	sv := s.reg.Acquire(name)
+// acquire resolves the record's model for a read, stamping the trace
+// ID and the serving generation on the response and counting the
+// query; nil means the model is unknown and the 404 is written and
+// recorded. The caller releases the model.
+func (s *Server) acquire(w http.ResponseWriter, ob *reqObs) *registry.Served {
+	sv := s.reg.Acquire(ob.name)
 	if sv == nil {
-		s.fail(w, http.StatusNotFound, "unknown model %q", name)
+		stamp(w.Header(), ob.act.TraceID(), nil)
+		ob.fail(w, http.StatusNotFound, "unknown model %q", ob.name)
 		return nil
 	}
-	stamp(w.Header(), telemetry.TraceID{}, sv)
+	// The answer comes from exactly this generation's engine — stamp
+	// it so clients racing an :append can attribute the response.
+	stamp(w.Header(), ob.act.TraceID(), sv)
 	s.queries.Inc()
 	sv.CountQuery()
 	return sv
 }
 
 // reqObs is the pooled record of one model-scoped request, the funnel
-// every front door (queries, :append, PUT, DELETE) opens and closes
-// through. Per door only data changes: the trace kind, the admission
+// every front door (queries, the model detail read, :append, PUT,
+// DELETE) opens and closes through. Per door only data changes: the trace kind, the admission
 // class, and the latency histogram. Everything else is one path: the
 // trace, admission and the breaker's outcome, the phase spans, the
 // phase histograms, the slow-query log, and the recorded status of a
@@ -591,18 +596,11 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, name string, req *en
 	ob := s.open(r, name, queryKinds[ki], s.reqHist[ki][class])
 	defer ob.finish()
 
-	sv := s.reg.Acquire(name)
+	sv := s.acquire(w, ob)
 	if sv == nil {
-		stamp(w.Header(), ob.act.TraceID(), nil)
-		ob.fail(w, http.StatusNotFound, "unknown model %q", name)
 		return nil
 	}
 	defer sv.Release()
-	// The answer below comes from exactly this generation's engine —
-	// stamp it so clients racing an :append can attribute the response.
-	stamp(w.Header(), ob.act.TraceID(), sv)
-	s.queries.Inc()
-	sv.CountQuery()
 	if !ob.admit(w, class) {
 		return nil
 	}
@@ -892,19 +890,23 @@ type modelDetail struct {
 }
 
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
-	sv := s.acquire(w, r.PathValue("name"))
+	// The detail view names the serving dominator and targets, so it
+	// (lazily, once) builds them through the engine, and that build
+	// lands in the request's record like any other. This is a metadata
+	// read, not query traffic: it bypasses admission on purpose so
+	// operators can inspect a model whose breaker is open, and it has
+	// no latency histogram.
+	ob := s.open(r, r.PathValue("name"), "model", nil)
+	defer ob.finish()
+	sv := s.acquire(w, ob)
 	if sv == nil {
 		return
 	}
 	defer sv.Release()
 	m := sv.Model()
-	// The detail view names the serving dominator and targets, so it
-	// (lazily, once) builds them through the engine. This is a metadata
-	// read, not query traffic: it bypasses admission on purpose so
-	// operators can inspect a model whose breaker is open.
-	resp, err := sv.Engine().Do(r.Context(), &engine.Request{Dominators: &engine.DominatorsRequest{}})
+	resp, err := sv.Engine().Do(ob, &engine.Request{Dominators: &engine.DominatorsRequest{}})
 	if err != nil {
-		s.failEngine(w, err)
+		ob.status, ob.errMsg = s.failEngine(w, err)
 		return
 	}
 	det := modelDetail{

@@ -2,13 +2,17 @@
 // republishes a model after every append while the previous generation
 // keeps serving queries, so appended tables must never mutate storage a
 // served model can still observe. AppendRows and AppendRaw therefore
-// return a NEW *Table (fresh column arrays, the receiver untouched) and
-// extend the receiver's TID-bitset index copy-on-extend: the new index
-// copies the old posting words and scans only the appended rows, so the
-// delta work is proportional to the appended suffix, not the table.
+// return a NEW *Table (the receiver untouched) whose columns write the
+// appended rows past the receiver's, in shared backing arrays where no
+// other table has claimed them (see appendShell), and extend the
+// receiver's TID-bitset index copy-on-extend: the new index copies the
+// old posting words and scans only the appended rows.
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // AppendRows returns a new table equal to t with the given observations
 // appended. Every row must have one value per attribute, each in 1..K;
@@ -31,12 +35,10 @@ func (t *Table) AppendRows(rows [][]Value) (*Table, error) {
 		}
 	}
 	nt := t.appendShell(len(rows))
-	for j := range nt.cols {
-		col := nt.cols[j]
-		for _, row := range rows {
-			col = append(col, row[j])
+	for j, col := range nt.cols {
+		for i, row := range rows {
+			col[t.rows+i] = row[j]
 		}
-		nt.cols[j] = col
 	}
 	nt.extendCachedIndex(t)
 	return nt, nil
@@ -70,32 +72,47 @@ func (t *Table) AppendRaw(cols [][]byte) (*Table, error) {
 	nt := t.appendShell(add)
 	for j, c := range cols {
 		col := nt.cols[j]
-		for _, b := range c {
-			col = append(col, Value(b))
+		for i, b := range c {
+			col[t.rows+i] = Value(b)
 		}
-		nt.cols[j] = col
 	}
 	nt.extendCachedIndex(t)
 	return nt, nil
 }
 
-// appendShell builds the new table with the old column data copied into
-// fresh arrays sized for add more rows. Fresh arrays (rather than
-// append-shared backing) keep the old and new tables fully disjoint:
-// two tables must never write into a shared capacity tail.
+// appendShell returns the table for add more rows: t's rows in place
+// and the new ones, rows [t.rows, t.rows+add) of every column, for the
+// caller to write. Tables made by appends share column backing arrays:
+// when t's arrays have room and no other table has claimed the rows
+// past t's (one compare-and-swap on their shared frontier), the new
+// table takes those rows and copies nothing, so a chain of appends
+// copies each row a constant number of times amortized. Otherwise the
+// columns are copied into fresh arrays with a sixteenth of headroom.
+// Either way no table writes a row another table reads: every table
+// reads only rows below its own count.
 func (t *Table) appendShell(add int) *Table {
+	n := t.rows + add
 	nt := &Table{
 		attrs: t.attrs,
 		index: t.index,
 		cols:  make([][]Value, len(t.cols)),
 		k:     t.k,
-		rows:  t.rows + add,
+		rows:  n,
+	}
+	if f := t.frontier; f != nil && cap(t.cols[0]) >= n && f.CompareAndSwap(int64(t.rows), int64(n)) {
+		for j, c := range t.cols {
+			nt.cols[j] = c[:n]
+		}
+		nt.frontier = f
+		return nt
 	}
 	for j, c := range t.cols {
-		col := make([]Value, t.rows, t.rows+add)
+		col := make([]Value, n, n+n/16)
 		copy(col, c)
 		nt.cols[j] = col
 	}
+	nt.frontier = new(atomic.Int64)
+	nt.frontier.Store(int64(n))
 	return nt
 }
 

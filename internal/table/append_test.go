@@ -3,6 +3,7 @@ package table
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -94,6 +95,90 @@ func TestAppendRowsLeavesReceiverUntouched(t *testing.T) {
 	}
 	if nt.IndexIfBuilt() == oldIdx {
 		t.Fatal("new table shares the old index object")
+	}
+}
+
+// TestAppendChainsShareSafely: tables made by appends share column
+// storage, so every branch of an append history must still read
+// exactly its own rows. From one parent it appends in a chain (the
+// in-place path), branches off an older table (the copying path),
+// appends concurrently to one table from several goroutines (one
+// claims the shared rows, the rest copy; run under -race), calls
+// AppendRow on a table that shares storage, and appends to a
+// Column slice; each table must equal its rows recounted from
+// scratch.
+func TestAppendChainsShareSafely(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	attrs := []string{"x", "y", "z"}
+	base := randomRows(rng, 40, 3, 3)
+	t0, err := FromRows(attrs, 3, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type version struct {
+		tb   *Table
+		rows [][]Value
+	}
+	var all []version
+	add := func(parent version, rows [][]Value) version {
+		t.Helper()
+		nt, err := parent.tb.AppendRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := version{nt, append(append([][]Value(nil), parent.rows...), rows...)}
+		all = append(all, v)
+		return v
+	}
+	v0 := version{t0, base}
+	all = append(all, v0)
+	v1 := add(v0, randomRows(rng, 5, 3, 3))
+	chain := v1
+	for range 12 {
+		chain = add(chain, randomRows(rng, 1+rng.Intn(4), 3, 3))
+	}
+	add(v1, randomRows(rng, 3, 3, 3))
+	add(v1, randomRows(rng, 2, 3, 3))
+
+	results := make([]version, 8)
+	var wg sync.WaitGroup
+	for g := range results {
+		rows := randomRows(rng, 1+g%3, 3, 3)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nt, err := chain.tb.AppendRows(rows)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[g] = version{nt, append(append([][]Value(nil), chain.rows...), rows...)}
+		}()
+	}
+	wg.Wait()
+	all = append(all, results...)
+
+	// AppendRow grows v1 (all[1]) in place.
+	if err := v1.tb.AppendRow([]Value{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	all[1].rows = append(append([][]Value(nil), v1.rows...), []Value{1, 2, 3})
+	add(chain, randomRows(rng, 2, 3, 3))
+	_ = append(chain.tb.Column(0), 3, 3, 3)
+
+	for i, v := range all {
+		want, err := FromRows(attrs, 3, v.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.tb.NumRows() != want.NumRows() {
+			t.Fatalf("version %d: %d rows, want %d", i, v.tb.NumRows(), want.NumRows())
+		}
+		for j := range attrs {
+			if !reflect.DeepEqual(v.tb.Column(j), want.Column(j)) {
+				t.Fatalf("version %d column %d differs from its own rows", i, j)
+			}
+		}
 	}
 }
 

@@ -121,6 +121,9 @@ func extendIndex(old *Index, t *Table) *Index {
 // Rows returns the number of observations the index covers.
 func (ix *Index) Rows() int { return ix.rows }
 
+// Attrs returns the number of attributes the index covers.
+func (ix *Index) Attrs() int { return ix.attrs }
+
 // K returns the value-set cardinality.
 func (ix *Index) K() int { return ix.k }
 

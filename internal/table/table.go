@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is a discretized attribute value. Valid values are 1..K for the
@@ -29,6 +30,11 @@ type Table struct {
 	cols  [][]Value
 	k     int
 	rows  int
+
+	// frontier, when non-nil, is the number of rows written so far into
+	// the backing arrays of cols, which tables made by AppendRows and
+	// AppendRaw share (see appendShell).
+	frontier *atomic.Int64
 
 	// idx is the lazily built TID-bitset index (see index.go). It is
 	// cached with the row count it was built at so AppendRow-extended
@@ -147,6 +153,15 @@ func (t *Table) AppendRow(row []Value) error {
 			return fmt.Errorf("table: column %q: value %d outside 1..%d", t.attrs[j], v, t.k)
 		}
 	}
+	if t.frontier != nil {
+		// The columns may share backing arrays with other tables: cap
+		// them, so the appends below copy into arrays of this table's
+		// own.
+		for j, c := range t.cols {
+			t.cols[j] = c[:len(c):len(c)]
+		}
+		t.frontier = nil
+	}
 	for j, v := range row {
 		t.cols[j] = append(t.cols[j], v)
 	}
@@ -184,10 +199,10 @@ func (t *Table) AttrIndex(name string) int {
 // At returns the value of attribute column j in observation row i.
 func (t *Table) At(i, j int) Value { return t.cols[j][i] }
 
-// Column returns the backing slice for column j. Callers must treat it
-// as read-only; it is shared, not copied, because the builder's hot
-// loops depend on zero-copy access.
-func (t *Table) Column(j int) []Value { return t.cols[j] }
+// Column returns the backing slice for column j, capped at its length.
+// Callers must treat it as read-only; it is shared, not copied,
+// because the builder's hot loops depend on zero-copy access.
+func (t *Table) Column(j int) []Value { return t.cols[j][:t.rows:t.rows] }
 
 // Row copies observation i into dst (allocating if dst is too small)
 // and returns it.
