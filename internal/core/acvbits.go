@@ -13,11 +13,12 @@ import (
 // fills the tables of rule mining and the classifier. The builder
 // popcounts only the cells of a contingency table whose values are all
 // below k and derives the rest from its marginals, so an edge (pair)
-// table costs (k-1)^2 and a 2-to-1 table (k-1)^3 passes of rows/64
-// words, against O(rows) scalar increments; bitmaps win only while
-// that stays small relative to the 64-rows-per-word payoff. k <= 8
-// covers the paper's configurations (k = 3: 8 passes per 2-to-1 table;
-// k = 5: 64) with headroom; larger cardinalities keep the row scan.
+// table costs (k-1)^2 and a 3-way table, which serves the three 2-to-1
+// candidates of its attribute triple, (k-1)^3 passes of rows/64 words,
+// against O(rows) scalar increments; bitmaps win only while that stays
+// small relative to the 64-rows-per-word payoff. k <= 8 covers the
+// paper's configurations (k = 3: 8 passes per attribute triple; k = 5:
+// 64) with headroom; larger cardinalities keep the row scan.
 const bitsMaxK = 8
 
 // PairCells holds the joint counts of every unordered attribute pair
@@ -31,8 +32,12 @@ type PairCells struct {
 
 // Base returns the offset of the pair (a, b), a < b, in Cells.
 func (p *PairCells) Base(a, b int) int {
-	return (a*(2*p.n-a-1)/2 + b - a - 1) * p.k * p.k
+	return pairIndex(a, b, p.n) * p.k * p.k
 }
+
+// pairIndex returns the ordinal of the pair (a, b), a < b, among the
+// unordered pairs of n attributes in (a, b) order.
+func pairIndex(a, b, n int) int { return a*(2*n-a-1)/2 + b - a - 1 }
 
 // view returns the k*k cells of the pair {a, c}, a != c, with the
 // strides that address them by a's and c's 0-based values: the joint
@@ -72,12 +77,11 @@ func CountPairCells(ctx context.Context, ix *table.Index, cfg Config) (*PairCell
 	p := &PairCells{n: n, k: k, Cells: make([]int32, n*(n-1)/2*k*k)}
 	// One job per attribute a fills the pairs (a, b), b > a; without a
 	// progress callback the phase is only a label.
-	_, err := stage(ctx, cfg, runopt.PhaseEdges, n, 0, func() struct{} { return struct{}{} },
-		func(_ struct{}, chk *runopt.Checker, a int, _ []struct{}) []struct{} {
+	err := stage(ctx, cfg, runopt.PhaseEdges, n, func() struct{} { return struct{}{} },
+		func(_ struct{}, chk *runopt.Checker, a int) {
 			for b := a + 1; b < n && chk.Tick() == nil; b++ {
 				p.count(ix, a, b)
 			}
-			return nil
 		})
 	if err != nil {
 		return nil, err
@@ -176,6 +180,46 @@ func (p *PairCells) Triple(ix *table.Index, a, b, c int, dst []int32) {
 	for va := range km {
 		subInto(last, dst[va*k*k:])
 	}
+}
+
+// TripleCells holds the 3-way tables of every attribute triple of a
+// table: the table of (a, b, c), a < b < c, is the k^3 cells at
+// Cells[Base(a, b, c):] in Triple's layout, the triples in (a, b, c)
+// order.
+type TripleCells struct {
+	n, k  int
+	Cells []int32
+}
+
+// Base returns the offset of the triple (a, b, c), a < b < c, in Cells.
+func (t *TripleCells) Base(a, b, c int) int {
+	n := t.n
+	// The triples before (a, b, c): those starting below a, then the
+	// (a, y, z) with y < b, then the (a, b, z) with z < c.
+	i := choose3(n) - choose3(n-a) + choose2(n-a-1) - choose2(n-b) + c - b - 1
+	return i * t.k * t.k * t.k
+}
+
+func choose2(x int) int { return x * (x - 1) / 2 }
+func choose3(x int) int { return x * (x - 1) * (x - 2) / 6 }
+
+// CountTriples counts the 3-way table of every attribute triple of ix's
+// table with Triple, one job per pair (a, b) on GOMAXPROCS workers,
+// polling ctx every DefaultCheckEvery tables; p holds the pair cells of
+// ix's rows.
+func (p *PairCells) CountTriples(ctx context.Context, ix *table.Index) (*TripleCells, error) {
+	n, kkk := p.n, p.k*p.k*p.k
+	t := &TripleCells{n: n, k: p.k, Cells: make([]int32, choose3(n)*kkk)}
+	err := eachTriple(ctx, Config{}.withDefaults(), runopt.PhasePairs, n, func() struct{} { return struct{}{} },
+		func(_ struct{}, a, b, c int) bool {
+			base := t.Base(a, b, c)
+			p.Triple(ix, a, b, c, t.Cells[base:base+kkk])
+			return true
+		})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // lanes returns the bitmaps of 0-based values lo, lo+1, ... below hi,

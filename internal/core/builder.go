@@ -61,14 +61,16 @@ type Config struct {
 	// callback (PhaseEdges per head, PhasePairs per tail pair,
 	// PhaseTriples per candidate group; possibly invoked concurrently
 	// during parallel stages) and the context-poll stride in ACV
-	// evaluations (0 = DefaultCheckEvery). Held by pointer so Config
-	// stays comparable; never persisted to JSON or snapshots.
+	// evaluations, a 3-way table scored for its three 2-to-1
+	// candidates counting as one (0 = DefaultCheckEvery). Held by
+	// pointer so Config stays comparable; never persisted to JSON or
+	// snapshots.
 	Run *runopt.Hooks `json:"-"`
 }
 
 // DefaultCheckEvery is the default ACV-evaluation stride between
 // context polls in BuildContext. One ACV evaluation is O(rows) (or,
-// on the bitset path, a 2-to-1 table's (k-1)^3 popcount passes of
+// on the bitset path, a 3-way table's (k-1)^3 popcount passes of
 // rows/64 words and an edge's k^2 reads of pair cells), so 16 of them
 // keep cancellation latency in the tens of microseconds on
 // paper-scale tables while making the poll cost unmeasurable against
@@ -192,11 +194,17 @@ func acvEdge(colA, colC []table.Value, k int, cnt []int32) float64 {
 // buffer of k cells per combination: k*k*k for a pair, k^4 for a
 // triple.
 func acvTail(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
+	countTail(tailRow, colC, k, cnt)
+	return float64(sumOfMax(cnt, k)) / float64(len(colC))
+}
+
+// countTail fills cnt, k cells per tail-value combination, with the
+// joint counts of each row's combination tailRow[i] and c's value.
+func countTail(tailRow []int32, colC []table.Value, k int, cnt []int32) {
 	clear(cnt)
 	for i, tr := range tailRow {
 		cnt[int(tr)*k+int(colC[i]-1)]++
 	}
-	return float64(sumOfMax(cnt, k)) / float64(len(colC))
 }
 
 // sumOfMax returns the numerator of an ACV from its contingency
@@ -208,6 +216,38 @@ func sumOfMax(cnt []int32, k int) int64 {
 		sum += int64(slices.Max(cnt[r : r+k]))
 	}
 	return sum
+}
+
+// TripleACVs returns the ACVs of the three 2-to-1 candidates of one
+// attribute triple (a, b, c) over rows observations, given its k^3
+// joint counts in PairCells.Triple's layout: ACV({b,c},{a}),
+// ACV({a,c},{b}) and ACV({a,b},{c}), in that order. Each numerator sums,
+// over the combinations of the two tail values, the largest count over
+// the head's values, so one table serves every head choice.
+func TripleACVs(cells []int32, k, rows int) [3]float64 {
+	kk := k * k
+	cells = cells[:kk*k]
+	var sums [3]int64
+	for t := range kk { // head a: tail values (vb, vc) = t
+		best := cells[t]
+		for va := 1; va < k; va++ {
+			best = max(best, cells[va*kk+t])
+		}
+		sums[0] += int64(best)
+	}
+	for va := range k { // head b: tail values (va, vc)
+		plane := cells[va*kk:][:kk]
+		for vc := range k {
+			best := plane[vc]
+			for vb := 1; vb < k; vb++ {
+				best = max(best, plane[vb*k+vc])
+			}
+			sums[1] += int64(best)
+		}
+	}
+	sums[2] = sumOfMax(cells, k) // head c: tail values (va, vb)
+	m := float64(rows)
+	return [3]float64{float64(sums[0]) / m, float64(sums[1]) / m, float64(sums[2]) / m}
 }
 
 // Build mines the association hypergraph of the table under the given
@@ -271,10 +311,12 @@ type Scorer interface {
 	Null(c int) float64
 	// Edge returns ACV({a},{c}).
 	Edge(a, c int) float64
-	// Pair returns ACV({a,b},{c}), a < b. Stage 2 asks for every head
-	// of one tail pair in turn, so a Scorer may materialize the tail
-	// once and reuse it across heads.
-	Pair(a, b, c int) float64
+	// Triple returns the ACVs of the three 2-to-1 candidates of the
+	// attribute triple a < b < c, as TripleACVs orders them: all three
+	// are head choices of one 3-way table. Stage 2 asks for every c > b
+	// of one pair (a, b) in turn, so a Scorer may materialize that pair
+	// once and reuse it across the triples.
+	Triple(a, b, c int) [3]float64
 }
 
 // tableScorers returns BuildContext's Scorer factory: each Scorer
@@ -286,16 +328,16 @@ func tableScorers(tb *table.Table, ix *table.Index, pc *PairCells, null []float6
 }
 
 // tableScorer is the Scorer behind tableScorers. Its scalar scratch is
-// allocated on first use, since a stage calls either Edge or Pair.
+// allocated on first use, since a stage calls either Edge or Triple.
 type tableScorer struct {
 	tb   *table.Table
 	null []float64
 
 	ix    *table.Index                          // bitmaps: the postings; nil on the scalar path
 	pc    *PairCells                            // bitmaps: the pair cells of ix
-	cells [bitsMaxK * bitsMaxK * bitsMaxK]int32 // bitmaps: one 2-to-1 table
+	cells [bitsMaxK * bitsMaxK * bitsMaxK]int32 // bitmaps: one 3-way table
 
-	a, b    int     // scalar: the tail pair indexed in tailRow; a = -1 before the first
+	a, b    int     // scalar: the pair indexed in tailRow; a = -1 before the first
 	cnt     []int32 // scalar: contingency counts, k*k*k cells
 	tailRow []int32 // scalar: each row's (a, b) value combination
 }
@@ -313,17 +355,22 @@ func (s *tableScorer) Edge(a, c int) float64 {
 	return acvEdge(s.tb.Column(a), s.tb.Column(c), k, s.cnt)
 }
 
-func (s *tableScorer) Pair(a, b, c int) float64 {
+// Triple counts the 3-way table of (a, b, c) once: from the postings
+// and pair cells or, on the scalar path, by one scan of c's column
+// against the indexed pair (a, b).
+func (s *tableScorer) Triple(a, b, c int) [3]float64 {
 	k := s.tb.K()
+	cells := s.cells[:]
 	if s.pc != nil {
-		cells := s.cells[:k*k*k]
 		s.pc.Triple(s.ix, a, b, c, cells)
-		return float64(sumOfMax(cells, k)) / float64(s.tb.NumRows())
+	} else {
+		if a != s.a || b != s.b {
+			s.tail(a, b)
+		}
+		cells = s.cnt
+		countTail(s.tailRow, s.tb.Column(c), k, cells)
 	}
-	if a != s.a || b != s.b {
-		s.tail(a, b)
-	}
-	return acvTail(s.tailRow, s.tb.Column(c), k, s.cnt)
+	return TripleACVs(cells, k, s.tb.NumRows())
 }
 
 // tail indexes each row by its combination of the tail pair (a, b).
@@ -370,67 +417,72 @@ func MineStages(ctx context.Context, tb *table.Table, cfg Config, newScorer func
 	m := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
 	edgeAdmit := make([]bool, n*n)
 	// Stage 1: one job per head c; each writes its own cells.
-	_, err := stage(ctx, cfg, runopt.PhaseEdges, n, 0, newScorer,
-		func(s Scorer, chk *runopt.Checker, c int, _ []struct{}) []struct{} {
+	err := stage(ctx, cfg, runopt.PhaseEdges, n, newScorer,
+		func(s Scorer, chk *runopt.Checker, c int) {
 			null := s.Null(c)
 			for a := 0; a < n; a++ {
 				if a == c {
 					continue
 				}
 				if chk.Tick() != nil {
-					break
+					return
 				}
 				acv := s.Edge(a, c)
 				m.EdgeACV[a*n+c] = acv
 				edgeAdmit[a*n+c] = significant(acv, cfg.GammaEdge, null)
 			}
-			return nil
 		})
-	// Stage 2: one job per tail pair (a, b), emitting heads in order,
-	// so the admitted pairs come out sorted by (a, b, c).
+	// Stage 2: each attribute triple a < b < c is counted once, and the
+	// ACVs of its three candidates land in pairACV[pairIndex(x, y)*n+z]
+	// for the tail x < y and the head z. Under EdgeSeeded a triple with
+	// no candidate is skipped, unless stage 3 reads it as a base.
+	// Admission then walks the candidates in (a, b, c) order.
 	var pairs []tailPair
+	var pairACV []float64
 	if err == nil && cfg.MaxTailSize >= 2 {
-		pairs, err = stage(ctx, cfg, runopt.PhasePairs, n*(n-1)/2, n-2, newScorer,
-			func(s Scorer, chk *runopt.Checker, j int, out []tailPair) []tailPair {
-				a, b := pairAt(j, n)
-				for c := 0; c < n; c++ {
-					if c == a || c == b {
-						continue
-					}
-					if cfg.Candidates == EdgeSeeded && !edgeAdmit[a*n+c] && !edgeAdmit[b*n+c] {
-						continue
-					}
-					if chk.Tick() != nil {
-						break
-					}
-					acv := s.Pair(a, b, c)
-					if significant(acv, cfg.GammaPair, max(m.EdgeACV[a*n+c], m.EdgeACV[b*n+c])) {
-						out = append(out, tailPair{a, b, c, acv})
-					}
-				}
-				return out
-			})
+		pairACV = make([]float64, n*(n-1)/2*n)
+		need := func(x, y, z int) bool {
+			return cfg.Candidates != EdgeSeeded || edgeAdmit[x*n+z] || edgeAdmit[y*n+z]
+		}
+		err = eachTriple(ctx, cfg, runopt.PhasePairs, n, newScorer, func(s Scorer, a, b, c int) bool {
+			if cfg.MaxTailSize == 2 && !need(b, c, a) && !need(a, c, b) && !need(a, b, c) {
+				return false
+			}
+			acv := s.Triple(a, b, c)
+			pairACV[pairIndex(b, c, n)*n+a] = acv[0]
+			pairACV[pairIndex(a, c, n)*n+b] = acv[1]
+			pairACV[pairIndex(a, b, n)*n+c] = acv[2]
+			return true
+		})
+		if err == nil {
+			pairs = admitPairs(m, edgeAdmit, need, pairACV)
+		}
 	}
 	// Stage 3: one job per candidate tail triple, emitting heads in
-	// order, so the admitted triples come out sorted.
+	// order into the job's own slot, so the admitted triples come out
+	// sorted once the slots are joined.
 	var triples []tailTriple
 	if err == nil && cfg.MaxTailSize >= 3 {
 		groups := tripleGroups(pairs, n)
-		triples, err = stage(ctx, cfg, runopt.PhaseTriples, len(groups), n,
+		slots := make([][]tailTriple, len(groups))
+		pairACVAt := func(x, y, d int) float64 { return pairACV[pairIndex(x, y, n)*n+d] }
+		err = stage(ctx, cfg, runopt.PhaseTriples, len(groups),
 			func() *tripleScorer { return newTripleScorer(tb) },
-			func(s *tripleScorer, chk *runopt.Checker, j int, out []tailTriple) []tailTriple {
+			func(s *tripleScorer, chk *runopt.Checker, j int) {
 				s.tail(groups[j][0])
+				start := len(s.out)
 				for _, t := range groups[j] {
 					if chk.Tick() != nil {
-						break
+						return
 					}
-					base := max(s.pair(t.a, t.b, t.d), s.pair(t.a, t.c, t.d), s.pair(t.b, t.c, t.d))
+					base := max(pairACVAt(t.a, t.b, t.d), pairACVAt(t.a, t.c, t.d), pairACVAt(t.b, t.c, t.d))
 					if acv := s.triple(t.d); significant(acv, cfg.GammaTriple, base) {
-						out = append(out, tailTriple{t.a, t.b, t.c, t.d, acv})
+						s.out = append(s.out, tailTriple{t.a, t.b, t.c, t.d, acv})
 					}
 				}
-				return out
+				slots[j] = s.out[start:len(s.out):len(s.out)]
 			})
+		triples = slices.Concat(slots...)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -442,6 +494,30 @@ func MineStages(ctx context.Context, tb *table.Table, cfg Config, newScorer func
 	return m, shared, nil
 }
 
+// admitPairs returns stage 2's significant candidates ({a,b},{c}), those
+// need admits, in (a, b, c) order, sized exactly.
+func admitPairs(m *Model, edgeAdmit []bool, need func(a, b, c int) bool, pairACV []float64) []tailPair {
+	n, gamma := m.Table.NumAttrs(), m.Config.GammaPair
+	each := func(fn func(a, b, c int, acv float64)) {
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				row := pairACV[pairIndex(a, b, n)*n:][:n]
+				for c, acv := range row {
+					if c != a && c != b && need(a, b, c) &&
+						significant(acv, gamma, max(m.EdgeACV[a*n+c], m.EdgeACV[b*n+c])) {
+						fn(a, b, c, acv)
+					}
+				}
+			}
+		}
+	}
+	count := 0
+	each(func(int, int, int, float64) { count++ })
+	pairs := make([]tailPair, 0, count)
+	each(func(a, b, c int, acv float64) { pairs = append(pairs, tailPair{a, b, c, acv}) })
+	return pairs
+}
+
 // pairAt returns the j-th tail pair (a, b), a < b, in (a, b) order.
 func pairAt(j, n int) (a, b int) {
 	for j >= n-a-1 {
@@ -451,44 +527,46 @@ func pairAt(j, n int) (a, b int) {
 	return a, a + 1 + j
 }
 
+// eachTriple runs fn on every attribute triple a < b < c of n
+// attributes through stage, one job per pair (a, b) in pairAt order
+// visiting c = b+1..n-1. fn reports whether it counted a table, the
+// unit each worker's Checker polls ctx by.
+func eachTriple[S any](ctx context.Context, cfg Config, phase runopt.Phase, n int,
+	newScorer func() S, fn func(s S, a, b, c int) bool) error {
+	return stage(ctx, cfg, phase, n*(n-1)/2, newScorer, func(s S, chk *runopt.Checker, j int) {
+		a, b := pairAt(j, n)
+		for c := b + 1; c < n; c++ {
+			if fn(s, a, b, c) && chk.Tick() != nil {
+				return
+			}
+		}
+	})
+}
+
 // stage runs one stage of MineStages: jobs 0..jobs-1, claimed in order
 // by up to cfg.Parallelism workers, the calling goroutine among them.
-// Each worker owns a scorer from newScorer, a Checker, and a buffer
-// with room for perJob admissions; run scores job j and appends its
-// admissions to out. stage returns every job's admissions in job
-// order, whatever the schedule. It ticks the phase's progress once per
-// finished job, and once ctx is canceled the workers stop claiming and
-// stage returns ctx.Err().
-func stage[S, T any](ctx context.Context, cfg Config, phase runopt.Phase, jobs, perJob int,
-	newScorer func() S, run func(s S, chk *runopt.Checker, j int, out []T) []T) ([]T, error) {
+// Each worker owns a scorer from newScorer and a Checker; run does job
+// j and writes its results where no other job writes. stage ticks the
+// phase's progress once per finished job, and once ctx is canceled the
+// workers stop claiming and stage returns ctx.Err().
+func stage[S any](ctx context.Context, cfg Config, phase runopt.Phase, jobs int,
+	newScorer func() S, run func(s S, chk *runopt.Checker, j int)) error {
 	prog := runopt.NewMeter(phase, jobs, cfg.Run.Func())
-	// The workers' shared state, one allocation: the next unclaimed
-	// job and the admissions in completion order.
+	// The workers' shared state, one allocation.
 	var sh struct {
 		next atomic.Int64
 		wg   sync.WaitGroup
-		mu   sync.Mutex
-		all  []T
 	}
-	spans := make([][2]int, jobs) // job j's admissions are all[off:off+len]
 	work := func() {
 		s := newScorer()
 		chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-		buf := make([]T, 0, perJob)
 		for chk.Err() == nil {
 			j := int(sh.next.Add(1) - 1)
 			if j >= jobs {
 				return
 			}
-			buf = run(s, chk, j, buf[:0])
-			if chk.Err() != nil {
+			if run(s, chk, j); chk.Err() != nil {
 				return
-			}
-			if len(buf) > 0 {
-				sh.mu.Lock()
-				spans[j] = [2]int{len(sh.all), len(buf)}
-				sh.all = append(sh.all, buf...)
-				sh.mu.Unlock()
 			}
 			prog.Tick(1)
 		}
@@ -504,14 +582,7 @@ func stage[S, T any](ctx context.Context, cfg Config, phase runopt.Phase, jobs, 
 		work()
 	}
 	sh.wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, len(sh.all))
-	for _, sp := range spans {
-		out = append(out, sh.all[sp[0]:sp[0]+sp[1]]...)
-	}
-	return out, nil
+	return ctx.Err()
 }
 
 // assembleGraph builds m.H from every edge one build admitted, in
@@ -648,25 +719,18 @@ func tripleGroups(pairs []tailPair, n int) [][]tripleKey {
 
 // tripleScorer is a stage-3 worker's scalar counter: tail indexes each
 // row by one tail triple's value combination, triple counts ACV(T,{d})
-// over that index, and pair memoizes the constituent 2-to-1 ACVs,
-// counted by a scalar tableScorer, across the worker's jobs.
+// over that index, and out holds the worker's admissions, which its
+// jobs' slots share.
 type tripleScorer struct {
 	tb      *table.Table
-	pairs   *tableScorer
-	memo    map[tripleKey]float64
 	tailRow []int32
 	cnt     []int32
+	out     []tailTriple
 }
 
 func newTripleScorer(tb *table.Table) *tripleScorer {
 	k := tb.K()
-	return &tripleScorer{
-		tb:      tb,
-		pairs:   &tableScorer{tb: tb, a: -1},
-		memo:    map[tripleKey]float64{},
-		tailRow: make([]int32, tb.NumRows()),
-		cnt:     make([]int32, k*k*k*k),
-	}
+	return &tripleScorer{tb: tb, tailRow: make([]int32, tb.NumRows()), cnt: make([]int32, k*k*k*k)}
 }
 
 func (s *tripleScorer) tail(t tripleKey) {
@@ -679,14 +743,4 @@ func (s *tripleScorer) tail(t tripleKey) {
 
 func (s *tripleScorer) triple(d int) float64 {
 	return acvTail(s.tailRow, s.tb.Column(d), s.tb.K(), s.cnt)
-}
-
-func (s *tripleScorer) pair(x, y, d int) float64 {
-	key := tripleKey{x, y, -1, d}
-	v, ok := s.memo[key]
-	if !ok {
-		v = s.pairs.Pair(x, y, d)
-		s.memo[key] = v
-	}
-	return v
 }

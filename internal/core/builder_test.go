@@ -143,6 +143,47 @@ func TestBuildEdgeSeededSubset(t *testing.T) {
 	}
 }
 
+// TestBuildEdgeSeededTripleBases: under EdgeSeeded, stage 2 skips a
+// triple none of whose 2-to-1 candidates is seeded, but stage 3 still
+// reads such a triple's pair ACVs as bases. Here d = b XOR v, so no
+// edge among b, v and d is admitted and their triple has no candidate,
+// yet ACV({b,v},{d}) = 1 is the largest base of ({a,b,v},{d}), which
+// the admitted ({a,b},{d}) seeds (a copies d in most rows). With that
+// base, GammaTriple 1.01 rejects the candidate; the oracle must agree.
+func TestBuildEdgeSeededTripleBases(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	tb, err := table.New([]string{"a", "b", "v", "d"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 400 {
+		b, v := rng.Intn(2), rng.Intn(2)
+		d, a := b^v, b^v
+		if rng.Intn(5) == 0 {
+			a = rng.Intn(2)
+		}
+		if err := tb.AppendRow([]table.Value{table.Value(a + 1), table.Value(b + 1), table.Value(v + 1), table.Value(d + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := Build(tb, Config{GammaEdge: 1.1, GammaPair: 1, GammaTriple: 1.01, MaxTailSize: 3, Candidates: EdgeSeeded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b, v, d = 0, 1, 2, 3
+	if _, ok := m.H.Lookup([]int{a, b}, []int{d}); !ok {
+		t.Fatal("fixture: ({a,b},{d}) not admitted")
+	}
+	for _, e := range [][2]int{{b, d}, {v, d}, {b, v}, {v, b}, {d, b}, {d, v}} {
+		if _, ok := m.H.Lookup(e[:1], e[1:]); ok {
+			t.Fatalf("fixture: edge %v admitted", e)
+		}
+	}
+	if diff := admissionDiff(m); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
 func TestBuildConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := randomTable(rng, 3, 3, 20)

@@ -1,9 +1,10 @@
 // Persistent joint-count tables: the integer numerators behind every
 // ACV the builder computes, maintainable in O(appended) time per
-// append. Layout is flat int32 arrays indexed by precomputed offsets —
-// unordered attribute pairs (a<b) carry k² cells, unordered triples
-// (a<b<c) carry k³ cells, and one triple array serves all three head
-// choices of a 2-to-1 candidate by striding the roles.
+// append. Layout is flat int32 arrays indexed by closed-form offsets —
+// unordered attribute pairs (a<b) carry k² cells (core.PairCells),
+// unordered triples (a<b<c) k³ cells (core.TripleCells) — and each
+// triple's table serves all three of its 2-to-1 candidates at once
+// (core.TripleACVs), as the builder's stage 2 asks for them.
 package delta
 
 import (
@@ -14,11 +15,6 @@ import (
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
-
-// seedCheckEvery is the stride, in 3-way tables, between context
-// polls while seeding the triple cells; one table is (k-1)^3 popcount
-// passes over the posting words.
-const seedCheckEvery = 16
 
 // countBytes is the resident size of the count tables for n attributes
 // at cardinality k: value counts, pair cells, and (for MaxTailSize >=
@@ -39,25 +35,17 @@ type jointCounts struct {
 	n, k int
 	rows int
 
-	val  []int32         // val[a*k + (v-1)]
-	pair *core.PairCells // the builder's pair cells, k*k per pair a<b
-	// triple (a<b<c) at tripleBase(a,b,c), k*k*k cells:
-	// ((va-1)*k+(vb-1))*k+(vc-1). nil when MaxTailSize < 2.
-	triple []int32
-
-	tripleOff [][]int // tripleOff[a][b-a-1]: ordinal of triple (a, b, b+1)
-}
-
-func (jc *jointCounts) tripleBase(a, b, c int) int {
-	return (jc.tripleOff[a][b-a-1] + c - b - 1) * jc.k * jc.k * jc.k
+	val    []int32           // val[a*k + (v-1)]
+	pair   *core.PairCells   // the builder's pair cells, k*k per pair a<b
+	triple *core.TripleCells // k*k*k per triple a<b<c; nil when MaxTailSize < 2
 }
 
 // seedCounts builds the tables for tb's current rows from its
-// TID-bitset index with the builder's own kernels: the pair cells with
-// core.CountPairCells on GOMAXPROCS workers, and each triple's cells
-// with core.PairCells.Triple, which popcounts (k-1)^3 of them and
-// derives the rest from the pair cells. Seeding so costs about one
-// stage-2 mining pass and never rescans rows column-wise.
+// TID-bitset index with the builder's own kernels on GOMAXPROCS
+// workers: the pair cells with core.CountPairCells, and each triple's
+// cells with core.PairCells.CountTriples, which popcounts (k-1)^3 of
+// them and derives the rest from the pair cells. Seeding so costs
+// about one stage-2 mining pass and never rescans rows column-wise.
 func seedCounts(ctx context.Context, tb *table.Table, maxTailSize int) (*jointCounts, error) {
 	n, k := tb.NumAttrs(), tb.K()
 	ix := tb.Index()
@@ -71,30 +59,9 @@ func seedCounts(ctx context.Context, tb *table.Table, maxTailSize int) (*jointCo
 			jc.val[a*k+v-1] = int32(ix.Count(a, table.Value(v)))
 		}
 	}
-	if maxTailSize < 2 {
-		return jc, nil
-	}
-	jc.triple = make([]int32, n*(n-1)*(n-2)/6*k*k*k)
-	jc.tripleOff = make([][]int, n)
-	off := 0
-	for a := 0; a < n; a++ {
-		jc.tripleOff[a] = make([]int, n-a-1)
-		for b := a + 1; b < n; b++ {
-			jc.tripleOff[a][b-a-1] = off
-			off += n - b - 1
-		}
-	}
-	chk := runopt.NewChecker(ctx, 0, seedCheckEvery)
-	kkk := k * k * k
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			for c := b + 1; c < n; c++ {
-				if err := chk.Tick(); err != nil {
-					return nil, err
-				}
-				base := jc.tripleBase(a, b, c)
-				pc.Triple(ix, a, b, c, jc.triple[base:base+kkk])
-			}
+	if maxTailSize >= 2 {
+		if jc.triple, err = pc.CountTriples(ctx, ix); err != nil {
+			return nil, err
 		}
 	}
 	return jc, nil
@@ -141,12 +108,10 @@ func (jc *jointCounts) apply(row []table.Value, sign int32) {
 	kkk := kk * k
 	for a := 0; a < n; a++ {
 		va := int(row[a]) - 1
-		offA := jc.tripleOff[a]
 		for b := a + 1; b < n; b++ {
-			cell := (va*k + int(row[b]) - 1) * k
-			tbase := offA[b-a-1]
+			cell := jc.triple.Base(a, b, b+1) + (va*k+int(row[b])-1)*k
 			for c := b + 1; c < n; c++ {
-				jc.triple[(tbase+c-b-1)*kkk+cell+int(row[c])-1] += sign
+				jc.triple.Cells[cell+(c-b-1)*kkk+int(row[c])-1] += sign
 			}
 		}
 	}
@@ -164,51 +129,10 @@ func (jc *jointCounts) Edge(a, c int) float64 {
 	return float64(jc.pair.EdgeSum(a, c)) / float64(jc.rows)
 }
 
-// Pair computes ACV({a,b},{c}) from the triple counts. The triple
-// array stores sorted (x<y<z) cells once; the roles of a, b, c map to
-// strides k², k, 1 by sorted position, so one array serves every head
-// choice.
-func (jc *jointCounts) Pair(a, b, c int) float64 {
-	k := jc.k
-	x, y, z := sort3(a, b, c)
-	base := jc.tripleBase(x, y, z)
-	stride := func(attr int) int {
-		switch attr {
-		case x:
-			return k * k
-		case y:
-			return k
-		default:
-			return 1
-		}
-	}
-	sa, sb, sc := stride(a), stride(b), stride(c)
-	var sum int64
-	for va := 0; va < k; va++ {
-		for vb := 0; vb < k; vb++ {
-			off := base + va*sa + vb*sb
-			best := int32(0)
-			for vc := 0; vc < k; vc++ {
-				if v := jc.triple[off+vc*sc]; v > best {
-					best = v
-				}
-			}
-			sum += int64(best)
-		}
-	}
-	return float64(sum) / float64(jc.rows)
-}
-
-// sort3 orders three distinct ints ascending.
-func sort3(a, b, c int) (int, int, int) {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return a, b, c
+// Triple computes the ACVs of the triple (a, b, c)'s three candidates
+// from its stored table with the builder's own numerators, hence the
+// same float64s.
+func (jc *jointCounts) Triple(a, b, c int) [3]float64 {
+	base := jc.triple.Base(a, b, c)
+	return core.TripleACVs(jc.triple.Cells[base:], jc.k, jc.rows)
 }

@@ -47,7 +47,7 @@ func TestSeedCountsMatchRowScan(t *testing.T) {
 			// The recount uses only the layout of jc's tables.
 			val := make([]int32, len(jc.val))
 			pair := make([]int32, len(jc.pair.Cells))
-			triple := make([]int32, len(jc.triple))
+			triple := make([]int32, len(jc.triple.Cells))
 			for i := range rows {
 				v := func(a int) int { return int(tb.At(i, a)) - 1 }
 				for a := range n {
@@ -55,7 +55,7 @@ func TestSeedCountsMatchRowScan(t *testing.T) {
 					for b := a + 1; b < n; b++ {
 						pair[jc.pair.Base(a, b)+v(a)*k+v(b)]++
 						for c := b + 1; c < n; c++ {
-							triple[jc.tripleBase(a, b, c)+(v(a)*k+v(b))*k+v(c)]++
+							triple[jc.triple.Base(a, b, c)+(v(a)*k+v(b))*k+v(c)]++
 						}
 					}
 				}
@@ -63,7 +63,7 @@ func TestSeedCountsMatchRowScan(t *testing.T) {
 			for _, tab := range []struct {
 				name      string
 				got, want []int32
-			}{{"value", jc.val, val}, {"pair", jc.pair.Cells, pair}, {"triple", jc.triple, triple}} {
+			}{{"value", jc.val, val}, {"pair", jc.pair.Cells, pair}, {"triple", jc.triple.Cells, triple}} {
 				for i := range tab.want {
 					if tab.got[i] != tab.want[i] {
 						t.Fatalf("k=%d rows=%d: %s cell %d = %d, want %d", k, rows, tab.name, i, tab.got[i], tab.want[i])

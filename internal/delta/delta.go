@@ -17,8 +17,8 @@
 // An append does not re-run admissions itself. It hands the counts to
 // the builder's own stage driver, core.MineStages, as the core.Scorer
 // its workers count ACVs with: the baseline from the value counts,
-// ACV({a},{c}) from the pair counts, ACV({a,b},{c}) from the triple
-// counts. The driver applies the same gamma-significance rule,
+// ACV({a},{c}) from the pair counts, and the three 2-to-1 ACVs of each
+// attribute triple from its triple counts. The driver applies the same gamma-significance rule,
 // candidate filter and edge order as core.BuildContext, here on
 // GOMAXPROCS workers, and the counts yield the same integer sums,
 // hence the same float64 ACVs. The differential tests in this package pin
@@ -27,17 +27,18 @@
 // shares no code with the driver.
 //
 // Counts are seeded once per Dataset from the table's TID-bitset index
-// with the builder's own kernels (core.CountPairCells and
-// core.PairCells.Triple: only the cells whose values are all below k
-// are popcounted, the rest derived from the marginals), and the index
-// itself is extended copy-on-write per append (see table.AppendRows),
-// so neither seeding nor stages 1 and 2 rescan old rows.
+// with the builder's own kernels on GOMAXPROCS workers
+// (core.CountPairCells and core.PairCells.CountTriples: only the cells
+// whose values are all below k are popcounted, the rest derived from
+// the marginals), and the index itself is extended copy-on-write per
+// append (see table.AppendRows), so neither seeding nor stages 1 and 2
+// rescan old rows.
 //
 // A MaxTailSize=3 configuration would need 4-way joint counts to
-// score 3-to-1 candidates; the driver's stage 3 instead counts them,
-// and their constituent 2-to-1 ACVs, on the concatenated table with
-// the builder's scalar kernel, as a full build does, at the cost of
-// one stage-3 pass over the rows.
+// score 3-to-1 candidates; the driver's stage 3 instead counts them on
+// the concatenated table with the builder's scalar kernel, as a full
+// build does, at the cost of one stage-3 pass over the rows. Their
+// constituent 2-to-1 ACVs come from stage 2, hence from the counts.
 //
 // # Structural sharing and fallback
 //
