@@ -19,14 +19,13 @@
 // carves them from slabs, one allocation per artifact. The one
 // artifact that does survive is the TID-bitset index: appends extend
 // it copy-on-write (table.AppendRows) and the differential tests pin
-// extended ≡ rebuilt, so the new engine is primed with it for free. A
-// no-op publish (zero rows appended) carries everything.
+// extended ≡ rebuilt, so the new engine is primed with it for free.
 //
-// For the artifacts that must be dropped, RewarmFromPrevious restores
-// the previous generation's warmth by eagerly rebuilding exactly the
-// set that was warm before — so a hot model stays hot across an
-// append, with the rebuild cost paid inside the republish instead of
-// by the first unlucky query.
+// For the artifacts that must be dropped, NewFromPrevious restores the
+// previous generation's warmth by eagerly rebuilding exactly the set
+// that was warm before, plus the caller's warmup policy — so a hot
+// model stays hot across an append, with the rebuild cost paid inside
+// the republish instead of by the first unlucky query.
 package engine
 
 import (
@@ -47,15 +46,15 @@ func (m *memo[T]) prime(v T) {
 	m.ready.Store(f)
 }
 
-// NewFromPrevious returns an Engine for next, carrying forward from
-// prev (the engine of the model next was delta-derived from) every
-// memoized artifact that is still exactly valid. unchanged reports
-// that next is semantically identical to prev's model (a no-op
-// append): then all derived artifacts carry over. Otherwise only the
-// TID-bitset index survives — see the package comment above — and it
-// is primed from the appended table's copy-on-write-extended index.
-// The engine options are inherited from prev.
-func NewFromPrevious(prev *Engine, next *core.Model, unchanged bool) (*Engine, error) {
+// NewFromPrevious returns an Engine for next, the model delta-derived
+// from prev's. It inherits prev's options and starts with the
+// TID-bitset index primed from the appended table's copy-on-write
+// extended index (see the package comment above). It then builds,
+// under ctx, the default-spec artifacts that were warm in prev plus
+// those w selects, so the new generation answers its first queries at
+// the previous generation's warm latency; artifacts in neither set stay
+// lazy.
+func NewFromPrevious(ctx context.Context, prev *Engine, next *core.Model, w Warmup) (*Engine, error) {
 	if prev == nil {
 		return nil, errors.New("engine: NewFromPrevious requires a previous engine")
 	}
@@ -72,51 +71,6 @@ func NewFromPrevious(prev *Engine, next *core.Model, unchanged bool) (*Engine, e
 			e.derivedBytes.Add(indexFootprint(next.Table))
 		}
 	}
-	if !unchanged {
-		return e, nil
-	}
-	// No rows appended: weights, rows, and graph are all identical, so
-	// every derived artifact of prev answers exactly for next too.
-	if g, gerr, ok := prev.sim.cached(); ok && gerr == nil {
-		e.sim.prime(g)
-		e.derivedBytes.Add(simFootprint(g))
-	}
-	prev.mu.Lock()
-	domSpecs := make([]DomSpec, 0, len(prev.doms))
-	// Spec order is irrelevant here: each spec primes an independent
-	// memo and the footprint additions commute.
-	//hyperlint:ignore detout
-	for spec := range prev.doms {
-		domSpecs = append(domSpecs, spec)
-	}
-	clsSpecs := make([]DomSpec, 0, len(prev.cls))
-	//hyperlint:ignore detout
-	for spec := range prev.cls {
-		clsSpecs = append(clsSpecs, spec)
-	}
-	prev.mu.Unlock()
-	for _, spec := range domSpecs {
-		if ans, rerr, ok := prev.domMemo(spec).cached(); ok && rerr == nil {
-			e.domMemo(spec).prime(ans)
-			e.derivedBytes.Add(domFootprint(ans))
-		}
-	}
-	for _, spec := range clsSpecs {
-		if set, serr, ok := prev.clsMemo(spec).cached(); ok && serr == nil {
-			e.clsMemo(spec).prime(set)
-			e.derivedBytes.Add(classifierFootprint(set))
-		}
-	}
-	return e, nil
-}
-
-// RewarmFromPrevious eagerly rebuilds, under ctx, the default-spec
-// artifacts that were warm in prev but could not be carried across the
-// append, so the republished generation answers its first queries at
-// the previous generation's warm latency. Artifacts prev never built
-// stay lazy.
-func (e *Engine) RewarmFromPrevious(ctx context.Context, prev *Engine) error {
-	var w Warmup
 	if _, _, ok := prev.index.cached(); ok {
 		w |= WarmupIndex
 	}
@@ -129,5 +83,8 @@ func (e *Engine) RewarmFromPrevious(ctx context.Context, prev *Engine) error {
 	if _, _, ok := prev.defaultCls.cached(); ok {
 		w |= WarmupClassifier
 	}
-	return e.Warmup(ctx, w)
+	if err := e.Warmup(ctx, w); err != nil {
+		return nil, err
+	}
+	return e, nil
 }

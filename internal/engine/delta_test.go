@@ -103,7 +103,7 @@ func TestNewFromPreviousPrimesIndex(t *testing.T) {
 		t.Fatal("append did not carry the extended index")
 	}
 
-	e, err := NewFromPrevious(prev, next, false)
+	e, err := NewFromPrevious(ctx, prev, next, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,36 +126,11 @@ func TestNewFromPreviousPrimesIndex(t *testing.T) {
 	}
 }
 
-// TestNewFromPreviousUnchangedCarriesEverything: a no-op publish keeps
-// every derived artifact — the new engine answers all default-spec
-// queries without building anything.
-func TestNewFromPreviousUnchangedCarriesEverything(t *testing.T) {
-	ctx := context.Background()
-	m := testModel(t, 33, 10, 300, 0)
-	prev := newEngine(t, m, Options{})
-	if err := prev.Warmup(ctx, WarmupAll); err != nil {
-		t.Fatal(err)
-	}
-	want := queryAll(t, prev)
-
-	e, err := NewFromPrevious(prev, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := queryAll(t, e)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("unchanged carry answers differ:\ngot  %+v\nwant %+v", got, want)
-	}
-	st := e.Stats()
-	if st.IndexBuilds+st.SimilarityBuilds+st.DominatorBuilds+st.ClassifierBuilds != 0 {
-		t.Errorf("unchanged carry still built artifacts: %+v", st)
-	}
-}
-
-// TestRewarmFromPrevious: rewarming rebuilds exactly the artifact set
-// that was warm before the append — a hot model stays hot (subsequent
-// queries build nothing), a cold model stays cold (rewarm builds
-// nothing).
+// TestRewarmFromPrevious: the next engine is built with exactly the
+// artifact set that was warm before the append, plus the warmup policy
+// — a hot model stays hot (subsequent queries build nothing), a cold
+// model stays cold (nothing is built), and a policy on a cold model
+// builds what it selects and nothing more.
 func TestRewarmFromPrevious(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, 35, 10, 300, 0)
@@ -166,11 +141,8 @@ func TestRewarmFromPrevious(t *testing.T) {
 		if err := prev.Warmup(ctx, WarmupAll); err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewFromPrevious(prev, next, false)
+		e, err := NewFromPrevious(ctx, prev, next, 0)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RewarmFromPrevious(ctx, prev); err != nil {
 			t.Fatal(err)
 		}
 		before := e.Stats()
@@ -186,11 +158,8 @@ func TestRewarmFromPrevious(t *testing.T) {
 
 	t.Run("cold stays cold", func(t *testing.T) {
 		prev := newEngine(t, m, Options{}) // never queried, nothing warm
-		e, err := NewFromPrevious(prev, next, false)
+		e, err := NewFromPrevious(ctx, prev, next, 0)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RewarmFromPrevious(ctx, prev); err != nil {
 			t.Fatal(err)
 		}
 		st := e.Stats()
@@ -198,12 +167,24 @@ func TestRewarmFromPrevious(t *testing.T) {
 			t.Errorf("rewarm of a cold engine built artifacts: %+v", st)
 		}
 	})
+
+	t.Run("policy adds to cold", func(t *testing.T) {
+		prev := newEngine(t, m, Options{})
+		e, err := NewFromPrevious(ctx, prev, next, WarmupSimilarity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.SimilarityBuilds != 1 || st.DominatorBuilds+st.ClassifierBuilds != 0 {
+			t.Errorf("similarity policy on a cold engine: %+v, want one similarity build only", st)
+		}
+	})
 }
 
 // TestNewFromPreviousRequiresPrev pins the nil-prev error.
 func TestNewFromPreviousRequiresPrev(t *testing.T) {
 	m := testModel(t, 37, 6, 100, 0)
-	if _, err := NewFromPrevious(nil, m, false); err == nil {
+	if _, err := NewFromPrevious(context.Background(), nil, m, 0); err == nil {
 		t.Fatal("NewFromPrevious(nil, ...) succeeded")
 	}
 }

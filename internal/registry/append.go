@@ -1,7 +1,7 @@
 // Incremental append: the registry face of internal/delta. An append
 // delta-updates the named model's live dataset and publishes the
-// result as a new generation under the same retire-and-drain swap a
-// Load uses, so queries in flight on the old generation finish on the
+// result as a new generation through the same publish step a Load
+// uses, so queries in flight on the old generation finish on the
 // old generation and every response is attributable to exactly one
 // generation (surfaced as the X-Model-Generation header by the
 // server).
@@ -134,58 +134,30 @@ func (r *Registry) appendContext(ctx context.Context, name string, apply func(*d
 	}
 
 	// Prepare the next generation outside all registry locks: carry
-	// the extended TID index, then restore the old engine's warmth so
-	// republish cost — not first-query latency — absorbs the rebuilds.
-	eng, err := engine.NewFromPrevious(s.Engine(), m, false)
+	// the extended TID index and rebuild what the old engine had warm,
+	// so republish cost — not first-query latency — absorbs the
+	// rebuilds.
+	eng, err := engine.NewFromPrevious(ctx, s.Engine(), m, r.opt.Warmup)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.RewarmFromPrevious(ctx, s.Engine()); err != nil {
-		return nil, err
-	}
-	if err := eng.Warmup(ctx, r.opt.Warmup); err != nil {
-		return nil, err
-	}
-	next := &Served{
-		name:     name,
-		gen:      r.gen.Add(1),
-		eng:      eng,
-		loadedAt: time.Now(),
-	}
-
-	r.mu.Lock()
-	if r.entries[name] != e || e.cur.Load() != s {
-		// A Load or Remove won the race while the delta was prepared;
-		// publishing now would serve stale data over the newer admin
-		// action. The dataset has advanced past the published model, so
-		// the next append reseeds.
-		r.mu.Unlock()
+	// A Load or Remove that won the race while the delta was prepared
+	// stays: publishing now would serve stale data over the newer admin
+	// action. The dataset has advanced past the published model, so the
+	// next append reseeds.
+	p := r.publish(ctx, write{name: name, eng: eng, ds: ds},
+		func(cur *Served) bool { return cur == s })
+	if p.refused {
 		return nil, fmt.Errorf("%w: %s", ErrConflict, name)
 	}
-	e.cur.Store(next)
-	e.lastUsed.Store(r.clock.Add(1))
-	evictedNames, drains := r.evictOverBoundLocked(name)
-	r.mu.Unlock()
-
-	r.swaps.Add(1)
-	drain(s)
-	//hyperlint:ignore ctxpoll
-	for _, d := range drains {
-		drain(d)
-	}
-	r.notifyEvicted(evictedNames, drains)
-	for _, victim := range evictedNames {
-		r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model evicted",
-			slog.String("model", victim), slog.String("by", name))
-	}
-	info.Generation = next.gen
+	info.Generation = p.served.gen
 	info.Rows = m.Table.NumRows()
 	info.Edges = m.H.NumEdges()
 	info.Swapped = true
-	info.Evicted = evictedNames
+	info.Evicted = p.evicted
 	r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model appended",
 		slog.String("model", name),
-		slog.Int64("generation", next.gen),
+		slog.Int64("generation", info.Generation),
 		slog.Int("appended", ch.Appended),
 		slog.Int("rows", info.Rows),
 		slog.Int("edges", info.Edges),

@@ -2,6 +2,9 @@ package registry
 
 import (
 	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -67,5 +70,104 @@ func TestLoadGenerationContext(t *testing.T) {
 	// Explicit generations must be positive.
 	if _, err := r.LoadGenerationContext(ctx, "m", m, 0); err == nil {
 		t.Fatal("gen 0 accepted")
+	}
+}
+
+// TestGenerationOrderUnderConcurrentWrites: concurrent Loads and
+// appends on one name publish their generations in increasing order.
+// A reader polling the name must never see its generation go back,
+// and the generation served at the end must be the largest any write
+// returned. Each round races fresh writers; an append that loses to a
+// Load returns ErrConflict and is not counted.
+func TestGenerationOrderUnderConcurrentWrites(t *testing.T) {
+	const (
+		loaders, loads = 4, 10
+		appends        = 3
+	)
+	rounds := 150
+	if testing.Short() {
+		rounds = 30
+	}
+	m := testModel(t, 61, 8, 200)
+	rows := appendRows(62, 8, 4)
+	for round := 0; round < rounds; round++ {
+		r := New(Options{})
+		if _, err := r.Load("m", m); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg         sync.WaitGroup
+			maxGen     atomic.Int64
+			stop       = make(chan struct{})
+			backs      int // written by the reader, read once it is done
+			readerDone = make(chan struct{})
+		)
+		record := func(gen int64) {
+			for {
+				cur := maxGen.Load()
+				if gen <= cur || maxGen.CompareAndSwap(cur, gen) {
+					return
+				}
+			}
+		}
+		go func() {
+			defer close(readerDone)
+			var last int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s := r.Peek("m"); s != nil {
+					if g := s.Generation(); g < last {
+						backs++
+					} else {
+						last = g
+					}
+					s.Release()
+				}
+			}
+		}()
+		for w := 0; w < loaders; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < loads; i++ {
+					info, err := r.Load("m", m)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					record(info.Generation)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				info, err := r.AppendRows("m", rows)
+				if errors.Is(err, ErrConflict) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				record(info.Generation)
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		<-readerDone
+		if backs > 0 {
+			t.Fatalf("round %d: the reader saw the served generation go back %d times", round, backs)
+		}
+		s := r.Peek("m")
+		if got, want := s.Generation(), maxGen.Load(); got != want {
+			t.Fatalf("round %d: serving generation %d, but a write returned %d", round, got, want)
+		}
+		s.Release()
 	}
 }

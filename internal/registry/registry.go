@@ -1,27 +1,24 @@
-// Package registry implements the serving-side model registry of the
-// hypermined daemon: a set of named, immutable served models with
-// lock-free reads, atomic hot swap, and LRU eviction bounded by
-// resident cost.
+// Package registry is the serving side's set of named models. Each
+// name serves one generation at a time: a mined model wrapped in an
+// engine.Engine, which builds the derived artifacts (similarity graph,
+// dominator, classifier, rule cache) on first use or, under the
+// Options.Warmup policy, before the generation is published. Readers
+// Acquire a generation (a map read, a pointer load and a refcount
+// increment; no lock is held while querying), query it, and Release
+// it. A bound on resident cost evicts least-recently-used models.
 //
-// Since the engine redesign, a Served is a thin lifecycle wrapper
-// around an engine.Engine: the registry contributes naming, hot swap,
-// refcounting, and eviction, while every derived artifact (dominator,
-// classifier + predictor pool, similarity graph, rule cache) lives in
-// the Engine and is built lazily on first use — loading a model that
-// will only ever answer rules queries no longer pays for the
-// similarity graph and classifier. The pre-engine "fully prepared at
-// load" behavior is available as an opt-in warmup policy
-// (Options.Warmup, engine.WarmupAll).
-//
-// Concurrency model. Every name maps to an entry holding an
-// atomic.Pointer[Served]. Readers Acquire (pointer load + refcount
-// increment, no locks), query the immutable Served, and Release.
-// Admin operations (Load, Remove) take the registry mutex, publish a
-// new Served with a single pointer store, then drain the old one:
-// mark it retired and wait for in-flight readers to finish. Because a
-// Served's engine memoizes immutable artifacts, a reader that raced a
-// swap can safely finish its query on the retired model; Acquire
-// never returns a retired model, so the drain terminates.
+// Every write ends in one publish step: a Load, a replicated load
+// (LoadGenerationContext), an append (AppendRowsContext), a Remove and
+// a replicated remove (RemoveGeneration). Under the registry mutex it
+// checks the write against the generation served now, assigns the new
+// generation, swaps it in with one pointer store and evicts over the
+// bound. After unlocking it drains the replaced generation and the
+// victims: each is marked retired and waited on until its in-flight
+// readers finish. Because generations are assigned at the swap, they
+// are published in increasing order and a reader never sees a name's
+// generation go back. A reader that raced a swap finishes on the
+// retired generation, whose engine is immutable; Acquire never returns
+// a retired generation, so a drain ends.
 package registry
 
 import (
@@ -46,14 +43,15 @@ type Options struct {
 	// hyperedge count plus the converted size of every derived
 	// artifact its engine has built (similarity matrix, classifier,
 	// rule cache — see engine.Engine.ResidentCost). 0 means unlimited.
-	// When a Load pushes the total over the bound, least-recently-used
-	// models are evicted (never the one being loaded) until the total
-	// fits or nothing else remains.
+	// When a load or an append pushes the total over the bound,
+	// least-recently-used models are evicted (never the one being
+	// published) until the total fits or nothing else remains.
 	MaxResidentEdges int
-	// Warmup selects which derived artifacts Load builds eagerly
-	// before publishing. The zero value keeps models fully lazy;
-	// engine.WarmupAll restores the pre-engine prepare-everything
-	// behavior for latency-critical serving.
+	// Warmup selects which derived artifacts loads and appends build
+	// eagerly before publishing (an append also rebuilds whatever the
+	// generation it extends had built). The zero value keeps models
+	// lazy; engine.WarmupAll prepares everything for latency-critical
+	// serving.
 	Warmup engine.Warmup
 	// LoadHook, when set, observes the outcome of every load attempt:
 	// err is nil on a successful publish and the preparation error
@@ -74,7 +72,7 @@ type Options struct {
 // lazily and is safe from any number of goroutines.
 type Served struct {
 	name     string
-	gen      int64 // registry-wide load generation, for observability
+	gen      int64 // registry-wide generation, assigned at publish
 	eng      *engine.Engine
 	loadedAt time.Time
 	refs     atomic.Int64
@@ -85,8 +83,9 @@ type Served struct {
 // Name returns the registry name the model is served under.
 func (s *Served) Name() string { return s.name }
 
-// Generation returns the registry-wide load generation of this model
-// (monotonically increasing across Loads; a reload bumps it).
+// Generation returns the registry-wide generation of this model. Every
+// publish under a name assigns a larger one than the generation it
+// replaces.
 func (s *Served) Generation() int64 { return s.gen }
 
 // Engine returns the prepared-model query engine. All query traffic
@@ -115,9 +114,10 @@ type entry struct {
 	lastUsed atomic.Int64
 
 	// appendMu serializes appends on this name. ds is the live-dataset
-	// state behind AppendContext: only an append holding appendMu
+	// state behind AppendRowsContext: only an append holding appendMu
 	// advances it, and it is stored only while r.mu shows the model it
-	// extends still published. A Load clears ds under r.mu without
+	// extends still published. Every publish sets ds under r.mu — an
+	// append to the dataset it advanced, a load to nil — without
 	// waiting for appendMu, so a replaced model's rows, index and joint
 	// counts are released at once; an append in flight then fails its
 	// publish with ErrConflict, and the next append reseeds.
@@ -132,7 +132,7 @@ type Registry struct {
 	mu      sync.RWMutex // guards entries map shape; admin ops take it exclusively
 	entries map[string]*entry
 	clock   atomic.Int64 // logical LRU clock, bumped on every Acquire
-	gen     atomic.Int64 // load generation counter
+	gen     int64        // last generation assigned; guarded by mu
 	swaps   atomic.Int64
 	evicted atomic.Int64
 
@@ -154,18 +154,6 @@ func (r *Registry) OnEvict(fn func(name string, gen int64)) {
 	r.evictHook.Store(&fn)
 }
 
-// notifyEvicted fans one load's evictions out to the eviction hook.
-// names and drains are the paired slices evictOverBoundLocked returns.
-func (r *Registry) notifyEvicted(names []string, drains []*Served) {
-	hook := r.evictHook.Load()
-	if hook == nil || len(names) == 0 {
-		return
-	}
-	for i, name := range names {
-		(*hook)(name, drains[i].gen)
-	}
-}
-
 // New returns an empty registry.
 func New(opt Options) *Registry {
 	if opt.Logger == nil {
@@ -174,48 +162,10 @@ func New(opt Options) *Registry {
 	return &Registry{opt: opt, entries: make(map[string]*entry)}
 }
 
-// buildServed wraps a model in an Engine outside any lock and applies
-// the configured warmup policy. Cancelling ctx aborts the warmup
-// promptly with nothing published; with a lazy policy the only ctx
-// sensitivity is the explicit check (wrapping a model is cheap).
-// gen <= 0 assigns the next registry-wide generation; a positive gen
-// is used verbatim (replication publishes under the originating node's
-// generation so X-Model-Generation stays coherent fleet-wide).
-func (r *Registry) buildServed(ctx context.Context, name string, m *core.Model, gen int64) (*Served, error) {
-	if m == nil || m.H == nil || m.Table == nil {
-		return nil, errors.New("registry: nil model")
-	}
-	eng, err := engine.New(m, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := eng.Warmup(ctx, r.opt.Warmup); err != nil {
-		return nil, err
-	}
-	if gen <= 0 {
-		gen = r.gen.Add(1)
-	}
-	return &Served{
-		name:     name,
-		gen:      gen,
-		eng:      eng,
-		loadedAt: time.Now(),
-	}, nil
-}
-
-// raiseGen lifts the registry-wide generation counter to at least gen,
-// so locally assigned generations after an explicit-generation publish
-// keep increasing past it.
-func (r *Registry) raiseGen(gen int64) {
-	for {
-		cur := r.gen.Load()
-		if cur >= gen || r.gen.CompareAndSwap(cur, gen) {
-			return
-		}
-	}
+// newServed is the one constructor of a Served: publish calls it
+// under r.mu once the generation is assigned.
+func newServed(name string, gen int64, eng *engine.Engine) *Served {
+	return &Served{name: name, gen: gen, eng: eng, loadedAt: time.Now()}
 }
 
 // LoadInfo reports the outcome of a Load.
@@ -249,62 +199,7 @@ func (r *Registry) Load(name string, m *core.Model) (*LoadInfo, error) {
 // interruptible: once the swap happens it completes, keeping the
 // registry consistent.
 func (r *Registry) LoadContext(ctx context.Context, name string, m *core.Model) (*LoadInfo, error) {
-	if name == "" {
-		return nil, errors.New("registry: empty model name")
-	}
-	buildStart := time.Now()
-	s, err := r.buildServed(ctx, name, m, 0)
-	if err != nil {
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			r.opt.Logger.LogAttrs(ctx, slog.LevelError, "model load failed",
-				slog.String("model", name), slog.String("error", err.Error()))
-			if r.opt.LoadHook != nil {
-				r.opt.LoadHook(name, err)
-			}
-		}
-		return nil, err
-	}
-
-	r.mu.Lock()
-	e := r.entries[name]
-	if e == nil {
-		e = &entry{}
-		r.entries[name] = e
-	}
-	old := e.cur.Swap(s)
-	e.ds.Store(nil)
-	e.lastUsed.Store(r.clock.Add(1))
-	evictedNames, drains := r.evictOverBoundLocked(name)
-	r.mu.Unlock()
-
-	info := &LoadInfo{Name: name, Generation: s.gen, Evicted: evictedNames}
-	if old != nil {
-		info.Swapped = true
-		r.swaps.Add(1)
-		drain(old)
-	}
-	// The new generation is already installed: evicted snapshots must
-	// drain to zero refs regardless of the caller's ctx, or their
-	// memory would leak on cancellation.
-	//hyperlint:ignore ctxpoll
-	for _, d := range drains {
-		drain(d)
-	}
-	r.notifyEvicted(evictedNames, drains)
-	for _, victim := range evictedNames {
-		r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model evicted",
-			slog.String("model", victim), slog.String("by", name))
-	}
-	r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model loaded",
-		slog.String("model", name),
-		slog.Int64("generation", s.gen),
-		slog.Int("edges", m.H.NumEdges()),
-		slog.Bool("swapped", info.Swapped),
-		slog.Duration("build", time.Since(buildStart)))
-	if r.opt.LoadHook != nil {
-		r.opt.LoadHook(name, nil)
-	}
-	return info, nil
+	return r.load(ctx, name, m, 0)
 }
 
 // LoadGenerationContext publishes a model under an explicit generation
@@ -322,9 +217,6 @@ func (r *Registry) LoadContext(ctx context.Context, name string, m *core.Model) 
 // and appends on this node number strictly past everything it has seen
 // from the fleet.
 func (r *Registry) LoadGenerationContext(ctx context.Context, name string, m *core.Model, gen int64) (*LoadInfo, error) {
-	if name == "" {
-		return nil, errors.New("registry: empty model name")
-	}
 	if gen <= 0 {
 		return nil, errors.New("registry: explicit generation must be positive")
 	}
@@ -337,8 +229,21 @@ func (r *Registry) LoadGenerationContext(ctx context.Context, name string, m *co
 			return &LoadInfo{Name: name, Generation: curGen, Stale: true}, nil
 		}
 	}
-	buildStart := time.Now()
-	s, err := r.buildServed(ctx, name, m, gen)
+	return r.load(ctx, name, m, gen)
+}
+
+// load wraps m in an Engine outside any lock, applies the warmup
+// policy and publishes the result: at the next local generation when
+// gen is 0, else at gen unless the generation served now is as new.
+// Cancelling ctx aborts the warmup promptly with nothing published;
+// with a lazy policy the only ctx sensitivity is the explicit check
+// (wrapping a model is cheap).
+func (r *Registry) load(ctx context.Context, name string, m *core.Model, gen int64) (*LoadInfo, error) {
+	if name == "" {
+		return nil, errors.New("registry: empty model name")
+	}
+	start := time.Now()
+	eng, err := r.prepare(ctx, m)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			r.opt.Logger.LogAttrs(ctx, slog.LevelError, "model load failed",
@@ -349,65 +254,155 @@ func (r *Registry) LoadGenerationContext(ctx context.Context, name string, m *co
 		}
 		return nil, err
 	}
-
-	r.mu.Lock()
-	e := r.entries[name]
-	if e == nil {
-		e = &entry{}
-		r.entries[name] = e
+	msg, admit := "model loaded", (func(*Served) bool)(nil)
+	if gen > 0 {
+		// Another replication or a local append may have published an
+		// equal-or-newer generation while the engine was being built.
+		msg = "model replicated"
+		admit = func(cur *Served) bool { return cur == nil || cur.gen < gen }
 	}
-	// Re-check under the lock: another replication or a local append
-	// may have published an equal-or-newer generation while the engine
-	// was being built.
-	if cur := e.cur.Load(); cur != nil && cur.gen >= gen {
-		curGen := cur.gen
-		r.mu.Unlock()
-		return &LoadInfo{Name: name, Generation: curGen, Stale: true}, nil
+	p := r.publish(ctx, write{name: name, eng: eng, gen: gen}, admit)
+	if p.refused {
+		return &LoadInfo{Name: name, Generation: p.served.gen, Stale: true}, nil
 	}
-	r.raiseGen(gen)
-	old := e.cur.Swap(s)
-	e.ds.Store(nil)
-	e.lastUsed.Store(r.clock.Add(1))
-	evictedNames, drains := r.evictOverBoundLocked(name)
-	r.mu.Unlock()
-
-	info := &LoadInfo{Name: name, Generation: gen, Evicted: evictedNames}
-	if old != nil {
-		info.Swapped = true
-		r.swaps.Add(1)
-		drain(old)
-	}
-	//hyperlint:ignore ctxpoll
-	for _, d := range drains {
-		drain(d)
-	}
-	r.notifyEvicted(evictedNames, drains)
-	for _, victim := range evictedNames {
-		r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model evicted",
-			slog.String("model", victim), slog.String("by", name))
-	}
-	r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model replicated",
+	info := &LoadInfo{Name: name, Generation: p.served.gen, Swapped: p.old != nil, Evicted: p.evicted}
+	r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, msg,
 		slog.String("model", name),
-		slog.Int64("generation", gen),
+		slog.Int64("generation", info.Generation),
 		slog.Int("edges", m.H.NumEdges()),
 		slog.Bool("swapped", info.Swapped),
-		slog.Duration("build", time.Since(buildStart)))
+		slog.Duration("build", time.Since(start)))
 	if r.opt.LoadHook != nil {
 		r.opt.LoadHook(name, nil)
 	}
 	return info, nil
 }
 
+// prepare validates a loaded model and builds its engine under the
+// warmup policy.
+func (r *Registry) prepare(ctx context.Context, m *core.Model) (*engine.Engine, error) {
+	if m == nil || m.H == nil || m.Table == nil {
+		return nil, errors.New("registry: nil model")
+	}
+	eng, err := engine.New(m, engine.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := eng.Warmup(ctx, r.opt.Warmup); err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// write is one registry write as the publish step sees it. Its fields
+// and publish's admit check are all that differs between a load, an
+// append and a remove.
+type write struct {
+	name string
+	// eng is the next generation's engine; nil removes name.
+	eng *engine.Engine
+	// ds is the live dataset an append advanced to eng's model, kept
+	// for the next append; nil drops the entry's dataset.
+	ds *delta.Dataset
+	// gen, when positive, is an explicit generation: the registry-wide
+	// counter is raised to it and eng publishes under it. 0 publishes
+	// under the next local generation.
+	gen int64
+}
+
+// publication reports what publish did.
+type publication struct {
+	// served is the generation served under the name after the write:
+	// the one published, the one kept when the write was refused, or
+	// nil.
+	served *Served
+	// old is the generation the write replaced or removed, drained
+	// before publish returned; nil if there was none or it was refused.
+	old *Served
+	// evicted lists the models the resident-cost bound pushed out, in
+	// eviction order.
+	evicted []string
+	refused bool
+}
+
+// publish is the step every registry write ends in. Under r.mu it
+// runs admit, when set, on the generation served now (nil if none); a
+// false result refuses the write. Otherwise it assigns the generation,
+// swaps the entry's served generation (or deletes the entry for a
+// remove) and, when it published, evicts least-recently-used other
+// models over the bound. After unlocking it drains the replaced
+// generation and the victims, which is not interruptible: once the
+// swap happens it completes, keeping the registry consistent and the
+// drained memory freed. admit is a parameter rather than a field of w
+// so that the caller's closure does not escape to the heap.
+func (r *Registry) publish(ctx context.Context, w write, admit func(cur *Served) bool) publication {
+	r.mu.Lock()
+	r.gen = max(r.gen, w.gen)
+	e := r.entries[w.name]
+	var cur *Served
+	if e != nil {
+		cur = e.cur.Load()
+	}
+	if admit != nil && !admit(cur) {
+		r.mu.Unlock()
+		return publication{served: cur, refused: true}
+	}
+	p := publication{old: cur}
+	var victims []*Served
+	if w.eng == nil {
+		if e != nil {
+			e.cur.Store(nil)
+			delete(r.entries, w.name)
+		}
+	} else {
+		gen := w.gen
+		if gen <= 0 {
+			r.gen++
+			gen = r.gen
+		}
+		p.served = newServed(w.name, gen, w.eng)
+		if e == nil {
+			e = &entry{}
+			r.entries[w.name] = e
+		}
+		e.cur.Store(p.served)
+		e.ds.Store(w.ds)
+		e.lastUsed.Store(r.clock.Add(1))
+		victims = r.evictOverBoundLocked(w.name)
+	}
+	r.mu.Unlock()
+
+	if p.old != nil {
+		if p.served != nil {
+			r.swaps.Add(1)
+		}
+		drain(p.old)
+	}
+	hook := r.evictHook.Load()
+	for _, v := range victims {
+		drain(v)
+		p.evicted = append(p.evicted, v.name)
+		if hook != nil {
+			(*hook)(v.name, v.gen)
+		}
+		r.opt.Logger.LogAttrs(ctx, slog.LevelInfo, "model evicted",
+			slog.String("model", v.name), slog.String("by", w.name))
+	}
+	return p
+}
+
 // evictOverBoundLocked enforces MaxResidentEdges against the true
 // resident cost (model edges plus built derived artifacts), never
-// evicting the model named keep. It returns the evicted names in
-// eviction order and the Served values to drain once the lock drops.
-func (r *Registry) evictOverBoundLocked(keep string) ([]string, []*Served) {
+// evicting the model named keep. It returns the evicted generations in
+// eviction order, to drain once the lock drops.
+func (r *Registry) evictOverBoundLocked(keep string) []*Served {
 	if r.opt.MaxResidentEdges <= 0 {
-		return nil, nil
+		return nil
 	}
-	var names []string
-	var drains []*Served
+	var victims []*Served
 	for r.residentCostLocked() > int64(r.opt.MaxResidentEdges) {
 		victim, vs := "", (*Served)(nil)
 		var oldest int64
@@ -431,10 +426,9 @@ func (r *Registry) evictOverBoundLocked(keep string) ([]string, []*Served) {
 		r.entries[victim].cur.Store(nil)
 		delete(r.entries, victim)
 		r.evicted.Add(1)
-		names = append(names, victim)
-		drains = append(drains, vs)
+		victims = append(victims, vs)
 	}
-	return names, drains
+	return victims
 }
 
 // residentCostLocked sums the true resident cost of every loaded
@@ -518,22 +512,12 @@ func (r *Registry) acquire(name string, bumpLRU bool) *Served {
 // Remove unloads a model, draining in-flight readers. It reports
 // whether the name was present.
 func (r *Registry) Remove(name string) bool {
-	r.mu.Lock()
-	e := r.entries[name]
-	var old *Served
-	if e != nil {
-		old = e.cur.Swap(nil)
-		delete(r.entries, name)
-	}
-	r.mu.Unlock()
-	if old != nil {
-		drain(old)
-	}
-	if e != nil {
+	p := r.publish(context.Background(), write{name: name}, nil)
+	if p.old != nil {
 		r.opt.Logger.LogAttrs(context.Background(), slog.LevelInfo, "model removed",
 			slog.String("model", name))
 	}
-	return e != nil
+	return p.old != nil
 }
 
 // RemoveGeneration unloads name only if its current generation is at
@@ -545,23 +529,13 @@ func (r *Registry) Remove(name string) bool {
 // local loads numbering past the deleted lineage. It reports whether a
 // model was removed.
 func (r *Registry) RemoveGeneration(name string, gen int64) bool {
-	r.raiseGen(gen)
-	r.mu.Lock()
-	e := r.entries[name]
-	var old *Served
-	if e != nil {
-		if cur := e.cur.Load(); cur != nil && cur.gen <= gen {
-			old = e.cur.Swap(nil)
-			delete(r.entries, name)
-		}
-	}
-	r.mu.Unlock()
-	if old != nil {
-		drain(old)
+	p := r.publish(context.Background(), write{name: name, gen: gen},
+		func(cur *Served) bool { return cur != nil && cur.gen <= gen })
+	if p.old != nil {
 		r.opt.Logger.LogAttrs(context.Background(), slog.LevelInfo, "model removed",
 			slog.String("model", name), slog.Int64("through_generation", gen))
 	}
-	return old != nil
+	return p.old != nil
 }
 
 // Names returns the resident model names, sorted.
