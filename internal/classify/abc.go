@@ -122,14 +122,7 @@ func NewABC(m *core.Model, dom []int, targets []int) (*ABC, error) {
 	next := 0
 	for _, y := range c.targets {
 		// Majority value fallback for targets with no usable edges.
-		bestV, bestC := table.Value(1), -1
-		for v, cnt := range m.Table.ValueCounts(y) {
-			if cnt > bestC {
-				bestC = cnt
-				bestV = table.Value(v + 1)
-			}
-		}
-		c.fallback[y] = bestV
+		c.fallback[y], _ = core.Majority(m.Table, ix, y)
 		first := next
 		for _, ei := range m.H.In(y) {
 			tail := m.H.Edge(int(ei)).Tail

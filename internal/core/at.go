@@ -230,17 +230,41 @@ func zeroed(s []int32, n int) []int32 {
 // Theorem 3.8(1): the frequency of the head attribute's most common
 // value.
 func NullACV(tb *table.Table, head int) float64 {
+	return nullACV(tb, nil, head)
+}
+
+// nullACV is NullACV with the majority counted as Majority counts it.
+func nullACV(tb *table.Table, ix *table.Index, head int) float64 {
 	m := tb.NumRows()
 	if m == 0 {
 		return 0
 	}
-	best := 0
-	for _, c := range tb.ValueCounts(head) {
-		if c > best {
-			best = c
+	_, best := Majority(tb, ix, head)
+	return float64(best) / float64(m)
+}
+
+// Majority returns the most common value of column c and its count,
+// the smallest such value on ties. It reads the counts off ix's
+// posting counts when ix is non-nil (ix must index tb's rows) and
+// otherwise counts them by a scan of the column.
+func Majority(tb *table.Table, ix *table.Index, c int) (table.Value, int) {
+	var counts []int
+	if ix == nil {
+		counts = tb.ValueCounts(c)
+	}
+	best, bestN := table.Value(1), -1
+	for v := table.Value(1); int(v) <= tb.K(); v++ {
+		var n int
+		if ix != nil {
+			n = ix.Count(c, v)
+		} else {
+			n = counts[v-1]
+		}
+		if n > bestN {
+			best, bestN = v, n
 		}
 	}
-	return float64(best) / float64(m)
+	return best, bestN
 }
 
 // ACV computes the association confidence value for (tail, {head})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,29 @@ func TestNullACV(t *testing.T) {
 	empty, _ := table.New([]string{"A"}, 2)
 	if NullACV(empty, 0) != 0 {
 		t.Error("NullACV on empty table should be 0")
+	}
+}
+
+// TestMajorityIndexMatchesScan checks that the majority read off the
+// posting counts is the column scan's value and count, ties included
+// (few rows make ties common), and that the builder's baselines are
+// NullACV's to the bit.
+func TestMajorityIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rng.Intn(bitsMaxK)
+		tb := randomTable(rng, 4, k, 1+rng.Intn(12))
+		ix := tb.Index()
+		for c := 0; c < tb.NumAttrs(); c++ {
+			v, n := Majority(tb, ix, c)
+			wv, wn := Majority(tb, nil, c)
+			if v != wv || n != wn {
+				t.Fatalf("k=%d column %d: index majority (%d, %d), scan (%d, %d)", k, c, v, n, wv, wn)
+			}
+			if got, want := nullACV(tb, ix, c), NullACV(tb, c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d column %d: baseline %v from the index, %v by scan", k, c, got, want)
+			}
+		}
 	}
 }
 

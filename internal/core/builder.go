@@ -280,20 +280,23 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 	if err := tb.Validate(); err != nil {
 		return nil, err
 	}
+	// For small k the counting kernels run on the TID-bitset index
+	// (built once, shared by every worker) and on the pair cells
+	// counted from it; see bitsMaxK for the crossover argument. The
+	// baselines read their majorities off its posting counts.
+	var ix *table.Index
+	if tb.K() <= bitsMaxK {
+		ix = tb.Index()
+	}
 	null := make([]float64, tb.NumAttrs())
 	for c := range null {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		null[c] = NullACV(tb, c)
+		null[c] = nullACV(tb, ix, c)
 	}
-	// For small k the counting kernels run on the TID-bitset index
-	// (built once, shared by every worker) and on the pair cells
-	// counted from it; see bitsMaxK for the crossover argument.
-	var ix *table.Index
 	var pc *PairCells
-	if tb.K() <= bitsMaxK {
-		ix = tb.Index()
+	if ix != nil {
 		var err error
 		if pc, err = CountPairCells(ctx, ix, cfg); err != nil {
 			return nil, err

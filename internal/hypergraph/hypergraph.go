@@ -143,31 +143,32 @@ func sortedCopy(ids []int) []int {
 	return s
 }
 
+// validSets checks Definition 2.9's conditions on a (tail, head) pair
+// and returns the first violation in tail-then-head order. Each id is
+// compared with the ids before it, which for the small sets of mined
+// edges is cheaper than a set.
 func validSets(nv int, tail, head []int) error {
 	if len(tail) == 0 || len(head) == 0 {
 		return errors.New("hypergraph: tail and head must be nonempty")
 	}
-	seen := map[int]byte{}
-	for _, v := range tail {
+	for i, v := range tail {
 		if v < 0 || v >= nv {
 			return fmt.Errorf("hypergraph: tail vertex %d out of range", v)
 		}
-		if seen[v]&1 != 0 {
+		if containsInt(tail[:i], v) {
 			return fmt.Errorf("hypergraph: duplicate tail vertex %d", v)
 		}
-		seen[v] |= 1
 	}
-	for _, v := range head {
+	for i, v := range head {
 		if v < 0 || v >= nv {
 			return fmt.Errorf("hypergraph: head vertex %d out of range", v)
 		}
-		if seen[v]&2 != 0 {
+		if containsInt(head[:i], v) {
 			return fmt.Errorf("hypergraph: duplicate head vertex %d", v)
 		}
-		if seen[v]&1 != 0 {
+		if containsInt(tail, v) {
 			return fmt.Errorf("hypergraph: vertex %d in both tail and head", v)
 		}
-		seen[v] |= 2
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package hypergraph
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +248,72 @@ func TestDegreeConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// validSetsMap is validSets as it was written with a seen-set, kept as
+// the oracle for the scan.
+func validSetsMap(nv int, tail, head []int) error {
+	if len(tail) == 0 || len(head) == 0 {
+		return errors.New("hypergraph: tail and head must be nonempty")
+	}
+	seen := map[int]byte{}
+	for _, v := range tail {
+		if v < 0 || v >= nv {
+			return fmt.Errorf("hypergraph: tail vertex %d out of range", v)
+		}
+		if seen[v]&1 != 0 {
+			return fmt.Errorf("hypergraph: duplicate tail vertex %d", v)
+		}
+		seen[v] |= 1
+	}
+	for _, v := range head {
+		if v < 0 || v >= nv {
+			return fmt.Errorf("hypergraph: head vertex %d out of range", v)
+		}
+		if seen[v]&2 != 0 {
+			return fmt.Errorf("hypergraph: duplicate head vertex %d", v)
+		}
+		if seen[v]&1 != 0 {
+			return fmt.Errorf("hypergraph: vertex %d in both tail and head", v)
+		}
+		seen[v] |= 2
+	}
+	return nil
+}
+
+// TestValidSetsMatchesMap checks that validSets returns the seen-set
+// version's first error, or nil, on random sets of 0-5 ids drawn from
+// a range a little wider than the vertices, so every error occurs.
+func TestValidSetsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const nv = 6
+	draw := func() []int {
+		ids := make([]int, rng.Intn(6))
+		for i := range ids {
+			ids[i] = rng.Intn(nv+2) - 1
+		}
+		return ids
+	}
+	kinds := map[string]int{}
+	for i := 0; i < 200000; i++ {
+		tail, head := draw(), draw()
+		got, want := validSets(nv, tail, head), validSetsMap(nv, tail, head)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("validSets(%v, %v) = %v, seen-set version %v", tail, head, got, want)
+		}
+		kind := "nil"
+		if want != nil {
+			kind = strings.Map(func(r rune) rune {
+				if r == '-' || r >= '0' && r <= '9' {
+					return -1
+				}
+				return r
+			}, want.Error())
+		}
+		kinds[kind]++
+	}
+	if len(kinds) != 7 { // nil and the six errors
+		t.Errorf("random sets reached only %v", kinds)
 	}
 }

@@ -3,6 +3,15 @@
 // of an association hypergraph (Definition 3.11 over Notations 3.9 and
 // 3.10), the induced similarity graph (Definition 3.13), and the
 // Euclidean similarity baseline of §5.3.1.
+//
+// OutSim, InSim and Distance answer one pair by walking its incidence
+// lists with one edge-key Lookup per edge. BuildGraphContext answers
+// all pairs of a collection S by a substitution join instead: it gives
+// every incidence of a vertex of S a dense bucket id keyed by the
+// edge's remainder without that vertex, so the edge a Lookup would
+// find is the one in the same bucket, and each pair walks its lists in
+// Distance's order with an array read per edge. The sums add the same
+// terms in the same order, so every cell is bit-for-bit Distance's.
 package similarity
 
 import (
@@ -176,12 +185,13 @@ type GraphOptions struct {
 
 // BuildGraphContext computes the similarity graph over the collection
 // S of vertex ids of h (Definition 3.13). Diagonal distances are 0.
-// The O(|S|^2) pairwise distance matrix is computed by opt.Parallelism
-// workers (0 means GOMAXPROCS). Every worker owns disjoint rows of the
-// matrix and Distance is a pure function of (h, a1, a2), so the result
-// is bit-identical at every parallelism level. Workers poll ctx every
-// CheckEvery row stripes and the build returns ctx.Err() promptly once
-// canceled, discarding the partial matrix.
+// The pairwise distances come from a substitution join over S's
+// incidences (see join.go), bit-for-bit equal to Distance, and are
+// computed by opt.Parallelism workers (0 means GOMAXPROCS). Every
+// worker owns disjoint rows of the matrix and its own stamp scratch, so
+// the result is bit-identical at every parallelism level. Workers poll
+// ctx every CheckEvery row stripes and the build returns ctx.Err()
+// promptly once canceled, discarding the partial matrix.
 func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphOptions) (*Graph, error) {
 	if len(s) == 0 {
 		return nil, errors.New("similarity: empty collection")
@@ -200,24 +210,34 @@ func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphO
 		parallelism = len(s)
 	}
 	prog := runopt.NewMeter(runopt.PhaseSimilarity, len(s), opt.Progress)
-	g := &Graph{Nodes: append([]int(nil), s...), D: make([][]float64, len(s))}
+	n := len(s)
+	g := &Graph{Nodes: append([]int(nil), s...), D: make([][]float64, n)}
+	slab := make([]float64, n*n)
 	for i := range g.D {
-		g.D[i] = make([]float64, len(s))
+		g.D[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
-	fillRow := func(i int) {
-		for j := i + 1; j < len(s); j++ {
-			d := Distance(h, s[i], s[j])
+	ix := newJoinIndex(h, s)
+	fillRow := func(sc *joinScratch, i int) {
+		a1 := s[i]
+		for j := i + 1; j < n; j++ {
+			var d float64
+			if a2 := s[j]; a1 == a2 {
+				d = Distance(h, a1, a2)
+			} else {
+				d = ix.distance(sc, a1, a2)
+			}
 			g.D[i][j] = d
 			g.D[j][i] = d
 		}
 	}
 	if parallelism == 1 {
 		chk := runopt.NewChecker(ctx, opt.CheckEvery, 1)
-		for i := 0; i < len(s); i++ {
+		sc := newJoinScratch(ix.buckets)
+		for i := 0; i < n; i++ {
 			if err := chk.Tick(); err != nil {
 				return nil, err
 			}
-			fillRow(i)
+			fillRow(sc, i)
 			prog.Tick(1)
 		}
 		return g, nil
@@ -233,16 +253,17 @@ func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphO
 		go func() {
 			defer wg.Done()
 			chk := runopt.NewChecker(ctx, opt.CheckEvery, 1)
+			sc := newJoinScratch(ix.buckets)
 			for i := range rows {
 				if chk.Tick() != nil {
 					continue
 				}
-				fillRow(i)
+				fillRow(sc, i)
 				prog.Tick(1)
 			}
 		}()
 	}
-	for i := 0; i < len(s) && ctx.Err() == nil; i++ {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case rows <- i:
 		case <-ctx.Done():
