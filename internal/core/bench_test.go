@@ -8,7 +8,7 @@ import (
 	"hypermine/internal/table"
 )
 
-func benchTable(b *testing.B, n, k, rows int) *table.Table {
+func benchTable(b testing.TB, n, k, rows int) *table.Table {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	attrs := make([]string, n)

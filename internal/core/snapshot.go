@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hypermine/internal/hypergraph"
@@ -35,6 +38,20 @@ import (
 // cell (table.Value is uint8), which makes the rows section — the bulk
 // of a full snapshot — a straight memory copy on load.
 //
+// Encoding streams: one description of the format (encodeSnapshot)
+// runs twice, first counting every section's length (SnapshotSize
+// exposes the total, for a pre-sized buffer or a Content-Length), then
+// writing each length prefix before its payload and sending the bytes
+// through one buffer of at most 32 KB with a running checksum, so no
+// section is built in memory. Decoding
+// reads the input once, into one buffer of the input's size when that
+// is known (ReadSnapshot asks a *bytes.Reader, a *bytes.Buffer or a
+// regular file; HTTP handlers read a body at its Content-Length and
+// call DecodeSnapshot), then decodes in place: one string for the
+// attribute names, one id slab for every edge, one slab for the
+// table's columns, and a hypergraph sized exactly before its first
+// edge. The decoded model does not keep the input buffer.
+//
 // The rows section is optional so serving snapshots can omit the
 // training table. A model loaded without rows has RowsOmitted set and
 // an empty (schema-only) table: graph queries (similarity, dominators,
@@ -57,117 +74,227 @@ type SaveOptions struct {
 	OmitRows bool
 }
 
-// appendUvarint / appendFloat64 are the snapshot primitive writers.
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendFloat64(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+// snapEncoder emits a snapshot. encodeSnapshot drives it twice over
+// the same code: a sizing pass (w nil) that only counts bytes and
+// records each section's payload length, then a writing pass that
+// writes those lengths as the section prefixes and streams every byte
+// to w through one buffer, folding each flushed byte into the running
+// checksum. The first write error sticks; later writes are dropped.
+type snapEncoder struct {
+	w    io.Writer // nil: the sizing pass
+	buf  []byte
+	n    int // bytes emitted so far
+	crc  uint32
+	err  error
+	secs [5]int // section payload lengths, recorded by the sizing pass
+	nsec int    // sections recorded, or written by the writing pass
 }
 
-// appendSection frames a section payload with its uvarint length.
-func appendSection(dst, payload []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
-}
+// snapWriteBuf bounds the encoder's one buffer.
+const snapWriteBuf = 32 << 10
 
-// WriteSnapshot serializes the model in the binary snapshot format.
-// With opt.OmitRows (or when the model itself has no rows) the rows
-// section is skipped and the snapshot is marked row-less.
-func WriteSnapshot(w io.Writer, m *Model, opt SaveOptions) error {
-	if m == nil || m.Table == nil || m.H == nil {
-		return fmt.Errorf("core: snapshot: nil model")
+// maxPrimitive is the longest primitive (a uvarint) the encoder
+// appends at once: it keeps that much room free in its buffer.
+const maxPrimitive = binary.MaxVarintLen64
+
+func (e *snapEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		_, e.err = e.w.Write(e.buf)
 	}
+	e.buf = e.buf[:0]
+}
+
+// room flushes the buffer unless it can take one more primitive.
+func (e *snapEncoder) room() {
+	if cap(e.buf)-len(e.buf) < maxPrimitive {
+		e.flush()
+	}
+}
+
+func (e *snapEncoder) uvarint(v uint64) {
+	if e.w == nil {
+		e.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	e.room()
+	n := len(e.buf)
+	e.buf = binary.AppendUvarint(e.buf, v)
+	e.n += len(e.buf) - n
+}
+
+func (e *snapEncoder) float64(f float64) {
+	e.n += 8
+	if e.w != nil {
+		e.room()
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
+	}
+}
+
+func (e *snapEncoder) ids(ids []int) {
+	e.uvarint(uint64(len(ids)))
+	for _, v := range ids {
+		e.uvarint(uint64(v))
+	}
+}
+
+func (e *snapEncoder) string(v string) {
+	e.n += len(v)
+	for e.w != nil && len(v) > 0 {
+		e.room()
+		k := copy(e.buf[len(e.buf):cap(e.buf)], v)
+		e.buf, v = e.buf[:len(e.buf)+k], v[k:]
+	}
+}
+
+// cells emits a column's values one byte each.
+func (e *snapEncoder) cells(col []table.Value) {
+	e.n += len(col)
+	for e.w != nil && len(col) > 0 {
+		e.room()
+		room := e.buf[len(e.buf):cap(e.buf)]
+		k := min(len(room), len(col))
+		for i, v := range col[:k] {
+			room[i] = byte(v)
+		}
+		e.buf, col = e.buf[:len(e.buf)+k], col[k:]
+	}
+}
+
+// section emits one length-prefixed section whose payload body emits.
+func (e *snapEncoder) section(body func()) {
+	if e.w == nil {
+		start := e.n
+		body()
+		size := e.n - start
+		e.secs[e.nsec] = size
+		e.nsec++
+		e.uvarint(uint64(size)) // counts the prefix
+		return
+	}
+	e.uvarint(uint64(e.secs[e.nsec]))
+	e.nsec++
+	body()
+}
+
+// encodeSnapshot emits m, without the trailing checksum, in the
+// format described at the top of this file.
+func encodeSnapshot(e *snapEncoder, m *Model, hasRows bool) {
 	tb := m.Table
 	n := tb.NumAttrs()
-	if len(m.EdgeACV) != n*n {
-		return fmt.Errorf("core: snapshot: edgeACV has %d entries, want %d", len(m.EdgeACV), n*n)
-	}
-	hasRows := !opt.OmitRows && !m.RowsOmitted && tb.NumRows() > 0
-
-	buf := make([]byte, 0, snapshotSizeHint(m, hasRows))
-	buf = append(buf, snapshotMagic[:]...)
-	buf = appendUvarint(buf, SnapshotVersion)
+	e.string(string(snapshotMagic[:]))
+	e.uvarint(SnapshotVersion)
 	var flags uint64
 	if hasRows {
 		flags |= snapshotFlagRows
 	}
-	buf = appendUvarint(buf, flags)
+	e.uvarint(flags)
 
 	// Schema section: k, then the attribute names.
-	var sec []byte
-	sec = appendUvarint(sec, uint64(tb.K()))
-	sec = appendUvarint(sec, uint64(n))
-	for _, a := range tb.Attrs() {
-		sec = appendUvarint(sec, uint64(len(a)))
-		sec = append(sec, a...)
-	}
-	buf = appendSection(buf, sec)
+	e.section(func() {
+		e.uvarint(uint64(tb.K()))
+		e.uvarint(uint64(n))
+		for j := 0; j < n; j++ {
+			a := tb.AttrName(j)
+			e.uvarint(uint64(len(a)))
+			e.string(a)
+		}
+	})
 
 	// Config section.
-	cfg := m.Config
-	sec = sec[:0]
-	sec = appendUvarint(sec, uint64(cfg.K))
-	sec = appendUvarint(sec, uint64(cfg.MaxTailSize))
-	sec = appendUvarint(sec, uint64(cfg.Candidates))
-	sec = appendUvarint(sec, uint64(cfg.Parallelism))
-	sec = appendFloat64(sec, cfg.GammaEdge)
-	sec = appendFloat64(sec, cfg.GammaPair)
-	sec = appendFloat64(sec, cfg.GammaTriple)
-	buf = appendSection(buf, sec)
+	e.section(func() {
+		cfg := m.Config
+		e.uvarint(uint64(cfg.K))
+		e.uvarint(uint64(cfg.MaxTailSize))
+		e.uvarint(uint64(cfg.Candidates))
+		e.uvarint(uint64(cfg.Parallelism))
+		e.float64(cfg.GammaEdge)
+		e.float64(cfg.GammaPair)
+		e.float64(cfg.GammaTriple)
+	})
 
 	// Edges section.
-	edges := m.H.Edges()
-	sec = sec[:0]
-	sec = appendUvarint(sec, uint64(len(edges)))
-	for _, e := range edges {
-		sec = appendUvarint(sec, uint64(len(e.Tail)))
-		for _, v := range e.Tail {
-			sec = appendUvarint(sec, uint64(v))
+	e.section(func() {
+		edges := m.H.Edges()
+		e.uvarint(uint64(len(edges)))
+		for _, ed := range edges {
+			e.ids(ed.Tail)
+			e.ids(ed.Head)
+			e.float64(ed.Weight)
 		}
-		sec = appendUvarint(sec, uint64(len(e.Head)))
-		for _, v := range e.Head {
-			sec = appendUvarint(sec, uint64(v))
-		}
-		sec = appendFloat64(sec, e.Weight)
-	}
-	buf = appendSection(buf, sec)
+	})
 
 	// ACV section.
-	sec = sec[:0]
-	sec = appendUvarint(sec, uint64(len(m.EdgeACV)))
-	for _, v := range m.EdgeACV {
-		sec = appendFloat64(sec, v)
-	}
-	buf = appendSection(buf, sec)
+	e.section(func() {
+		e.uvarint(uint64(len(m.EdgeACV)))
+		for _, v := range m.EdgeACV {
+			e.float64(v)
+		}
+	})
 
 	// Rows section: column-major raw bytes.
 	if hasRows {
-		rows := tb.NumRows()
-		sec = sec[:0]
-		sec = appendUvarint(sec, uint64(rows))
-		for j := 0; j < n; j++ {
-			col := tb.Column(j)
-			for _, v := range col {
-				sec = append(sec, byte(v))
+		e.section(func() {
+			e.uvarint(uint64(tb.NumRows()))
+			for j := 0; j < n; j++ {
+				e.cells(tb.Column(j))
 			}
-		}
-		buf = appendSection(buf, sec)
+		})
 	}
-
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
-	return err
 }
 
-// snapshotSizeHint estimates the serialized size to seed the write
-// buffer (exactness is irrelevant; it only avoids regrowth churn).
-func snapshotSizeHint(m *Model, hasRows bool) int {
-	n := m.Table.NumAttrs()
-	size := 256 + 16*n + 32*m.H.NumEdges() + 8*len(m.EdgeACV)
-	if hasRows {
-		size += n * m.Table.NumRows()
+// sizeSnapshot runs the sizing pass: it checks that m can be written
+// and returns whether the rows section is written and the snapshot's
+// total length, checksum included.
+func sizeSnapshot(e *snapEncoder, m *Model, opt SaveOptions) (hasRows bool, size int, err error) {
+	if m == nil || m.Table == nil || m.H == nil {
+		return false, 0, fmt.Errorf("core: snapshot: nil model")
 	}
-	return size
+	if n := m.Table.NumAttrs(); len(m.EdgeACV) != n*n {
+		return false, 0, fmt.Errorf("core: snapshot: edgeACV has %d entries, want %d", len(m.EdgeACV), n*n)
+	}
+	hasRows = !opt.OmitRows && !m.RowsOmitted && m.Table.NumRows() > 0
+	encodeSnapshot(e, m, hasRows)
+	return hasRows, e.n + 4, nil
+}
+
+// SnapshotSize returns the exact number of bytes WriteSnapshot writes
+// for m under opt, so a caller can size a buffer or a Content-Length
+// up front. It fails exactly when WriteSnapshot would.
+func SnapshotSize(m *Model, opt SaveOptions) (int, error) {
+	_, size, err := sizeSnapshot(&snapEncoder{}, m, opt)
+	return size, err
+}
+
+// WriteSnapshot serializes the model in the binary snapshot format.
+// With opt.OmitRows (or when the model itself has no rows) the rows
+// section is skipped and the snapshot is marked row-less. A sizing
+// pass fixes every section's length first, so the sections stream to
+// w through one buffer of at most 32 KB with a running checksum, and
+// w receives exactly SnapshotSize(m, opt) bytes. A w with a Grow
+// method (a *bytes.Buffer) is grown to that size before the first
+// write.
+func WriteSnapshot(w io.Writer, m *Model, opt SaveOptions) error {
+	var e snapEncoder
+	hasRows, size, err := sizeSnapshot(&e, m, opt)
+	if err != nil {
+		return err
+	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(size) // a *bytes.Buffer takes the whole snapshot in one allocation
+	}
+	e.w, e.n, e.nsec = w, 0, 0
+	e.buf = make([]byte, 0, max(min(size, snapWriteBuf), 2*maxPrimitive))
+	encodeSnapshot(&e, m, hasRows)
+	e.flush()
+	if e.err != nil {
+		return e.err
+	}
+	if e.n+4 != size {
+		return fmt.Errorf("core: snapshot: wrote %d bytes, sized %d", e.n+4, size)
+	}
+	_, err = w.Write(binary.LittleEndian.AppendUint32(e.buf, e.crc))
+	return err
 }
 
 // snapReader decodes snapshot primitives from an in-memory buffer.
@@ -220,27 +347,59 @@ func (r *snapReader) bytes(n int, what string) ([]byte, error) {
 }
 
 // section returns a reader over the next length-prefixed section.
-func (r *snapReader) section(what string) (*snapReader, error) {
+func (r *snapReader) section(what string) (snapReader, error) {
 	size, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: %s section: %w", what, err)
+		return snapReader{}, fmt.Errorf("core: snapshot: %s section: %w", what, err)
 	}
-	payload, err := r.bytes(int(size), what+" section")
-	if err != nil {
-		return nil, err
+	if size > uint64(r.remaining()) {
+		return snapReader{}, fmt.Errorf("core: snapshot: truncated %s section at offset %d", what, r.off)
 	}
-	return &snapReader{b: payload}, nil
+	payload := r.b[r.off : r.off+int(size)]
+	r.off += int(size)
+	return snapReader{b: payload}, nil
 }
 
-// ReadSnapshot loads a model written by WriteSnapshot, verifying the
-// checksum and re-validating the schema and every hyperedge. Snapshots
-// saved with OmitRows come back with RowsOmitted set and an empty
-// training table (see Model.RequireRows).
+// ReadSnapshot loads a model written by WriteSnapshot: it reads r to
+// the end in one buffer and decodes that with DecodeSnapshot. When r
+// knows its length (a *bytes.Reader, a *bytes.Buffer, a regular
+// *os.File) the buffer is allocated once at that size; a body of known
+// length should be read at its length and handed to DecodeSnapshot.
 func ReadSnapshot(r io.Reader) (*Model, error) {
-	raw, err := io.ReadAll(r)
+	raw, err := readAllSized(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
+	return DecodeSnapshot(raw)
+}
+
+// readAllSized is io.ReadAll that starts at r's own length when r can
+// tell it, with bytes.MinRead to spare for the read that reports
+// io.EOF, so a reader of known length fills one buffer.
+func readAllSized(r io.Reader) ([]byte, error) {
+	size := 0
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() < math.MaxInt32 {
+			size = int(fi.Size())
+		}
+	}
+	var b bytes.Buffer
+	b.Grow(size + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// DecodeSnapshot decodes a snapshot held in memory, verifying the
+// checksum and re-validating the schema and every hyperedge. It is the
+// one snapshot decoder. It does not retain raw: the attribute names
+// share one string, the edges' vertex ids one slab, and the rows one
+// column slab (table.FromRawColumns), each sized exactly before it is
+// filled. Snapshots saved with OmitRows come back with RowsOmitted set
+// and an empty training table (see Model.RequireRows).
+func DecodeSnapshot(raw []byte) (*Model, error) {
 	if len(raw) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("core: snapshot: %d bytes is too short", len(raw))
 	}
@@ -251,7 +410,7 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	if string(body[:4]) != string(snapshotMagic[:]) {
 		return nil, fmt.Errorf("core: snapshot: bad magic %q", body[:4])
 	}
-	sr := &snapReader{b: body, off: 4}
+	sr := snapReader{b: body, off: 4}
 	version, err := sr.uvarint()
 	if err != nil {
 		return nil, err
@@ -265,7 +424,8 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	}
 	hasRows := flags&snapshotFlagRows != 0
 
-	// Schema.
+	// Schema. The names are substrings of one string made from the
+	// rest of the section (their length prefixes ride along).
 	sec, err := sr.section("schema")
 	if err != nil {
 		return nil, err
@@ -278,17 +438,17 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	names, base := string(sec.b[sec.off:]), sec.off
 	attrs := make([]string, nAttrs)
 	for j := range attrs {
 		nameLen, err := sec.count("attribute-name")
 		if err != nil {
 			return nil, err
 		}
-		name, err := sec.bytes(nameLen, "attribute name")
-		if err != nil {
+		if _, err := sec.bytes(nameLen, "attribute name"); err != nil {
 			return nil, err
 		}
-		attrs[j] = string(name)
+		attrs[j] = names[sec.off-base-nameLen : sec.off-base]
 	}
 
 	// Config.
@@ -348,7 +508,7 @@ func ReadSnapshot(r io.Reader) (*Model, error) {
 	// it, and delta generations go on sharing them, so an oversized
 	// slab would stay live for as long as the model line does. The
 	// same pass counts vertex degrees, so the graph's incidence lists
-	// are sized once too.
+	// and its key index are sized once too.
 	ids, outDeg, inDeg := sec.scanEdges(numEdges, nAttrs)
 	h.Reserve(min(numEdges, sec.remaining()/minEdgeBytes), outDeg, inDeg)
 	slab := make([]int, 0, min(ids, sec.remaining()))

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes. The seed corpus
 // (testdata/fuzz/FuzzReadSnapshot plus the f.Add seeds below) is
 // WriteSnapshot output, with and without the rows section. For every
-// input the decoder must return an error rather than panic, and must
-// allocate no more than a fixed multiple of the input length.
+// input the decoder must return an error rather than panic, must
+// allocate no more than a fixed multiple of the input length, and
+// must decode the same model, or fail the same way, when it reads the
+// input one byte at a time.
 //
 // Each input is tried twice: as given, and with its trailing checksum
 // recomputed, so mutations reach the section parsers instead of
@@ -56,24 +60,40 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// decodeBounded decodes data, failing the test if the decode allocates
-// more than a fixed multiple of the input length, and returns the
-// accepted model's re-encoding.
+// decodeBounded decodes data twice, from a *bytes.Reader and one byte
+// per Read, failing the test if either decode allocates more than a
+// fixed multiple of the input length or the two disagree, and returns
+// the accepted model's re-encoding.
 func decodeBounded(t *testing.T, data []byte) ([]byte, bool) {
 	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := ReadSnapshot(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
-	if limit := 512*uint64(len(data)) + 64<<10; after.TotalAlloc-before.TotalAlloc > limit {
-		t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), after.TotalAlloc-before.TotalAlloc, limit)
+	m, err := boundedRead(t, bytes.NewReader(data), len(data))
+	m1, err1 := boundedRead(t, iotest.OneByteReader(bytes.NewReader(data)), len(data))
+	if (err == nil) != (err1 == nil) || (err != nil && err.Error() != err1.Error()) {
+		t.Fatalf("one-byte reads give %v, a bytes.Reader %v", err1, err)
 	}
 	if err != nil {
 		return nil, false
 	}
-	var buf bytes.Buffer
+	var buf, buf1 bytes.Buffer
 	if err := WriteSnapshot(&buf, m, SaveOptions{}); err != nil {
 		t.Fatalf("accepted model does not re-encode: %v", err)
 	}
+	if err := WriteSnapshot(&buf1, m1, SaveOptions{}); err != nil || !bytes.Equal(buf.Bytes(), buf1.Bytes()) {
+		t.Fatalf("one-byte reads decode a different model (%v)", err)
+	}
 	return buf.Bytes(), true
+}
+
+// boundedRead is ReadSnapshot(r), failing the test if it allocates
+// more than a fixed multiple of the n input bytes.
+func boundedRead(t *testing.T, r io.Reader, n int) (*Model, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := ReadSnapshot(r)
+	runtime.ReadMemStats(&after)
+	if limit := 512*uint64(n) + 64<<10; after.TotalAlloc-before.TotalAlloc > limit {
+		t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", n, after.TotalAlloc-before.TotalAlloc, limit)
+	}
+	return m, err
 }

@@ -56,14 +56,24 @@ func modelsEquivalent(t *testing.T, a, b *Model) {
 	}
 }
 
-// checkSnapshotRoundTrip writes m as a snapshot and reads it back. The
-// loaded model must equal m exactly, rebuild the same association table
+// checkSnapshotRoundTrip writes m as a snapshot and reads it back.
+// SnapshotSize must give the length written, with and without rows.
+// The loaded model must equal m exactly, rebuild the same association table
 // for every edge, and write back to the same bytes.
 func checkSnapshotRoundTrip(t *testing.T, m *Model) {
 	t.Helper()
 	var first bytes.Buffer
 	if err := WriteSnapshot(&first, m, SaveOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	for _, opt := range []SaveOptions{{}, {OmitRows: true}} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, m, opt); err != nil {
+			t.Fatal(err)
+		}
+		if size, err := SnapshotSize(m, opt); err != nil || size != buf.Len() {
+			t.Fatalf("SnapshotSize(%+v) = %d, %v; WriteSnapshot wrote %d", opt, size, err, buf.Len())
+		}
 	}
 	back, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
 	if err != nil {

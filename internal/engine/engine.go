@@ -3,8 +3,9 @@
 // that lazily builds and memoizes every derived artifact the paper's
 // repeated-query workloads need — the TID-bitset index, the all-pairs
 // similarity graph, dominator results keyed by algorithm options, the
-// prepared association-based classifier with its predictor pool, and
-// a bounded LRU of mined-rule answers keyed by (head, MineOptions).
+// prepared association-based classifier with its free list of
+// predictors, and a bounded LRU of mined-rule answers keyed by (head,
+// MineOptions).
 //
 // One Engine is shared by every consumer of a model: the library
 // facade, the serving registry (which only adds lifecycle — hot swap,
@@ -165,15 +166,58 @@ func isCtxErr(err error) bool {
 }
 
 // classifierSet is the prepared classification artifact for one
-// dominator spec: the derived targets, the prebuilt ABC with its
-// predictor pool, or the sticky reason classification is unavailable
-// (row-less snapshot, or a dominator covering no targets).
+// dominator spec: the derived targets, the prebuilt ABC with its free
+// list of predictors, or the sticky reason classification is
+// unavailable (row-less snapshot, or a dominator covering no targets).
 type classifierSet struct {
 	dom         *cover.Result
 	targets     []int
 	abc         *classify.ABC
 	unavailable error
-	pool        sync.Pool // *classify.Predictor, only when abc != nil
+	predictors  predictorList // only when abc != nil
+}
+
+// maxIdlePredictors bounds a classifier's idle predictors: more
+// concurrent classifies than this allocate their extras once each.
+const maxIdlePredictors = 64
+
+// predictorList is a classifier's free list of scratch-reusing
+// predictors. It is owned by its set, so nothing outside the set
+// reaches the model through it: a sync.Pool would be listed by the
+// runtime until the second collection after its last use, keeping a
+// retired generation's model alive for one extra GC cycle.
+type predictorList struct {
+	mu   sync.Mutex
+	n    int
+	idle [maxIdlePredictors]*classify.Predictor
+}
+
+// get returns an idle predictor over abc, or a new one.
+//
+//hyper:noalloc
+func (l *predictorList) get(abc *classify.ABC) *classify.Predictor {
+	l.mu.Lock()
+	if l.n > 0 {
+		l.n--
+		p := l.idle[l.n]
+		l.idle[l.n] = nil
+		l.mu.Unlock()
+		return p
+	}
+	l.mu.Unlock()
+	return abc.NewPredictor()
+}
+
+// put returns p to the list, or drops it when the list is full.
+//
+//hyper:noalloc
+func (l *predictorList) put(p *classify.Predictor) {
+	l.mu.Lock()
+	if l.n < len(l.idle) {
+		l.idle[l.n] = p
+		l.n++
+	}
+	l.mu.Unlock()
 }
 
 // Engine is the prepared-model query handle. It is safe for
@@ -381,7 +425,7 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 	}
 	dom := ans.res
 	// The dominator's own time is attributed above; this span covers
-	// the classifier-specific work (association tables, pool setup).
+	// the classifier-specific work (association tables).
 	defer telemetry.TraceFrom(ctx).Span(string(runopt.PhaseClassifier))()
 	set := &classifierSet{dom: dom, targets: ans.targets}
 	switch {
@@ -395,7 +439,6 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 			return nil, internalf("engine: classifier: %v", err)
 		}
 		set.abc = abc
-		set.pool.New = func() any { return abc.NewPredictor() }
 	}
 	e.classifierBuilds.Add(1)
 	e.derivedBytes.Add(classifierFootprint(set))
@@ -453,7 +496,7 @@ func (e *Engine) ClassifierFor(ctx context.Context, spec DomSpec) (*classify.ABC
 }
 
 // BorrowPredictor takes a scratch-reusing predictor from the default
-// classifier's pool; pair with ReturnPredictor. Steady-state borrows
+// classifier's free list; pair with ReturnPredictor. Steady-state borrows
 // perform no heap allocation.
 //
 //hyper:noalloc
@@ -462,16 +505,16 @@ func (e *Engine) BorrowPredictor(ctx context.Context) (*classify.Predictor, erro
 	if err != nil {
 		return nil, err
 	}
-	return set.pool.Get().(*classify.Predictor), nil
+	return set.predictors.get(set.abc), nil
 }
 
-// ReturnPredictor puts a borrowed predictor back in the pool.
+// ReturnPredictor puts a borrowed predictor back on the free list.
 func (e *Engine) ReturnPredictor(ctx context.Context, p *classify.Predictor) {
 	if p == nil {
 		return
 	}
 	if set, _, ok := e.defaultCls.cached(); ok && set != nil && set.abc != nil {
-		set.pool.Put(p)
+		set.predictors.put(p)
 	}
 }
 
@@ -494,9 +537,9 @@ func (e *Engine) warmClassifierSet(ctx context.Context) (*classifierSet, error) 
 	return set, nil
 }
 
-// Predict classifies one observation for target through a pooled
+// Predict classifies one observation for target through an idle
 // predictor: domVals holds the dominator values in Dominator() order.
-// Warm calls (classifier built, pool warm) make zero heap allocations.
+// Warm calls (classifier built, a predictor idle) make zero heap allocations.
 //
 //hyper:noalloc
 func (e *Engine) Predict(ctx context.Context, domVals []table.Value, target int) (table.Value, float64, error) {
@@ -504,15 +547,15 @@ func (e *Engine) Predict(ctx context.Context, domVals []table.Value, target int)
 	if err != nil {
 		return 0, 0, err
 	}
-	p := set.pool.Get().(*classify.Predictor)
+	p := set.predictors.get(set.abc)
 	v, conf, err := p.Predict(domVals, target)
-	set.pool.Put(p)
+	set.predictors.put(p)
 	return v, conf, err
 }
 
-// PredictBatch classifies many observations for target through a
-// pooled predictor; see classify.Predictor.PredictBatchContext for the
-// domVals/out/conf contract. Beyond warm pool state it allocates
+// PredictBatch classifies many observations for target through an
+// idle predictor; see classify.Predictor.PredictBatchContext for the
+// domVals/out/conf contract. Once a predictor is idle it allocates
 // nothing.
 //
 //hyper:noalloc
@@ -521,9 +564,9 @@ func (e *Engine) PredictBatch(ctx context.Context, domVals []table.Value, target
 	if err != nil {
 		return err
 	}
-	p := set.pool.Get().(*classify.Predictor)
+	p := set.predictors.get(set.abc)
 	err = p.PredictBatchContext(ctx, domVals, target, out, conf)
-	set.pool.Put(p)
+	set.predictors.put(p)
 	return err
 }
 

@@ -22,8 +22,8 @@ import (
 	"hypermine/internal/telemetry"
 )
 
-// maxReplicateBytes bounds a replicated snapshot body, matching the
-// server's own PUT bound.
+// maxReplicateBytes bounds a replicated snapshot body, pushed or
+// pulled, matching the server's own PUT bound.
 const maxReplicateBytes = 1 << 30
 
 // NodeConfig configures one fleet member.
@@ -74,6 +74,10 @@ type Node struct {
 	ring   *Ring
 	client *http.Client
 	logger *slog.Logger
+
+	// maxSnapshot bounds a snapshot body pushed to or pulled by this
+	// node: maxReplicateBytes, lowered only by tests.
+	maxSnapshot int64
 
 	peers     map[string]*peerState // keyed by peer name; set at construction
 	peerNames []string              // sorted, for deterministic iteration
@@ -128,18 +132,19 @@ func NewNode(cfg NodeConfig, reg *registry.Registry, srv *server.Server) (*Node,
 	}
 	sort.Strings(members)
 	n := &Node{
-		cfg:        cfg,
-		reg:        reg,
-		srv:        srv,
-		inner:      srv.Handler(),
-		ring:       NewRing(cfg.VNodes, cfg.Replicas, members),
-		client:     cfg.Client,
-		logger:     cfg.Logger,
-		peers:      make(map[string]*peerState, len(cfg.Peers)),
-		tombs:      make(map[string]int64),
-		evictedGen: make(map[string]int64),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:         cfg,
+		reg:         reg,
+		srv:         srv,
+		inner:       srv.Handler(),
+		ring:        NewRing(cfg.VNodes, cfg.Replicas, members),
+		client:      cfg.Client,
+		logger:      cfg.Logger,
+		maxSnapshot: maxReplicateBytes,
+		peers:       make(map[string]*peerState, len(cfg.Peers)),
+		tombs:       make(map[string]int64),
+		evictedGen:  make(map[string]int64),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	if n.client == nil {
 		n.client = &http.Client{Timeout: 30 * time.Second}
@@ -531,7 +536,11 @@ func (n *Node) pullSnapshot(ctx context.Context, peer, name string) error {
 	if err != nil || gen <= 0 {
 		return fmt.Errorf("fleet: pull %s from %s: bad generation header", name, peer)
 	}
-	m, err := core.ReadSnapshot(resp.Body)
+	raw, err := server.ReadBody(resp.Body, resp.ContentLength, n.maxSnapshot)
+	if err != nil {
+		return fmt.Errorf("fleet: pull %s from %s: %w", name, peer, err)
+	}
+	m, err := core.DecodeSnapshot(raw)
 	if err != nil {
 		return fmt.Errorf("fleet: pull %s from %s: %w", name, peer, err)
 	}
@@ -606,7 +615,13 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sv.Release()
+	size, err := core.SnapshotSize(sv.Model(), core.SaveOptions{})
+	if err != nil {
+		http.Error(w, "snapshot: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.Header().Set("X-Model-Generation", strconv.FormatInt(sv.Generation(), 10))
 	if err := core.WriteSnapshot(w, sv.Model(), core.SaveOptions{}); err != nil {
 		n.logger.LogAttrs(r.Context(), slog.LevelWarn, "fleet snapshot stream failed",
@@ -637,7 +652,11 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	m, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxReplicateBytes))
+	raw, err := server.ReadBody(http.MaxBytesReader(w, r.Body, n.maxSnapshot), r.ContentLength, n.maxSnapshot)
+	var m *core.Model
+	if err == nil {
+		m, err = core.DecodeSnapshot(raw)
+	}
 	if err != nil {
 		http.Error(w, "snapshot: "+err.Error(), http.StatusBadRequest)
 		return
@@ -806,6 +825,8 @@ func (n *Node) replicate(ctx context.Context, name string) error {
 		return nil // removed in the races between ack and replication; nothing to push
 	}
 	gen := sv.Generation()
+	// Encode once, into a buffer WriteSnapshot grows to the snapshot's
+	// exact size, and push the same bytes to every target.
 	var snap bytes.Buffer
 	err := core.WriteSnapshot(&snap, sv.Model(), core.SaveOptions{})
 	sv.Release()

@@ -331,17 +331,18 @@ func (rt *Router) handleModelScoped(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	// Buffer the request body once so failover can replay it. The bound
-	// is the router's own (default 64 MiB), not the node's snapshot
-	// bound: the routing tier holds one buffered body per in-flight
-	// request and must stay far from memory exhaustion.
+	// Buffer the request body once so failover can replay it, in one
+	// buffer of its declared length when it has one. The bound is the
+	// router's own (default 64 MiB), not the node's snapshot bound: the
+	// routing tier holds one buffered body per in-flight request and
+	// must stay far from memory exhaustion.
 	maxBody := rt.cfg.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = defaultMaxForwardBody
 	}
 	var body []byte
 	if r.Body != nil {
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		b, err := server.ReadBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
 		if err != nil {
 			status = http.StatusBadRequest
 			var tooLarge *http.MaxBytesError

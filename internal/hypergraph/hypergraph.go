@@ -43,11 +43,12 @@ type H struct {
 	out   [][]int32 // vertex id -> indexes of edges whose tail contains it
 	in    [][]int32 // vertex id -> indexes of edges whose head contains it
 
-	// Each edge lives in exactly one key map: pkeys when the (tail,
-	// head) pair is packable (see packed.go — the restricted-model
-	// fast path), keys otherwise (general edges, the string-key
-	// fallback). Lookup decides per probe via PackEdgeKey.
-	pkeys map[uint64]int32
+	// Each edge lives in exactly one key index: pkeys, the flat
+	// table of keyindex.go, when the (tail, head) pair is packable
+	// (see packed.go — every edge of the restricted model), keys
+	// otherwise (general edges, the string-key fallback, made on the
+	// first such edge). Lookup decides per probe via PackEdgeKey.
+	pkeys keyIndex
 	keys  map[string]int32
 }
 
@@ -73,8 +74,6 @@ func New(names []string) (*H, error) {
 		index: idx,
 		out:   make([][]int32, len(names)),
 		in:    make([][]int32, len(names)),
-		pkeys: make(map[uint64]int32),
-		keys:  make(map[string]int32),
 	}, nil
 }
 
@@ -185,7 +184,7 @@ func (h *H) Reserve(n int, outDeg, inDeg []int) {
 		return
 	}
 	h.edges = make([]Edge, 0, n)
-	h.pkeys = make(map[uint64]int32, n)
+	h.pkeys.reserve(n)
 	if len(outDeg) != len(h.names) || len(inDeg) != len(h.names) {
 		return
 	}
@@ -239,16 +238,19 @@ func (h *H) AddEdgeShared(tail, head []int, weight float64) error {
 func (h *H) insert(tail, head []int, weight float64) error {
 	id := int32(len(h.edges))
 	if pk, ok := PackEdgeKey(tail, head); ok {
-		if _, dup := h.pkeys[pk]; dup {
+		if !h.pkeys.add(pk) {
 			return fmt.Errorf("hypergraph: duplicate edge %s", h.formatEdge(tail, head))
 		}
-		h.pkeys[pk] = id
 	} else {
 		key := EdgeKey(tail, head)
 		if _, dup := h.keys[key]; dup {
 			return fmt.Errorf("hypergraph: duplicate edge %s", h.formatEdge(tail, head))
 		}
+		if h.keys == nil {
+			h.keys = make(map[string]int32)
+		}
 		h.keys[key] = id
+		h.pkeys.add(0)
 	}
 	h.edges = append(h.edges, Edge{Tail: tail, Head: head, Weight: weight})
 	for _, v := range tail {
@@ -284,13 +286,13 @@ func (h *H) Edges() []Edge { return h.edges }
 // Lookup returns the index of the edge with the given tail and head
 // sets, and whether it exists. For packable pairs (|T| <= 3, |H| == 1,
 // ids within MaxPackedID — every edge of the paper's restricted model)
-// the probe is a single integer map access with zero heap allocation;
-// other shapes fall back to the string-keyed map.
+// the probe is a walk of the flat packed-key table with zero heap
+// allocation; other shapes fall back to the string-keyed map.
 //
 //hyper:noalloc
 func (h *H) Lookup(tail, head []int) (int, bool) {
 	if pk, ok := PackEdgeKey(tail, head); ok {
-		id, found := h.pkeys[pk]
+		id, found := h.pkeys.get(pk)
 		return int(id), found
 	}
 	id, found := h.keys[EdgeKey(tail, head)]
@@ -412,6 +414,10 @@ func (h *H) Validate() error {
 	if len(h.names) == 0 {
 		return errors.New("hypergraph: no vertices")
 	}
+	if len(h.pkeys.keys) != len(h.edges) {
+		return fmt.Errorf("hypergraph: packed key index lists %d edges, want %d", len(h.pkeys.keys), len(h.edges))
+	}
+	packed := 0
 	for i, e := range h.edges {
 		if !sort.IntsAreSorted(e.Tail) || !sort.IntsAreSorted(e.Head) {
 			return fmt.Errorf("hypergraph: edge %d not canonical", i)
@@ -420,15 +426,20 @@ func (h *H) Validate() error {
 			return fmt.Errorf("hypergraph: edge %d: %w", i, err)
 		}
 		if pk, packable := PackEdgeKey(e.Tail, e.Head); packable {
-			if id, ok := h.pkeys[pk]; !ok || int(id) != i {
+			packed++
+			if id, ok := h.pkeys.get(pk); !ok || int(id) != i {
 				return fmt.Errorf("hypergraph: edge %d missing from packed key index", i)
 			}
 			if _, stray := h.keys[EdgeKey(e.Tail, e.Head)]; stray {
 				return fmt.Errorf("hypergraph: packable edge %d also in string key index", i)
 			}
-		} else if id, ok := h.keys[EdgeKey(e.Tail, e.Head)]; !ok || int(id) != i {
+		} else if id, ok := h.keys[EdgeKey(e.Tail, e.Head)]; !ok || int(id) != i || h.pkeys.keys[i] != 0 {
 			return fmt.Errorf("hypergraph: edge %d missing from key index", i)
 		}
+	}
+	if h.pkeys.n != packed || len(h.keys) != len(h.edges)-packed {
+		return fmt.Errorf("hypergraph: key indexes hold %d packed and %d string keys for %d and %d edges",
+			h.pkeys.n, len(h.keys), packed, len(h.edges)-packed)
 	}
 	for v := range h.out {
 		for _, i := range h.out[v] {

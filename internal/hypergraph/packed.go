@@ -15,12 +15,15 @@ package hypergraph
 // any permutation of the same tail set packs to the same key. An edge
 // is packable iff 1 <= |T| <= 3, |H| == 1, and every vertex id is in
 // [0, MaxPackedID]. Everything else (larger heads or tails, ids beyond
-// 16 bits) falls back to the legacy string EdgeKey map — correctness
-// never depends on packability, only speed does.
+// 16 bits) falls back to the string EdgeKey map — correctness never
+// depends on packability, only speed does.
 //
 // Packability is a pure function of the (tail, head) sets, so H can
-// route each edge to exactly one of its two key maps and Lookup can
-// decide which map to probe without any per-graph gate.
+// route each edge to exactly one of its two key indexes (the flat
+// packed-key table of keyindex.go, or the string map) and Lookup can
+// decide which to probe without any per-graph gate. A packed key is
+// never 0 (the head slot holds head+1), so the flat table can use 0
+// to mark an edge that has no packed key.
 
 // MaxPackedID is the largest vertex id a packed key can carry (id+1
 // must fit in 16 bits).

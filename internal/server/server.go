@@ -948,7 +948,11 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	ob := s.open(r, name, "load", s.snapHist)
 	defer ob.finish()
 	stamp(w.Header(), ob.act.TraceID(), nil)
-	m, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
+	raw, err := ReadBody(http.MaxBytesReader(w, r.Body, maxSnapshotBytes), r.ContentLength, maxSnapshotBytes)
+	var m *core.Model
+	if err == nil {
+		m, err = core.DecodeSnapshot(raw)
+	}
 	if err != nil {
 		// An aborted upload surfaces as a body read error; report it as
 		// the context outcome, not a malformed snapshot.

@@ -73,6 +73,37 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// maxEagerBody bounds the buffer ReadBody allocates on a declared
+// length alone: a body declared larger is read as it arrives, so a
+// header cannot make the process commit memory no byte has paid for.
+const maxEagerBody = 64 << 20
+
+// ReadBody reads a whole request or response body of declared length n
+// (-1 when unknown, as for a chunked body), at most limit bytes. A
+// declared length within limit (and 64 MiB) is read once into a buffer
+// of exactly that size; an unknown one grows as it arrives. A body
+// over limit fails with *http.MaxBytesError: a declared one before any
+// byte is read, an undeclared one once byte limit+1 arrives. A request
+// body should come wrapped in http.MaxBytesReader, so the server also
+// closes the connection after an overflow.
+func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if n < 0 || n > maxEagerBody {
+		b, err := io.ReadAll(io.LimitReader(r, limit+1))
+		if err == nil && int64(len(b)) > limit {
+			err = &http.MaxBytesError{Limit: limit}
+		}
+		return b, err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // readJSON decodes exactly one JSON value from r's body, capped at
 // limit, into v. Anything but whitespace after the value is an error:
 // a client that sent two values must not be told the second one

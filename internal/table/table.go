@@ -113,7 +113,10 @@ func FromColumns(attrs []string, k int, cols [][]Value) (*Table, error) {
 
 // FromRawColumns builds a table from column-major raw bytes (one byte
 // per cell, as stored in binary model snapshots), validating and
-// converting in a single pass. The byte slices are not retained.
+// converting in a single pass. The columns are carved from one slab,
+// one allocation for the whole table, each capped at its length so an
+// AppendRow copies instead of writing into its neighbour. The byte
+// slices are not retained.
 func FromRawColumns(attrs []string, k int, cols [][]byte) (*Table, error) {
 	t, err := New(attrs, k)
 	if err != nil {
@@ -122,14 +125,15 @@ func FromRawColumns(attrs []string, k int, cols [][]byte) (*Table, error) {
 	if len(cols) != len(attrs) {
 		return nil, fmt.Errorf("table: %d attributes but %d columns", len(attrs), len(cols))
 	}
-	n := -1
+	n := len(cols[0])
 	for j, c := range cols {
-		if n == -1 {
-			n = len(c)
-		} else if len(c) != n {
+		if len(c) != n {
 			return nil, fmt.Errorf("table: column %d has %d rows, want %d", j, len(c), n)
 		}
-		col := make([]Value, len(c))
+	}
+	slab := make([]Value, n*len(cols))
+	for j, c := range cols {
+		col := slab[j*n : (j+1)*n : (j+1)*n]
 		for i, b := range c {
 			if b < 1 || int(b) > k {
 				return nil, fmt.Errorf("table: column %d row %d: value %d outside 1..%d", j, i, b, k)
