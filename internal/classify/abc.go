@@ -179,6 +179,16 @@ func (c *ABC) NewPredictor() *Predictor {
 	return &Predictor{c: c, val: make([]float64, c.model.Table.K())}
 }
 
+// Rebind points p at classifier c, keeping its scratch (regrown only
+// if c has more values per attribute). A nil c detaches p, so a pool
+// of idle predictors keeps no classifier, and no model, reachable.
+func (p *Predictor) Rebind(c *ABC) {
+	p.c = c
+	if c != nil && len(p.val) < c.model.Table.K() {
+		p.val = make([]float64, c.model.Table.K())
+	}
+}
+
 // Predict runs Algorithm 9 for one target: domVals holds the values of
 // the dominator attributes in Dominator() order. It returns the best
 // classified value y* and the normalized classification confidence

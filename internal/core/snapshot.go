@@ -40,7 +40,8 @@ import (
 //
 // Encoding streams: one description of the format (encodeSnapshot)
 // runs twice, first counting every section's length (SnapshotSize
-// exposes the total, for a pre-sized buffer or a Content-Length), then
+// exposes the total, and WriteSnapshot passes it to a writer's Grow,
+// for a pre-sized buffer or a Content-Length), then
 // writing each length prefix before its payload and sending the bytes
 // through one buffer of at most 32 KB with a running checksum, so no
 // section is built in memory. Decoding
@@ -271,9 +272,10 @@ func SnapshotSize(m *Model, opt SaveOptions) (int, error) {
 // section is skipped and the snapshot is marked row-less. A sizing
 // pass fixes every section's length first, so the sections stream to
 // w through one buffer of at most 32 KB with a running checksum, and
-// w receives exactly SnapshotSize(m, opt) bytes. A w with a Grow
-// method (a *bytes.Buffer) is grown to that size before the first
-// write.
+// w receives exactly SnapshotSize(m, opt) bytes. A w with a Grow(int)
+// method is told that size before the first write: a *bytes.Buffer
+// grows to it, and an HTTP handler's writer can declare it as the
+// Content-Length without a second sizing pass.
 func WriteSnapshot(w io.Writer, m *Model, opt SaveOptions) error {
 	var e snapEncoder
 	hasRows, size, err := sizeSnapshot(&e, m, opt)

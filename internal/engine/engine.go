@@ -3,7 +3,7 @@
 // that lazily builds and memoizes every derived artifact the paper's
 // repeated-query workloads need — the TID-bitset index, the all-pairs
 // similarity graph, dominator results keyed by algorithm options, the
-// prepared association-based classifier with its free list of
+// prepared association-based classifier with its pool of idle
 // predictors, and a bounded LRU of mined-rule answers keyed by (head,
 // MineOptions).
 //
@@ -166,58 +166,42 @@ func isCtxErr(err error) bool {
 }
 
 // classifierSet is the prepared classification artifact for one
-// dominator spec: the derived targets, the prebuilt ABC with its free
-// list of predictors, or the sticky reason classification is
-// unavailable (row-less snapshot, or a dominator covering no targets).
+// dominator spec: the derived targets, the prebuilt ABC with its idle
+// predictors, or the sticky reason classification is unavailable
+// (row-less snapshot, or a dominator covering no targets).
 type classifierSet struct {
 	dom         *cover.Result
 	targets     []int
 	abc         *classify.ABC
 	unavailable error
-	predictors  predictorList // only when abc != nil
+	// idle pools detached predictors (*classify.Predictor), only when
+	// abc != nil. The runtime lists a used sync.Pool until the second
+	// collection after its last use, so the pool is allocated apart
+	// from the set and holds no New function and no predictor bound to
+	// abc: nothing it keeps reaches the model, and a retired
+	// generation is freed by one GC.
+	idle *sync.Pool
 }
 
-// maxIdlePredictors bounds a classifier's idle predictors: more
-// concurrent classifies than this allocate their extras once each.
-const maxIdlePredictors = 64
-
-// predictorList is a classifier's free list of scratch-reusing
-// predictors. It is owned by its set, so nothing outside the set
-// reaches the model through it: a sync.Pool would be listed by the
-// runtime until the second collection after its last use, keeping a
-// retired generation's model alive for one extra GC cycle.
-type predictorList struct {
-	mu   sync.Mutex
-	n    int
-	idle [maxIdlePredictors]*classify.Predictor
-}
-
-// get returns an idle predictor over abc, or a new one.
+// predictor returns an idle predictor bound to the set's classifier,
+// or a new one.
 //
 //hyper:noalloc
-func (l *predictorList) get(abc *classify.ABC) *classify.Predictor {
-	l.mu.Lock()
-	if l.n > 0 {
-		l.n--
-		p := l.idle[l.n]
-		l.idle[l.n] = nil
-		l.mu.Unlock()
-		return p
+func (s *classifierSet) predictor() *classify.Predictor {
+	p, _ := s.idle.Get().(*classify.Predictor)
+	if p == nil {
+		return s.abc.NewPredictor()
 	}
-	l.mu.Unlock()
-	return abc.NewPredictor()
+	p.Rebind(s.abc)
+	return p
 }
 
-// put returns p to the list, or drops it when the list is full.
+// release detaches p from the classifier and pools it.
 //
 //hyper:noalloc
-func (l *predictorList) put(p *classify.Predictor) {
-	l.mu.Lock()
-	if l.n < len(l.idle) {
-		l.idle[l.n] = p
-		l.n++
-	}
-	l.mu.Unlock()
+func (s *classifierSet) release(p *classify.Predictor) {
+	p.Rebind(nil)
+	s.idle.Put(p)
 }
 
 // Engine is the prepared-model query handle. It is safe for
@@ -438,7 +422,7 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 		if err != nil {
 			return nil, internalf("engine: classifier: %v", err)
 		}
-		set.abc = abc
+		set.abc, set.idle = abc, new(sync.Pool)
 	}
 	e.classifierBuilds.Add(1)
 	e.derivedBytes.Add(classifierFootprint(set))
@@ -496,7 +480,7 @@ func (e *Engine) ClassifierFor(ctx context.Context, spec DomSpec) (*classify.ABC
 }
 
 // BorrowPredictor takes a scratch-reusing predictor from the default
-// classifier's free list; pair with ReturnPredictor. Steady-state borrows
+// classifier's idle pool; pair with ReturnPredictor. Steady-state borrows
 // perform no heap allocation.
 //
 //hyper:noalloc
@@ -505,16 +489,16 @@ func (e *Engine) BorrowPredictor(ctx context.Context) (*classify.Predictor, erro
 	if err != nil {
 		return nil, err
 	}
-	return set.predictors.get(set.abc), nil
+	return set.predictor(), nil
 }
 
-// ReturnPredictor puts a borrowed predictor back on the free list.
+// ReturnPredictor gives a borrowed predictor back to the idle pool.
 func (e *Engine) ReturnPredictor(ctx context.Context, p *classify.Predictor) {
 	if p == nil {
 		return
 	}
 	if set, _, ok := e.defaultCls.cached(); ok && set != nil && set.abc != nil {
-		set.predictors.put(p)
+		set.release(p)
 	}
 }
 
@@ -547,9 +531,9 @@ func (e *Engine) Predict(ctx context.Context, domVals []table.Value, target int)
 	if err != nil {
 		return 0, 0, err
 	}
-	p := set.predictors.get(set.abc)
+	p := set.predictor()
 	v, conf, err := p.Predict(domVals, target)
-	set.predictors.put(p)
+	set.release(p)
 	return v, conf, err
 }
 
@@ -564,9 +548,9 @@ func (e *Engine) PredictBatch(ctx context.Context, domVals []table.Value, target
 	if err != nil {
 		return err
 	}
-	p := set.predictors.get(set.abc)
+	p := set.predictor()
 	err = p.PredictBatchContext(ctx, domVals, target, out, conf)
-	set.predictors.put(p)
+	set.release(p)
 	return err
 }
 

@@ -615,18 +615,32 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sv.Release()
-	size, err := core.SnapshotSize(sv.Model(), core.SaveOptions{})
-	if err != nil {
-		http.Error(w, "snapshot: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.Header().Set("X-Model-Generation", strconv.FormatInt(sv.Generation(), 10))
-	if err := core.WriteSnapshot(w, sv.Model(), core.SaveOptions{}); err != nil {
+	lw := &lengthWriter{ResponseWriter: w}
+	if err := core.WriteSnapshot(lw, sv.Model(), core.SaveOptions{}); err != nil {
+		if !lw.sized {
+			// The sizing pass failed: nothing was written yet.
+			http.Error(w, "snapshot: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 		n.logger.LogAttrs(r.Context(), slog.LevelWarn, "fleet snapshot stream failed",
 			slog.String("model", name), slog.String("error", err.Error()))
 	}
+}
+
+// lengthWriter is a response writer whose Grow, which WriteSnapshot
+// calls with the snapshot's exact size before the first byte, declares
+// that size as the Content-Length: the model is sized once and written
+// once.
+type lengthWriter struct {
+	http.ResponseWriter
+	sized bool
+}
+
+func (w *lengthWriter) Grow(n int) {
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.sized = true
 }
 
 // handleReplicate is the receiving half of a replication push: decode

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"hypermine/internal/core"
 	"hypermine/internal/registry"
@@ -57,6 +59,40 @@ func TestReadBody(t *testing.T) {
 	}
 	if _, err := ReadBody(strings.NewReader("short"), 10, limit); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("body shorter than declared: error %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadBodyGrowsWithArrivalsBar: memory for a declared body follows
+// the bytes that arrive. A body declared at 64 MiB (the router's
+// default bound) of which a few bytes come allocates at most the first
+// chunk, and one that ends exactly at
+// a chunk boundary is still short; a body over several chunks is read
+// whole into a buffer of exactly its size.
+func TestReadBodyGrowsWithArrivalsBar(t *testing.T) {
+	const huge = 1 << 30
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBody(strings.NewReader("a few bytes"), 64<<20, huge)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("stalled body: error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > firstBodyChunk+64<<10 {
+		t.Errorf("a 64 MiB declared body that sent 11 bytes allocated %d bytes, want <= %d + 64 KiB", got, firstBodyChunk)
+	}
+
+	chunk := bytes.Repeat([]byte{'x'}, firstBodyChunk)
+	if _, err := ReadBody(bytes.NewReader(chunk), 2*firstBodyChunk, huge); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("body ending at a chunk boundary: error %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	body := bytes.Repeat([]byte("0123456789"), (3*firstBodyChunk+7)/10)
+	got, err := ReadBody(iotest.HalfReader(bytes.NewReader(body)), int64(len(body)), huge)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("multi-chunk body: %d bytes, %v; want %d bytes", len(got), err, len(body))
+	}
+	if cap(got) != len(got) {
+		t.Errorf("multi-chunk body: buffer cap %d for %d bytes", cap(got), len(got))
 	}
 }
 

@@ -73,35 +73,47 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// maxEagerBody bounds the buffer ReadBody allocates on a declared
-// length alone: a body declared larger is read as it arrives, so a
-// header cannot make the process commit memory no byte has paid for.
-const maxEagerBody = 64 << 20
+// firstBodyChunk is the most ReadBody allocates for a declared body
+// before its bytes arrive: a larger body's buffer doubles each time it
+// fills, up to the declared length, so a header alone cannot make the
+// process commit memory no byte has paid for.
+const firstBodyChunk = 1 << 20
 
 // ReadBody reads a whole request or response body of declared length n
 // (-1 when unknown, as for a chunked body), at most limit bytes. A
-// declared length within limit (and 64 MiB) is read once into a buffer
-// of exactly that size; an unknown one grows as it arrives. A body
-// over limit fails with *http.MaxBytesError: a declared one before any
-// byte is read, an undeclared one once byte limit+1 arrives. A request
-// body should come wrapped in http.MaxBytesReader, so the server also
-// closes the connection after an overflow.
+// declared length within limit ends in a buffer of exactly that size:
+// one allocation up to 1 MiB, doubling as bytes arrive above it. An
+// unknown length grows as it arrives. A body over limit fails with
+// *http.MaxBytesError: a declared one before any byte is read, an
+// undeclared one once byte limit+1 arrives. A request body should come
+// wrapped in http.MaxBytesReader, so the server also closes the
+// connection after an overflow.
 func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
 	if n > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	if n < 0 || n > maxEagerBody {
+	if n < 0 {
 		b, err := io.ReadAll(io.LimitReader(r, limit+1))
 		if err == nil && int64(len(b)) > limit {
 			err = &http.MaxBytesError{Limit: limit}
 		}
 		return b, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	b := make([]byte, 0, min(n, firstBodyChunk))
+	for {
+		got, err := io.ReadFull(r, b[len(b):cap(b)])
+		b = b[:len(b)+got]
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF // it ended at a chunk boundary
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(b)) == n {
+			return b, nil
+		}
+		b = append(make([]byte, 0, min(n, 2*int64(cap(b)))), b...)
 	}
-	return b, nil
 }
 
 // readJSON decodes exactly one JSON value from r's body, capped at
