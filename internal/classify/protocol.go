@@ -202,7 +202,7 @@ func CrossValidateABCContext(ctx context.Context, tb *table.Table, cfg core.Conf
 }
 
 func selectRows(tb *table.Table, rows []int) (*table.Table, error) {
-	out, err := table.New(tb.Attrs(), tb.K())
+	out, err := table.NewOver(tb.Schema(), tb.K())
 	if err != nil {
 		return nil, err
 	}

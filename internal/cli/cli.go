@@ -302,23 +302,11 @@ func (a *App) cmdModelAppend(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tb, err := loadTable(*rowsPath, model.Table.K())
+	rows, err := readFile(*rowsPath, func(r io.Reader) ([][]table.Value, error) {
+		return table.ReadRowsCSV(r, model.Table.Schema(), model.Table.K())
+	})
 	if err != nil {
 		return err
-	}
-	attrs := model.Table.Attrs()
-	got := tb.Attrs()
-	if len(got) != len(attrs) {
-		return fmt.Errorf("rows CSV has %d columns, model has %d attributes", len(got), len(attrs))
-	}
-	for j := range got {
-		if got[j] != attrs[j] {
-			return fmt.Errorf("rows CSV column %d is %q, model attribute is %q", j, got[j], attrs[j])
-		}
-	}
-	rows := make([][]table.Value, tb.NumRows())
-	for i := range rows {
-		rows[i] = tb.Row(i, nil)
 	}
 
 	ds, err := delta.NewContext(ctx, model, delta.Options{})

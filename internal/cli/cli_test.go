@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -274,5 +275,68 @@ func TestWriteSnapshotFileKeepsTarget(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Errorf("directory holds %d entries, want only the target", len(entries))
+	}
+}
+
+// TestModelAppend: `model append` extends a snapshot by a rows CSV
+// whose header matches the model's attributes, and the written
+// snapshot loads with the extra rows. A renamed header column and a
+// missing one each fail with an error that names the column, and write
+// nothing.
+func TestModelAppend(t *testing.T) {
+	prices, dir := fixture(t)
+	tablePath := filepath.Join(dir, "table.csv")
+	snapPath := filepath.Join(dir, "model.snap")
+	run(t, "discretize", "-in", prices, "-out", tablePath, "-k", "3")
+	run(t, "build", "-in", tablePath, "-out", snapPath, "-config", "C1")
+	raw, err := os.ReadFile(tablePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	header, rows := strings.Split(lines[0], ","), lines[1:21]
+	base := len(lines) - 1
+
+	writeRows := func(name string, header []string, rows []string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		body := strings.Join(append([]string{strings.Join(header, ",")}, rows...), "\n") + "\n"
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	outPath := filepath.Join(dir, "appended.snap")
+	out := run(t, "model", "append", "-in", snapPath, "-rows", writeRows("rows.csv", header, rows), "-out", outPath)
+	if want := fmt.Sprintf("appended 20 rows: %d total", base+20); !strings.Contains(out, want) {
+		t.Errorf("model append output %q, want %q", out, want)
+	}
+	out = run(t, "model", "load", "-in", outPath)
+	if want := fmt.Sprintf("%d rows", base+20); !strings.Contains(out, want) {
+		t.Errorf("model load of the appended snapshot: %q, want %q", out, want)
+	}
+
+	renamed := append([]string(nil), header...)
+	renamed[3] = "RENAMED"
+	narrow := make([]string, len(rows))
+	for i, r := range rows {
+		narrow[i] = r[:strings.LastIndex(r, ",")]
+	}
+	for _, c := range []struct {
+		name, path string
+		wantCol    string
+	}{
+		{"renamed header", writeRows("renamed.csv", renamed, rows), `column 3 is "RENAMED", want "` + header[3] + `"`},
+		{"narrow header", writeRows("narrow.csv", header[:len(header)-1], narrow), fmt.Sprintf("column %d %q is missing", len(header)-1, header[len(header)-1])},
+	} {
+		bad := filepath.Join(dir, "bad.snap")
+		err := New(new(bytes.Buffer)).Run([]string{"model", "append", "-in", snapPath, "-rows", c.path, "-out", bad})
+		if err == nil || !strings.Contains(err.Error(), c.wantCol) {
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.wantCol)
+		}
+		if _, err := os.Stat(bad); !os.IsNotExist(err) {
+			t.Errorf("%s: a failed append wrote %s", c.name, bad)
+		}
 	}
 }

@@ -602,10 +602,7 @@ func stage[S any](ctx context.Context, cfg Config, phase runopt.Phase, jobs int,
 // generation that allocated it. It returns the number of shared edges.
 func assembleGraph(m *Model, edgeAdmit []bool, pairs []tailPair, triples []tailTriple, donor *hypergraph.H) (shared int, err error) {
 	n := m.Table.NumAttrs()
-	h, err := hypergraph.New(m.Table.Attrs())
-	if err != nil {
-		return 0, err
-	}
+	h := hypergraph.NewOver(m.Table.Schema())
 	// each calls fn on every edge in order. edge holds the tail ids
 	// and then the head id; it is scratch, so only the slab, the
 	// donor's slices or AddEdge's own copies are ever stored.

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"hypermine/internal/hypergraph"
+	"hypermine/internal/schema"
 	"hypermine/internal/table"
 )
 
@@ -396,9 +397,10 @@ func readAllSized(r io.Reader) ([]byte, error) {
 
 // DecodeSnapshot decodes a snapshot held in memory, verifying the
 // checksum and re-validating the schema and every hyperedge. It is the
-// one snapshot decoder. It does not retain raw: the attribute names
+// one snapshot decoder. The schema is validated once, and the graph
+// and the table share it. It does not retain raw: the attribute names
 // share one string, the edges' vertex ids one slab, and the rows one
-// column slab (table.FromRawColumns), each sized exactly before it is
+// column slab (table.FromRawColumnsOver), each sized exactly before it is
 // filled. Snapshots saved with OmitRows come back with RowsOmitted set
 // and an empty training table (see Model.RequireRows).
 func DecodeSnapshot(raw []byte) (*Model, error) {
@@ -452,6 +454,10 @@ func DecodeSnapshot(raw []byte) (*Model, error) {
 		}
 		attrs[j] = names[sec.off-base-nameLen : sec.off-base]
 	}
+	schm, err := schema.New(attrs)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
 
 	// Config.
 	sec, err = sr.section("config")
@@ -496,10 +502,7 @@ func DecodeSnapshot(raw []byte) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := hypergraph.New(attrs)
-	if err != nil {
-		return nil, err
-	}
+	h := hypergraph.NewOver(schm)
 	numEdges, err := sec.count("edge")
 	if err != nil {
 		return nil, err
@@ -572,11 +575,11 @@ func DecodeSnapshot(raw []byte) (*Model, error) {
 				return nil, err
 			}
 		}
-		if tb, err = table.FromRawColumns(attrs, int(k64), cols); err != nil {
+		if tb, err = table.FromRawColumnsOver(schm, int(k64), cols); err != nil {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
 	} else {
-		if tb, err = table.New(attrs, int(k64)); err != nil {
+		if tb, err = table.NewOver(schm, int(k64)); err != nil {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
 	}

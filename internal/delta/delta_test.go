@@ -3,6 +3,7 @@ package delta_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -509,6 +510,54 @@ func TestAppendIgnoresSnapshotParallelism(t *testing.T) {
 		}
 		if got.Config.Parallelism != 50000 {
 			t.Errorf("published Parallelism %d, want the decoded 50000", got.Config.Parallelism)
+		}
+	}
+}
+
+// TestModelsShareOneSchema: a model's graph and table name the same
+// attributes by construction, one schema shared by pointer, for a
+// built model, a decoded snapshot, and every model of a delta chain,
+// which also keeps its base's schema.
+func TestModelsShareOneSchema(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const attrs, k = 8, 3
+	base, err := table.FromRows(attrNames(attrs), k, genRows(rng, 400, attrs, k, 0.25, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := core.Build(base, core.Config{GammaEdge: 1.0, GammaPair: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := core.WriteSnapshot(&snap, built, core.SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := core.DecodeSnapshot(snap.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(what string, m *core.Model) {
+		t.Helper()
+		if m.H.Schema() != m.Table.Schema() {
+			t.Errorf("%s: graph and table hold different schemas", what)
+		}
+	}
+	shared("built", built)
+	shared("decoded", decoded)
+	ds, err := delta.New(decoded, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		m, _, err := ds.AppendRowsContext(context.Background(), genRows(rng, 7, attrs, k, 0.25, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("append %d", i)
+		shared(what, m)
+		if m.Table.Schema() != decoded.Table.Schema() {
+			t.Errorf("%s: the chain left its base's schema", what)
 		}
 	}
 }

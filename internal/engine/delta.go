@@ -6,11 +6,14 @@
 // What can actually survive an append is dictated by the math, not by
 // optimism. Every ACV is an integer sum over the row count, so any
 // real append shifts every edge weight (the denominator grew) — and
-// the similarity matrix, the dominator (its enhancements divide by
-// edge weight), and every cached rule answer are all functions of
-// those weights. Carrying any of them would break the engine's
-// contract that answers are bit-identical to a fresh engine over a
-// full re-mine. The classifier's association tables are different:
+// the similarity matrix and every cached rule answer are functions of
+// those weights. Carrying either would break the engine's contract
+// that answers are bit-identical to a fresh engine over a full
+// re-mine. The dominator is rebuilt for a different reason: only
+// Algorithm 5 (DominatorGreedyDS) divides by edge weight, while the
+// default Algorithm 6 (DominatorSetCover) reads only the admitted
+// (tail, head) set, and an append can admit or drop edges. The
+// classifier's association tables are different:
 // their counts are integer functions of the rows only, so a later
 // carry-forward that adds the appended rows' counts to the previous
 // tables would be exact. Which tables exist, though, follows the

@@ -26,6 +26,23 @@ import (
 // pulled, matching the server's own PUT bound.
 const maxReplicateBytes = 1 << 30
 
+// maxPeerJSONBytes bounds a JSON document one fleet process reads from
+// another: a gossip digest, at both ends of a round, and a member's
+// model listing read by the router.
+const maxPeerJSONBytes = 8 << 20
+
+// decodePeerJSON decodes the JSON body of a peer's response into v,
+// reading at most limit bytes: a body declared longer is refused before
+// a byte of it is read, an undeclared one once byte limit+1 arrives,
+// either with *http.MaxBytesError. Memory follows the bytes that
+// arrive, never the bound.
+func decodePeerJSON(resp *http.Response, limit int64, v any) error {
+	if resp.ContentLength > limit {
+		return &http.MaxBytesError{Limit: limit}
+	}
+	return json.NewDecoder(http.MaxBytesReader(nil, resp.Body, limit)).Decode(v)
+}
+
 // NodeConfig configures one fleet member.
 type NodeConfig struct {
 	// Name is this node's ring name; it must not appear in Peers.
@@ -76,8 +93,11 @@ type Node struct {
 	logger *slog.Logger
 
 	// maxSnapshot bounds a snapshot body pushed to or pulled by this
-	// node: maxReplicateBytes, lowered only by tests.
+	// node: maxReplicateBytes, lowered only by tests. maxDigest bounds
+	// a gossip digest sent to or received by it the same way:
+	// maxPeerJSONBytes.
 	maxSnapshot int64
+	maxDigest   int64
 
 	peers     map[string]*peerState // keyed by peer name; set at construction
 	peerNames []string              // sorted, for deterministic iteration
@@ -140,6 +160,7 @@ func NewNode(cfg NodeConfig, reg *registry.Registry, srv *server.Server) (*Node,
 		client:      cfg.Client,
 		logger:      cfg.Logger,
 		maxSnapshot: maxReplicateBytes,
+		maxDigest:   maxPeerJSONBytes,
 		peers:       make(map[string]*peerState, len(cfg.Peers)),
 		tombs:       make(map[string]int64),
 		evictedGen:  make(map[string]int64),
@@ -387,7 +408,7 @@ func (n *Node) gossipWith(ctx context.Context, peer string) error {
 		return fmt.Errorf("fleet: gossip with %s: %s", peer, resp.Status)
 	}
 	var theirs digest
-	if err := json.NewDecoder(resp.Body).Decode(&theirs); err != nil {
+	if err := decodePeerJSON(resp, n.maxDigest, &theirs); err != nil {
 		return err
 	}
 	return n.pullLagging(ctx, peer, theirs)
@@ -582,7 +603,7 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 // parties on the union of their knowledge.
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var theirs digest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&theirs); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, n.maxDigest)).Decode(&theirs); err != nil {
 		http.Error(w, "bad digest: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -84,6 +85,10 @@ type Router struct {
 	failovers *telemetry.Counter
 	routeErrs *telemetry.Counter
 	shed      *telemetry.Counter
+
+	// maxListing bounds a member's /v1/models listing:
+	// maxPeerJSONBytes, lowered only by tests.
+	maxListing int64
 }
 
 // NewRouter builds a router over the given fleet membership.
@@ -106,6 +111,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		logger: cfg.Logger,
 		start:  time.Now(),
 		tel:    telemetry.NewRegistry(),
+
+		maxListing: maxPeerJSONBytes,
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Timeout: 30 * time.Second}
@@ -195,27 +202,14 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the union: each model is reported once, at the newest generation any
 // replica serves (replicas lagging gossip may briefly disagree).
 func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) {
-	type modelRow = map[string]any
 	best := map[string]modelRow{}
 	bestGen := map[string]int64{}
 	for _, peer := range rt.ring.Nodes() {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.cfg.Peers[peer]+"/v1/models", nil)
+		rows, err := rt.listModels(r.Context(), peer)
 		if err != nil {
 			continue
 		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		var body struct {
-			Models []modelRow `json:"models"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		for _, m := range body.Models {
+		for _, m := range rows {
 			name, _ := m["name"].(string)
 			if name == "" {
 				continue
@@ -237,6 +231,33 @@ func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) {
 		models = append(models, best[name])
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"models": models})
+}
+
+// modelRow is one model of a member's /v1/models listing.
+type modelRow = map[string]any
+
+// listModels reads peer's /v1/models listing, at most rt.maxListing
+// bytes of it.
+func (rt *Router) listModels(ctx context.Context, peer string) ([]modelRow, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.cfg.Peers[peer]+"/v1/models", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("fleet: listing of %s: %s", peer, resp.Status)
+	}
+	var body struct {
+		Models []modelRow `json:"models"`
+	}
+	if err := decodePeerJSON(resp, rt.maxListing, &body); err != nil {
+		return nil, err
+	}
+	return body.Models, nil
 }
 
 // modelPath splits a /v1/models/{name}{rest} request. The name is the

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"hypermine/internal/schema"
 )
 
 // Edge is a directed hyperedge (T, H) with a weight. Tail and Head are
@@ -37,11 +39,10 @@ func (e Edge) IsTwoToOne() bool { return len(e.Tail) == 2 && len(e.Head) == 1 }
 
 // H is a directed hypergraph over named vertices.
 type H struct {
-	names []string
-	index map[string]int
-	edges []Edge
-	out   [][]int32 // vertex id -> indexes of edges whose tail contains it
-	in    [][]int32 // vertex id -> indexes of edges whose head contains it
+	schema *schema.Names
+	edges  []Edge
+	out    [][]int32 // vertex id -> indexes of edges whose tail contains it
+	in     [][]int32 // vertex id -> indexes of edges whose head contains it
 
 	// Each edge lives in exactly one key index: pkeys, the flat
 	// table of keyindex.go, when the (tail, head) pair is packable
@@ -54,52 +55,41 @@ type H struct {
 
 // New returns an empty hypergraph over the given vertex names.
 func New(names []string) (*H, error) {
-	if len(names) == 0 {
-		return nil, errors.New("hypergraph: no vertices")
+	s, err := schema.New(names)
+	if err != nil {
+		return nil, fmt.Errorf("hypergraph: %w", err)
 	}
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		if n == "" {
-			return nil, fmt.Errorf("hypergraph: empty vertex name at %d", i)
-		}
-		if _, dup := idx[n]; dup {
-			return nil, fmt.Errorf("hypergraph: duplicate vertex %q", n)
-		}
-		idx[n] = i
-	}
-	cp := make([]string, len(names))
-	copy(cp, names)
-	return &H{
-		names: cp,
-		index: idx,
-		out:   make([][]int32, len(names)),
-		in:    make([][]int32, len(names)),
-	}, nil
+	return NewOver(s), nil
 }
 
+// NewOver returns an empty hypergraph whose vertices are the names of
+// s, which it shares: a graph mined from a table is built over the
+// table's schema.
+func NewOver(s *schema.Names) *H {
+	return &H{
+		schema: s,
+		out:    make([][]int32, s.Len()),
+		in:     make([][]int32, s.Len()),
+	}
+}
+
+// Schema returns the vertex names as a schema.
+func (h *H) Schema() *schema.Names { return h.schema }
+
 // NumVertices returns |V|.
-func (h *H) NumVertices() int { return len(h.names) }
+func (h *H) NumVertices() int { return len(h.out) }
 
 // NumEdges returns |E|.
 func (h *H) NumEdges() int { return len(h.edges) }
 
 // VertexName returns the name of vertex id v.
-func (h *H) VertexName(v int) string { return h.names[v] }
+func (h *H) VertexName(v int) string { return h.schema.Name(v) }
 
 // VertexNames returns a copy of all vertex names in id order.
-func (h *H) VertexNames() []string {
-	out := make([]string, len(h.names))
-	copy(out, h.names)
-	return out
-}
+func (h *H) VertexNames() []string { return h.schema.Names() }
 
 // Vertex returns the id of the named vertex, or -1.
-func (h *H) Vertex(name string) int {
-	if v, ok := h.index[name]; ok {
-		return v
-	}
-	return -1
-}
+func (h *H) Vertex(name string) int { return h.schema.Index(name) }
 
 // EdgeKey returns the canonical string key of a (tail, head) pair. The
 // slices need not be sorted.
@@ -185,15 +175,15 @@ func (h *H) Reserve(n int, outDeg, inDeg []int) {
 	}
 	h.edges = make([]Edge, 0, n)
 	h.pkeys.reserve(n)
-	if len(outDeg) != len(h.names) || len(inDeg) != len(h.names) {
+	if len(outDeg) != len(h.out) || len(inDeg) != len(h.out) {
 		return
 	}
 	total := 0
-	for v := range h.names {
+	for v := range h.out {
 		total += outDeg[v] + inDeg[v]
 	}
 	slab := make([]int32, total)
-	for v := range h.names {
+	for v := range h.out {
 		h.out[v], slab = slab[:0:outDeg[v]], slab[outDeg[v]:]
 		h.in[v], slab = slab[:0:inDeg[v]], slab[inDeg[v]:]
 	}
@@ -204,7 +194,7 @@ func (h *H) Reserve(n int, outDeg, inDeg []int) {
 // rejects duplicate (tail, head) pairs. The graph stores sorted copies
 // of tail and head.
 func (h *H) AddEdge(tail, head []int, weight float64) error {
-	if err := validSets(len(h.names), tail, head); err != nil {
+	if err := validSets(len(h.out), tail, head); err != nil {
 		return err
 	}
 	return h.insert(sortedCopy(tail), sortedCopy(head), weight)
@@ -224,7 +214,7 @@ func (h *H) AddEdge(tail, head []int, weight float64) error {
 // H's invariants also forbid it, so sharing edges between immutable
 // models is safe).
 func (h *H) AddEdgeShared(tail, head []int, weight float64) error {
-	if err := validSets(len(h.names), tail, head); err != nil {
+	if err := validSets(len(h.out), tail, head); err != nil {
 		return err
 	}
 	if !sort.IntsAreSorted(tail) || !sort.IntsAreSorted(head) {
@@ -266,8 +256,8 @@ func (h *H) formatEdge(tail, head []int) string {
 	name := func(ids []int) string {
 		parts := make([]string, len(ids))
 		for i, v := range ids {
-			if v >= 0 && v < len(h.names) {
-				parts[i] = h.names[v]
+			if v >= 0 && v < len(h.out) {
+				parts[i] = h.schema.Name(v)
 			} else {
 				parts[i] = strconv.Itoa(v)
 			}
@@ -339,7 +329,7 @@ func (h *H) WeightedOutDegree(v int) float64 {
 // FilterByWeight returns a new hypergraph over the same vertices
 // containing only edges with Weight >= min.
 func (h *H) FilterByWeight(min float64) *H {
-	out, _ := New(h.names)
+	out := NewOver(h.schema)
 	for _, e := range h.edges {
 		if e.Weight >= min {
 			// Safe: e came from this graph, so AddEdge cannot fail.
@@ -411,7 +401,7 @@ func (h *H) EdgeStats() Stats {
 // Validate re-checks all structural invariants (sorted sets,
 // disjointness, index consistency).
 func (h *H) Validate() error {
-	if len(h.names) == 0 {
+	if h.schema == nil {
 		return errors.New("hypergraph: no vertices")
 	}
 	if len(h.pkeys.keys) != len(h.edges) {
@@ -422,7 +412,7 @@ func (h *H) Validate() error {
 		if !sort.IntsAreSorted(e.Tail) || !sort.IntsAreSorted(e.Head) {
 			return fmt.Errorf("hypergraph: edge %d not canonical", i)
 		}
-		if err := validSets(len(h.names), e.Tail, e.Head); err != nil {
+		if err := validSets(len(h.out), e.Tail, e.Head); err != nil {
 			return fmt.Errorf("hypergraph: edge %d: %w", i, err)
 		}
 		if pk, packable := PackEdgeKey(e.Tail, e.Head); packable {

@@ -19,10 +19,10 @@ import (
 // The returned slice marks every determined vertex, seeds included.
 // Runs in O(|E| + total tail size) via the standard counter algorithm.
 func (h *H) ForwardClosure(seed []int) ([]bool, error) {
-	determined := make([]bool, len(h.names))
+	determined := make([]bool, len(h.out))
 	var queue []int
 	for _, v := range seed {
-		if v < 0 || v >= len(h.names) {
+		if v < 0 || v >= len(h.out) {
 			return nil, fmt.Errorf("hypergraph: seed vertex %d out of range", v)
 		}
 		if !determined[v] {
@@ -60,7 +60,7 @@ func (h *H) ForwardClosure(seed []int) ([]bool, error) {
 // heads swapped). Useful for "what determines v" queries via forward
 // algorithms.
 func (h *H) Transpose() *H {
-	out, _ := New(h.names)
+	out := NewOver(h.schema)
 	for _, e := range h.edges {
 		// Tail/head validity is symmetric, so this cannot fail.
 		_ = out.AddEdge(e.Head, e.Tail, e.Weight)
@@ -72,14 +72,14 @@ func (h *H) Transpose() *H {
 // containing only edges whose tail and head vertices all belong to
 // keep.
 func (h *H) InducedSubgraph(keep []int) (*H, error) {
-	in := make([]bool, len(h.names))
+	in := make([]bool, len(h.out))
 	for _, v := range keep {
-		if v < 0 || v >= len(h.names) {
+		if v < 0 || v >= len(h.out) {
 			return nil, fmt.Errorf("hypergraph: vertex %d out of range", v)
 		}
 		in[v] = true
 	}
-	out, _ := New(h.names)
+	out := NewOver(h.schema)
 	for _, e := range h.edges {
 		ok := true
 		for _, v := range e.Tail {
@@ -115,8 +115,8 @@ func (h *H) WriteDOT(w io.Writer, name string) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", name)
 	sb.WriteString("  rankdir=LR;\n  node [shape=ellipse];\n")
-	for v, n := range h.names {
-		fmt.Fprintf(&sb, "  v%d [label=%q];\n", v, n)
+	for v := range h.out {
+		fmt.Fprintf(&sb, "  v%d [label=%q];\n", v, h.schema.Name(v))
 	}
 	for i, e := range h.edges {
 		if len(e.Tail) == 1 && len(e.Head) == 1 {

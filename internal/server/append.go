@@ -184,10 +184,9 @@ func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]
 	return rows, nil, nil
 }
 
-// readAppendCSV parses a text/csv :append body: a header row naming
-// the model's attributes in schema order, then one record per appended
-// observation. The header is checked against the serving model so a
-// column-order mistake is a 400, not silently transposed data.
+// readAppendCSV parses a text/csv :append body with
+// table.ReadRowsCSV against the serving model's schema: a header or
+// row mismatch is a 400.
 func (ob *reqObs) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.Reader) ([][]table.Value, error) {
 	sv := ob.s.reg.Peek(ob.name)
 	if sv == nil {
@@ -195,35 +194,14 @@ func (ob *reqObs) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.
 		ob.fail(w, http.StatusNotFound, "unknown model %q", ob.name)
 		return nil, err
 	}
-	attrs := sv.Model().Table.Attrs()
-	k := sv.Model().Table.K()
+	schm, k := sv.Model().Table.Schema(), sv.Model().Table.K()
 	sv.Release()
 
-	tb, err := table.ReadCSV(body, k)
-	if err != nil {
-		if !ob.failCtx(w, r.Context().Err()) {
-			ob.fail(w, http.StatusBadRequest, "csv: %v", err)
-		}
-		return nil, err
+	rows, err := table.ReadRowsCSV(body, schm, k)
+	if err != nil && !ob.failCtx(w, r.Context().Err()) {
+		ob.fail(w, http.StatusBadRequest, "csv: %v", err)
 	}
-	got := tb.Attrs()
-	if len(got) != len(attrs) {
-		err := errors.New("csv header width mismatch")
-		ob.fail(w, http.StatusBadRequest, "csv: header has %d columns, model has %d attributes", len(got), len(attrs))
-		return nil, err
-	}
-	for j := range got {
-		if got[j] != attrs[j] {
-			err := errors.New("csv header mismatch")
-			ob.fail(w, http.StatusBadRequest, "csv: header column %d is %q, model attribute is %q", j, got[j], attrs[j])
-			return nil, err
-		}
-	}
-	rows := make([][]table.Value, tb.NumRows())
-	for i := range rows {
-		rows[i] = tb.Row(i, nil)
-	}
-	return rows, nil
+	return rows, err
 }
 
 // appendStatus maps an append error that is not context-shaped to its

@@ -25,12 +25,12 @@ import (
 // rows) rather than rebuilt from scratch.
 func (t *Table) AppendRows(rows [][]Value) (*Table, error) {
 	for i, row := range rows {
-		if len(row) != len(t.attrs) {
-			return nil, fmt.Errorf("table: append row %d has %d values, want %d", i, len(row), len(t.attrs))
+		if len(row) != len(t.cols) {
+			return nil, fmt.Errorf("table: append row %d has %d values, want %d", i, len(row), len(t.cols))
 		}
 		for j, v := range row {
 			if v < 1 || int(v) > t.k {
-				return nil, fmt.Errorf("table: append row %d column %q: value %d outside 1..%d", i, t.attrs[j], v, t.k)
+				return nil, fmt.Errorf("table: append row %d column %q: value %d outside 1..%d", i, t.schema.Name(j), v, t.k)
 			}
 		}
 	}
@@ -50,19 +50,19 @@ func (t *Table) AppendRows(rows [][]Value) (*Table, error) {
 // have equal length and values in 1..K. The byte slices are not
 // retained.
 func (t *Table) AppendRaw(cols [][]byte) (*Table, error) {
-	if len(cols) != len(t.attrs) {
-		return nil, fmt.Errorf("table: append has %d columns, want %d", len(cols), len(t.attrs))
+	if len(cols) != len(t.cols) {
+		return nil, fmt.Errorf("table: append has %d columns, want %d", len(cols), len(t.cols))
 	}
 	add := -1
 	for j, c := range cols {
 		if add == -1 {
 			add = len(c)
 		} else if len(c) != add {
-			return nil, fmt.Errorf("table: append column %q has %d rows, want %d", t.attrs[j], len(c), add)
+			return nil, fmt.Errorf("table: append column %q has %d rows, want %d", t.schema.Name(j), len(c), add)
 		}
 		for i, b := range c {
 			if b < 1 || int(b) > t.k {
-				return nil, fmt.Errorf("table: append column %q row %d: value %d outside 1..%d", t.attrs[j], i, b, t.k)
+				return nil, fmt.Errorf("table: append column %q row %d: value %d outside 1..%d", t.schema.Name(j), i, b, t.k)
 			}
 		}
 	}
@@ -92,13 +92,8 @@ func (t *Table) AppendRaw(cols [][]byte) (*Table, error) {
 // reads only rows below its own count.
 func (t *Table) appendShell(add int) *Table {
 	n := t.rows + add
-	nt := &Table{
-		attrs: t.attrs,
-		index: t.index,
-		cols:  make([][]Value, len(t.cols)),
-		k:     t.k,
-		rows:  n,
-	}
+	nt := t.emptyCopy()
+	nt.rows = n
 	if f := t.frontier; f != nil && cap(t.cols[0]) >= n && f.CompareAndSwap(int64(t.rows), int64(n)) {
 		for j, c := range t.cols {
 			nt.cols[j] = c[:n]

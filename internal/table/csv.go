@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"hypermine/internal/schema"
 )
 
 // WriteCSV writes the table as CSV: a header row of attribute names
 // followed by one row per observation of integer values in 1..K.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.attrs); err != nil {
+	if err := cw.Write(t.Attrs()); err != nil {
 		return err
 	}
-	rec := make([]string, len(t.attrs))
+	rec := make([]string, len(t.cols))
 	for i := 0; i < t.rows; i++ {
 		for j := range t.cols {
 			rec[j] = strconv.Itoa(int(t.cols[j][i]))
@@ -67,4 +69,24 @@ func ReadCSV(r io.Reader, k int) (*Table, error) {
 		k = 1
 	}
 	return FromRows(header, k, rows)
+}
+
+// ReadRowsCSV parses observations to append to a table over s with
+// cardinality k: a CSV whose header lists s's names in column order,
+// then one record per observation. A header that differs fails naming
+// the first column where it does, so a column-order mistake is an
+// error, not silently transposed data.
+func ReadRowsCSV(r io.Reader, s *schema.Names, k int) ([][]Value, error) {
+	in, err := ReadCSV(r, k)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Match(in.schema); err != nil {
+		return nil, fmt.Errorf("table: csv header %w", err)
+	}
+	rows := make([][]Value, in.rows)
+	for i := range rows {
+		rows[i] = in.Row(i, nil)
+	}
+	return rows, nil
 }

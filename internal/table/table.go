@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"hypermine/internal/schema"
 )
 
 // Value is a discretized attribute value. Valid values are 1..K for the
@@ -25,11 +27,10 @@ const MaxK = 255
 // of named multi-valued attributes (columns), a set of observations
 // (rows), and a fixed finite value set V = {1..K}.
 type Table struct {
-	attrs []string
-	index map[string]int
-	cols  [][]Value
-	k     int
-	rows  int
+	schema *schema.Names
+	cols   [][]Value
+	k      int
+	rows   int
 
 	// frontier, when non-nil, is the number of rows written so far into
 	// the backing arrays of cols, which tables made by AppendRows and
@@ -46,26 +47,20 @@ type Table struct {
 // New returns an empty table with the given attribute names and value
 // cardinality k (so V = {1..k}).
 func New(attrs []string, k int) (*Table, error) {
-	if len(attrs) == 0 {
-		return nil, errors.New("table: no attributes")
+	s, err := schema.New(attrs)
+	if err != nil {
+		return nil, fmt.Errorf("table: %w", err)
 	}
+	return NewOver(s, k)
+}
+
+// NewOver returns an empty table over the attribute schema s with
+// value cardinality k. The table shares s.
+func NewOver(s *schema.Names, k int) (*Table, error) {
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("table: cardinality k=%d out of range [1,%d]", k, MaxK)
 	}
-	idx := make(map[string]int, len(attrs))
-	for j, a := range attrs {
-		if a == "" {
-			return nil, fmt.Errorf("table: empty attribute name at column %d", j)
-		}
-		if _, dup := idx[a]; dup {
-			return nil, fmt.Errorf("table: duplicate attribute %q", a)
-		}
-		idx[a] = j
-	}
-	cols := make([][]Value, len(attrs))
-	names := make([]string, len(attrs))
-	copy(names, attrs)
-	return &Table{attrs: names, index: idx, cols: cols, k: k}, nil
+	return &Table{schema: s, cols: make([][]Value, s.Len()), k: k}, nil
 }
 
 // FromRows builds a table from row-major data, inferring nothing: every
@@ -112,18 +107,27 @@ func FromColumns(attrs []string, k int, cols [][]Value) (*Table, error) {
 }
 
 // FromRawColumns builds a table from column-major raw bytes (one byte
-// per cell, as stored in binary model snapshots), validating and
-// converting in a single pass. The columns are carved from one slab,
-// one allocation for the whole table, each capped at its length so an
-// AppendRow copies instead of writing into its neighbour. The byte
-// slices are not retained.
+// per cell, as stored in binary model snapshots); see FromRawColumnsOver.
 func FromRawColumns(attrs []string, k int, cols [][]byte) (*Table, error) {
-	t, err := New(attrs, k)
+	s, err := schema.New(attrs)
+	if err != nil {
+		return nil, fmt.Errorf("table: %w", err)
+	}
+	return FromRawColumnsOver(s, k, cols)
+}
+
+// FromRawColumnsOver builds a table over the schema s from column-major
+// raw bytes, validating and converting in a single pass. The columns
+// are carved from one slab, one allocation for the whole table, each
+// capped at its length so an AppendRow copies instead of writing into
+// its neighbour. The byte slices are not retained.
+func FromRawColumnsOver(s *schema.Names, k int, cols [][]byte) (*Table, error) {
+	t, err := NewOver(s, k)
 	if err != nil {
 		return nil, err
 	}
-	if len(cols) != len(attrs) {
-		return nil, fmt.Errorf("table: %d attributes but %d columns", len(attrs), len(cols))
+	if len(cols) != s.Len() {
+		return nil, fmt.Errorf("table: %d attributes but %d columns", s.Len(), len(cols))
 	}
 	n := len(cols[0])
 	for j, c := range cols {
@@ -149,12 +153,12 @@ func FromRawColumns(attrs []string, k int, cols [][]byte) (*Table, error) {
 // AppendRow appends one observation. The row must have one value per
 // attribute, each in 1..K.
 func (t *Table) AppendRow(row []Value) error {
-	if len(row) != len(t.attrs) {
-		return fmt.Errorf("table: row has %d values, want %d", len(row), len(t.attrs))
+	if len(row) != len(t.cols) {
+		return fmt.Errorf("table: row has %d values, want %d", len(row), len(t.cols))
 	}
 	for j, v := range row {
 		if v < 1 || int(v) > t.k {
-			return fmt.Errorf("table: column %q: value %d outside 1..%d", t.attrs[j], v, t.k)
+			return fmt.Errorf("table: column %q: value %d outside 1..%d", t.schema.Name(j), v, t.k)
 		}
 	}
 	if t.frontier != nil {
@@ -180,25 +184,20 @@ func (t *Table) K() int { return t.k }
 func (t *Table) NumRows() int { return t.rows }
 
 // NumAttrs returns the number of attributes.
-func (t *Table) NumAttrs() int { return len(t.attrs) }
+func (t *Table) NumAttrs() int { return len(t.cols) }
+
+// Schema returns the table's attribute schema, which tables appended
+// from it and the hypergraph mined from it share.
+func (t *Table) Schema() *schema.Names { return t.schema }
 
 // Attrs returns the attribute names in column order. The slice is a copy.
-func (t *Table) Attrs() []string {
-	out := make([]string, len(t.attrs))
-	copy(out, t.attrs)
-	return out
-}
+func (t *Table) Attrs() []string { return t.schema.Names() }
 
 // AttrName returns the name of column j.
-func (t *Table) AttrName(j int) string { return t.attrs[j] }
+func (t *Table) AttrName(j int) string { return t.schema.Name(j) }
 
 // AttrIndex returns the column index of the named attribute, or -1.
-func (t *Table) AttrIndex(name string) int {
-	if j, ok := t.index[name]; ok {
-		return j
-	}
-	return -1
-}
+func (t *Table) AttrIndex(name string) int { return t.schema.Index(name) }
 
 // At returns the value of attribute column j in observation row i.
 func (t *Table) At(i, j int) Value { return t.cols[j][i] }
@@ -227,10 +226,7 @@ func (t *Table) RowRange(lo, hi int) (*Table, error) {
 	if lo < 0 || hi > t.rows || lo > hi {
 		return nil, fmt.Errorf("table: row range [%d,%d) outside [0,%d)", lo, hi, t.rows)
 	}
-	out, err := New(t.attrs, t.k)
-	if err != nil {
-		return nil, err
-	}
+	out := t.emptyCopy()
 	for j := range t.cols {
 		out.cols[j] = append([]Value(nil), t.cols[j][lo:hi]...)
 	}
@@ -258,7 +254,7 @@ func (t *Table) SelectAttrs(names []string) (*Table, error) {
 
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
-	out, _ := New(t.attrs, t.k)
+	out := t.emptyCopy()
 	for j := range t.cols {
 		out.cols[j] = append([]Value(nil), t.cols[j]...)
 	}
@@ -266,31 +262,31 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
+// emptyCopy returns an empty table over t's schema and cardinality.
+func (t *Table) emptyCopy() *Table {
+	return &Table{schema: t.schema, cols: make([][]Value, len(t.cols)), k: t.k}
+}
+
 // Validate re-checks every structural invariant. It is cheap relative
 // to mining and is called by the builder before a long run.
 func (t *Table) Validate() error {
-	if len(t.attrs) == 0 {
+	if t.schema == nil {
 		return errors.New("table: no attributes")
 	}
 	if t.k < 1 || t.k > MaxK {
 		return fmt.Errorf("table: cardinality %d out of range", t.k)
 	}
-	if len(t.cols) != len(t.attrs) {
-		return fmt.Errorf("table: %d columns for %d attributes", len(t.cols), len(t.attrs))
+	if len(t.cols) != t.schema.Len() {
+		return fmt.Errorf("table: %d columns for %d attributes", len(t.cols), t.schema.Len())
 	}
 	for j, c := range t.cols {
 		if len(c) != t.rows {
-			return fmt.Errorf("table: column %q has %d rows, want %d", t.attrs[j], len(c), t.rows)
+			return fmt.Errorf("table: column %q has %d rows, want %d", t.schema.Name(j), len(c), t.rows)
 		}
 		for i, v := range c {
 			if v < 1 || int(v) > t.k {
-				return fmt.Errorf("table: column %q row %d: value %d outside 1..%d", t.attrs[j], i, v, t.k)
+				return fmt.Errorf("table: column %q row %d: value %d outside 1..%d", t.schema.Name(j), i, v, t.k)
 			}
-		}
-	}
-	for name, j := range t.index {
-		if j < 0 || j >= len(t.attrs) || t.attrs[j] != name {
-			return fmt.Errorf("table: corrupt index entry %q->%d", name, j)
 		}
 	}
 	return nil
