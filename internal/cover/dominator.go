@@ -90,6 +90,22 @@ func (r *Result) CoverageFraction() float64 {
 	return float64(r.TargetCovered) / float64(r.TargetSize)
 }
 
+// Targets returns the dominator's classifiable targets: the covered
+// vertices outside DomSet, ascending.
+func (r *Result) Targets() []int {
+	inDom := make([]bool, len(r.Covered))
+	for _, v := range r.DomSet {
+		inDom[v] = true
+	}
+	var targets []int
+	for v, cov := range r.Covered {
+		if cov && !inDom[v] {
+			targets = append(targets, v)
+		}
+	}
+	return targets
+}
+
 // IsDominator checks Definition 4.1 for the subset of S marked covered:
 // every covered u in S - X has a hyperedge e with T(e) inside X and u
 // in H(e). It returns the covered targets that violate the property.

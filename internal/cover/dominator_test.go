@@ -2,6 +2,7 @@ package cover
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +241,17 @@ func TestDominatorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResultTargets: the classifiable targets are the covered vertices
+// outside the dominator, ascending whatever the pick order.
+func TestResultTargets(t *testing.T) {
+	res := &Result{DomSet: []int{4, 0}, Covered: []bool{true, true, false, true, true, false}}
+	if got := res.Targets(); !reflect.DeepEqual(got, []int{1, 3}) {
+		t.Fatalf("Targets() = %v, want [1 3]", got)
+	}
+	if got := (&Result{DomSet: []int{0}, Covered: []bool{true, false}}).Targets(); got != nil {
+		t.Fatalf("Targets() of a dominator that covers nothing else = %v, want none", got)
 	}
 }

@@ -184,49 +184,18 @@ func (d *Dataset) CountBytes() int64 {
 func (d *Dataset) AppendRowsContext(ctx context.Context, rows [][]table.Value) (*core.Model, Changes, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	nt, err := d.model.Table.AppendRows(rows)
-	if err != nil {
-		return nil, Changes{}, err
-	}
-	return d.applyLocked(ctx, nt, rows)
-}
-
-// AppendRawContext is AppendRowsContext for column-major raw bytes
-// (cols[j] holds appended values of attribute j), the wire format of
-// the `:append` endpoint.
-func (d *Dataset) AppendRawContext(ctx context.Context, cols [][]byte) (*core.Model, Changes, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nt, err := d.model.Table.AppendRaw(cols)
-	if err != nil {
-		return nil, Changes{}, err
-	}
-	added := nt.NumRows() - d.model.Table.NumRows()
-	rows := make([][]table.Value, added)
-	base := d.model.Table.NumRows()
-	for i := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, Changes{}, err
-		}
-		rows[i] = nt.Row(base+i, nil)
-	}
-	return d.applyLocked(ctx, nt, rows)
-}
-
-// applyLocked publishes nt (the old table plus rows) as the new model.
-// Caller holds d.mu; nt was produced by an Append on d.model.Table.
-func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]table.Value) (*core.Model, Changes, error) {
 	old := d.model
 	if len(rows) == 0 {
 		// A no-op append changes no count and no ACV: the previous
 		// model is already the model of the concatenated table.
 		return old, Changes{EdgesBefore: old.H.NumEdges(), EdgesAfter: old.H.NumEdges()}, nil
 	}
+	nt, err := old.Table.AppendRows(rows)
+	if err != nil {
+		return nil, Changes{}, err
+	}
 	ch := Changes{Appended: len(rows), EdgesBefore: old.H.NumEdges()}
-	var (
-		m   *core.Model
-		err error
-	)
+	var m *core.Model
 	if d.counts != nil {
 		if err = d.counts.add(ctx, rows); err != nil {
 			return nil, Changes{}, err

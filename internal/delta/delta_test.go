@@ -356,45 +356,6 @@ func TestStructuralSharing(t *testing.T) {
 	}
 }
 
-// TestAppendRawMatchesRows pins that the column-major raw path yields
-// the same model as the row-major path.
-func TestAppendRawMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	tb, err := table.FromRows(attrNames(5), 3, genRows(rng, 80, 5, 3, 0.3, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0, err := core.Build(tb, core.C1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsRows, err := delta.New(m0, delta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsRaw, err := delta.New(m0, delta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := genRows(rng, 15, 5, 3, 0.6, 1)
-	cols := make([][]byte, 5)
-	for j := range cols {
-		cols[j] = make([]byte, len(batch))
-		for i, row := range batch {
-			cols[j][i] = byte(row[j])
-		}
-	}
-	byRows, _, err := dsRows.AppendRowsContext(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byRaw, _, err := dsRaw.AppendRawContext(context.Background(), cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelsEqual(t, byRaw, byRows)
-}
-
 // TestCanceledAppendLeavesDatasetIntact pins the rollback: a canceled
 // apply must not move the dataset, and a later append must still be
 // exactly right.

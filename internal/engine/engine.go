@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -345,7 +344,7 @@ func (e *Engine) dominator(ctx context.Context, spec DomSpec) (*domAnswer, error
 		if err != nil {
 			return nil, err
 		}
-		ans := &domAnswer{res: res, targets: targetsOf(res)}
+		ans := &domAnswer{res: res, targets: res.Targets()}
 		ans.domNames = e.vertexNames(res.DomSet)
 		ans.targetNames = e.vertexNames(ans.targets)
 		e.dominatorBuilds.Add(1)
@@ -427,23 +426,6 @@ func (e *Engine) buildClassifierSet(ctx context.Context, spec DomSpec) (*classif
 	e.classifierBuilds.Add(1)
 	e.derivedBytes.Add(classifierFootprint(set))
 	return set, nil
-}
-
-// targetsOf derives the classifiable targets of a dominator result:
-// covered vertices outside the dominator, ascending.
-func targetsOf(res *cover.Result) []int {
-	inDom := make(map[int]bool, len(res.DomSet))
-	for _, v := range res.DomSet {
-		inDom[v] = true
-	}
-	var targets []int
-	for v, cov := range res.Covered {
-		if cov && !inDom[v] {
-			targets = append(targets, v)
-		}
-	}
-	sort.Ints(targets)
-	return targets
 }
 
 // Targets returns the classifiable targets under the default

@@ -82,7 +82,7 @@ func v1Classifier(t testing.TB, m *core.Model) (*cover.Result, []int, *classify.
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := targetsOf(res)
+	targets := res.Targets()
 	abc, err := classify.NewABC(m, res.DomSet, targets)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func RunFig54(e *Env, alg DominatorAlgorithm, yearDays int) (*Fig54Report, error
 		if err != nil {
 			return nil, err
 		}
-		targets := classifierTargets(res)
+		targets := res.Targets()
 		pt := Fig54Point{TrainDays: trainTb.NumRows(), TestDays: testTb.NumRows()}
 		if len(targets) > 0 && len(res.DomSet) > 0 {
 			abc, err := classify.NewABC(model, res.DomSet, targets)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
 	"hypermine/internal/classify"
@@ -78,23 +77,6 @@ func dominatorFor(h *hypergraph.H, frac float64, alg DominatorAlgorithm) (float6
 	return th, res, nil
 }
 
-// classifierTargets picks the evaluation targets: covered series
-// outside the dominator, in vertex order.
-func classifierTargets(res *cover.Result) []int {
-	inDom := map[int]bool{}
-	for _, v := range res.DomSet {
-		inDom[v] = true
-	}
-	var out []int
-	for v, cov := range res.Covered {
-		if cov && !inDom[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // RunDomClass runs the full Table 5.3/5.4 protocol for one algorithm:
 // for each configuration and each ACV-threshold choice (top 40%, 30%,
 // 20% of hyperedges), compute the dominator, then measure mean
@@ -120,7 +102,7 @@ func RunDomClass(e *Env, alg DominatorAlgorithm) (*DomClassReport, error) {
 				DominatorSize:  len(res.DomSet),
 				PercentCovered: 100 * res.CoverageFraction(),
 			}
-			targets := classifierTargets(res)
+			targets := res.Targets()
 			if len(targets) > 0 && len(res.DomSet) > 0 {
 				abc, err := classify.NewABC(b.Model, res.DomSet, targets)
 				if err != nil {

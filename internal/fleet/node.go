@@ -31,6 +31,10 @@ const maxReplicateBytes = 1 << 30
 // model listing read by the router.
 const maxPeerJSONBytes = 8 << 20
 
+// maxReplicateAckBytes bounds a peer's JSON ack of a replicated
+// snapshot: a generation and a flag.
+const maxReplicateAckBytes = 1 << 20
+
 // decodePeerJSON decodes the JSON body of a peer's response into v,
 // reading at most limit bytes: a body declared longer is refused before
 // a byte of it is read, an undeclared one once byte limit+1 arrives,
@@ -95,9 +99,11 @@ type Node struct {
 	// maxSnapshot bounds a snapshot body pushed to or pulled by this
 	// node: maxReplicateBytes, lowered only by tests. maxDigest bounds
 	// a gossip digest sent to or received by it the same way:
-	// maxPeerJSONBytes.
+	// maxPeerJSONBytes. maxAck bounds the ack of a pushed snapshot:
+	// maxReplicateAckBytes.
 	maxSnapshot int64
 	maxDigest   int64
+	maxAck      int64
 
 	peers     map[string]*peerState // keyed by peer name; set at construction
 	peerNames []string              // sorted, for deterministic iteration
@@ -161,6 +167,7 @@ func NewNode(cfg NodeConfig, reg *registry.Registry, srv *server.Server) (*Node,
 		logger:      cfg.Logger,
 		maxSnapshot: maxReplicateBytes,
 		maxDigest:   maxPeerJSONBytes,
+		maxAck:      maxReplicateAckBytes,
 		peers:       make(map[string]*peerState, len(cfg.Peers)),
 		tombs:       make(map[string]int64),
 		evictedGen:  make(map[string]int64),
@@ -199,7 +206,6 @@ func NewNode(cfg NodeConfig, reg *registry.Registry, srv *server.Server) (*Node,
 	srv.RegisterMetricsExtra(n.writeMetrics)
 
 	n.mux = http.NewServeMux()
-	n.mux.HandleFunc("GET /fleet/digest", n.handleDigest)
 	n.mux.HandleFunc("POST /fleet/gossip", n.handleGossip)
 	n.mux.HandleFunc("GET /fleet/snapshot/{name}", n.handleSnapshot)
 	n.mux.HandleFunc("PUT /fleet/replicate/{name}", n.handleReplicate)
@@ -591,12 +597,6 @@ func (n *Node) notePeer(peer string, ok bool) {
 	}
 }
 
-// handleDigest serves this node's {model: generation} vector.
-func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(n.localDigest())
-}
-
 // handleGossip is the receiving half of a push-pull round: pull
 // everything the sender has newer (for shards we own) before
 // responding with our own digest, so one exchange converges both
@@ -951,7 +951,6 @@ func (n *Node) pushSnapshot(ctx context.Context, peer, name string, gen int64, s
 		return err
 	}
 	defer resp.Body.Close()
-	ackBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet: replicate %s@%d to %s: %s", name, gen, peer, resp.Status)
 	}
@@ -959,7 +958,7 @@ func (n *Node) pushSnapshot(ctx context.Context, peer, name string, gen int64, s
 		Generation int64 `json:"generation"`
 		Stale      bool  `json:"stale"`
 	}
-	if err := json.Unmarshal(ackBody, &ack); err != nil {
+	if err := decodePeerJSON(resp, n.maxAck, &ack); err != nil {
 		return fmt.Errorf("fleet: replicate %s@%d to %s: bad ack: %w", name, gen, peer, err)
 	}
 	if ack.Stale && ack.Generation > gen {

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+
+	"hypermine/internal/benchfix"
 )
 
 // oversizeJSON answers as a peer whose JSON document passes limit:
@@ -112,5 +114,38 @@ func TestRouterListingBounded(t *testing.T) {
 			t.Errorf("%s: router listing %d %q, want an empty 200", mode, rec.Code, rec.Body)
 		}
 		ts.Close()
+	}
+}
+
+// TestReplicateAckBounded: a push reads the peer's ack of its snapshot
+// under maxReplicateAckBytes with the same refusal rules, and a
+// refused ack counts the push as failed.
+func TestReplicateAckBounded(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []string{"declared", "chunked"} {
+		limit := int64(maxReplicateAckBytes)
+		if mode == "chunked" {
+			limit = chunkedBound
+		}
+		n, reg := soloNode(t, oversizeJSON(mode, limit))
+		n.maxAck = limit
+		if _, err := reg.Load("m", benchfix.ModelWorkload(4, 20)); err != nil {
+			t.Fatal(err)
+		}
+		snap := snapshotBytes(t, 20)
+		var err error
+		got := allocatedBy(func() { err = n.pushSnapshot(ctx, "p", "m", 1, snap) })
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			t.Errorf("%s ack over a %d-byte bound: %v, want a MaxBytesError", mode, limit, err)
+		}
+		if got > peerJSONAllocBar {
+			t.Errorf("%s ack over a %d-byte bound allocated %d bytes, want <= %d", mode, limit, got, peerJSONAllocBar)
+		}
+		failed := n.replPushErrs.Load()
+		n.replicate(ctx, "m")
+		if got := n.replPushErrs.Load() - failed; got != 1 {
+			t.Errorf("%s ack over the bound: %d failed pushes counted, want 1", mode, got)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // uses, so queries in flight on the old generation finish on the
 // old generation and every response is attributable to exactly one
 // generation (surfaced as the X-Model-Generation header by the
-// server).
+// server). Observations arrive as rows only: the server turns every
+// :append body shape into rows before it calls AppendRowsContext.
 package registry
 
 import (
@@ -14,7 +15,6 @@ import (
 	"log/slog"
 	"time"
 
-	"hypermine/internal/core"
 	"hypermine/internal/delta"
 	"hypermine/internal/engine"
 	"hypermine/internal/table"
@@ -62,21 +62,6 @@ func (r *Registry) AppendRows(name string, rows [][]table.Value) (*AppendInfo, e
 // old generation keeps serving until the swap, then drains. On any
 // error nothing is published and the serving model is unchanged.
 func (r *Registry) AppendRowsContext(ctx context.Context, name string, rows [][]table.Value) (*AppendInfo, error) {
-	return r.appendContext(ctx, name, func(ds *delta.Dataset) (*core.Model, delta.Changes, error) {
-		return ds.AppendRowsContext(ctx, rows)
-	})
-}
-
-// AppendRawContext is AppendRowsContext for column-major raw bytes
-// (cols[j] holds the appended values of attribute j, one byte per
-// cell).
-func (r *Registry) AppendRawContext(ctx context.Context, name string, cols [][]byte) (*AppendInfo, error) {
-	return r.appendContext(ctx, name, func(ds *delta.Dataset) (*core.Model, delta.Changes, error) {
-		return ds.AppendRawContext(ctx, cols)
-	})
-}
-
-func (r *Registry) appendContext(ctx context.Context, name string, apply func(*delta.Dataset) (*core.Model, delta.Changes, error)) (*AppendInfo, error) {
 	if name == "" {
 		return nil, errors.New("registry: empty model name")
 	}
@@ -114,7 +99,7 @@ func (r *Registry) appendContext(ctx context.Context, name string, apply func(*d
 		}
 		r.mu.RUnlock()
 	}
-	m, ch, err := apply(ds)
+	m, ch, err := ds.AppendRowsContext(ctx, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"weak"
 
 	"hypermine/internal/core"
-	"hypermine/internal/delta"
 	"hypermine/internal/engine"
 	"hypermine/internal/table"
 	"hypermine/internal/testutil"
@@ -209,6 +208,19 @@ func weakServedModel(t *testing.T, r *Registry, name string) weak.Pointer[core.M
 	return weak.Make(sv.Model())
 }
 
+// raceContext runs race the first time an append asks whether it was
+// canceled: a point inside the delta's preparation, before the publish.
+type raceContext struct {
+	context.Context
+	once sync.Once
+	race func()
+}
+
+func (c *raceContext) Err() error {
+	c.once.Do(c.race)
+	return c.Context.Err()
+}
+
 // TestAppendConflict: a Load that lands while the delta is being
 // prepared wins; the append is abandoned with ErrConflict and the
 // admin action's model keeps serving.
@@ -219,14 +231,17 @@ func TestAppendConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := testModel(t, 49, 8, 220)
-	_, err := r.appendContext(context.Background(), "m", func(ds *delta.Dataset) (*core.Model, delta.Changes, error) {
-		// Simulate the race: an admin Load publishes while this append
-		// is mid-delta.
-		if _, lerr := r.Load("m", m2); lerr != nil {
-			return nil, delta.Changes{}, lerr
+	raced := false
+	ctx := &raceContext{Context: context.Background(), race: func() {
+		if _, err := r.Load("m", m2); err != nil {
+			t.Error(err)
 		}
-		return ds.AppendRowsContext(context.Background(), appendRows(50, 8, 5))
-	})
+		raced = true
+	}}
+	_, err := r.AppendRowsContext(ctx, "m", appendRows(50, 8, 5))
+	if !raced {
+		t.Fatal("the append never checked its context")
+	}
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("err = %v, want ErrConflict", err)
 	}

@@ -57,15 +57,15 @@ func (s *Names) Names() []string { return append([]string(nil), s.names...) }
 // order, and otherwise an error naming the first column where they
 // differ: a CSV header of appended rows must match its model's
 // attributes column for column.
-func (s *Names) Match(got *Names) error {
-	for j := 0; j < max(len(s.names), len(got.names)); j++ {
+func (s *Names) Match(got []string) error {
+	for j := 0; j < max(len(s.names), len(got)); j++ {
 		switch {
-		case j == len(got.names):
+		case j == len(got):
 			return fmt.Errorf("column %d %q is missing", j, s.names[j])
 		case j == len(s.names):
-			return fmt.Errorf("column %d %q is extra", j, got.names[j])
-		case got.names[j] != s.names[j]:
-			return fmt.Errorf("column %d is %q, want %q", j, got.names[j], s.names[j])
+			return fmt.Errorf("column %d %q is extra", j, got[j])
+		case got[j] != s.names[j]:
+			return fmt.Errorf("column %d is %q, want %q", j, got[j], s.names[j])
 		}
 	}
 	return nil

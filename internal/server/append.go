@@ -4,7 +4,9 @@
 // dataset, delta-updates the mined model, and swaps in a new
 // generation, so it is admission-classed expensive (it competes with
 // mining-shaped work, not with warm reads), traced as kind "append",
-// and timed in hypermined_append_seconds.
+// and timed in hypermined_append_seconds. Every body shape (JSON rows,
+// JSON columns, text/csv) becomes rows in decodeAppendBody, and an
+// append makes that one registry call.
 package server
 
 import (
@@ -18,6 +20,7 @@ import (
 
 	"hypermine/internal/admit"
 	"hypermine/internal/registry"
+	"hypermine/internal/schema"
 	"hypermine/internal/table"
 )
 
@@ -30,8 +33,9 @@ const maxAppendBytes = 256 << 20
 // (row-major: each inner slice is one observation across all
 // attributes, in schema order) or Columns (column-major: columns[j]
 // holds the appended values of attribute j) may be set; an empty body
-// of either shape is a valid no-op append. text/csv bodies bypass this
-// struct entirely (see readAppendCSV).
+// of either shape is a valid no-op append. A text/csv body is the
+// third shape (see readAppendCSV); decodeAppendBody turns each into
+// the same rows.
 type appendRequest struct {
 	Rows    [][]int `json:"rows,omitempty"`
 	Columns [][]int `json:"columns,omitempty"`
@@ -68,7 +72,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		return
 	}
 
-	rows, cols, err := ob.decodeAppendBody(w, r)
+	rows, err := ob.decodeAppendBody(w, r)
 	if err != nil {
 		// decodeAppendBody already wrote and recorded the answer. A
 		// malformed or aborted body is not a model fault, whatever its
@@ -77,12 +81,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		return
 	}
 
-	var info *registry.AppendInfo
-	if cols != nil {
-		info, err = s.reg.AppendRawContext(ob, name, cols)
-	} else {
-		info, err = s.reg.AppendRowsContext(ob, name, rows)
-	}
+	info, err := s.reg.AppendRowsContext(ob, name, rows)
 	if err != nil {
 		if !ob.failCtx(w, err) {
 			ob.fail(w, appendStatus(err), "append: %v", err)
@@ -115,19 +114,19 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 	})
 }
 
-// decodeAppendBody parses the :append body into row-major values or
-// column-major raw bytes (exactly one is non-nil on success; both nil
-// means an explicit empty no-op). On error the response has already
-// been written and recorded.
-func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]table.Value, [][]byte, error) {
+// decodeAppendBody parses the :append body, whatever its shape, into
+// row-major values carved from one slab: the one place where the shape
+// matters. No rows is an explicit empty no-op. On error the response
+// has already been written and recorded.
+func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]table.Value, error) {
 	s := ob.s
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(ct) == "text/csv" {
-		rows, err := ob.readAppendCSV(w, r, http.MaxBytesReader(w, r.Body, maxAppendBytes))
-		return rows, nil, err
+		return ob.readAppendCSV(w, r, http.MaxBytesReader(w, r.Body, maxAppendBytes))
 	}
 	// A pooled body: decoding reuses its row and column backing arrays,
-	// and every value is copied out below.
+	// and every value is copied out below, so the append does not
+	// retain them.
 	req := s.pools.appends.Get().(*appendRequest)
 	req.Rows, req.Columns = req.Rows[:0], req.Columns[:0]
 	n, err := s.readJSON(w, r, maxAppendBytes, req, true)
@@ -140,30 +139,16 @@ func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]
 		if !ob.failCtx(w, r.Context().Err()) {
 			ob.fail(w, http.StatusBadRequest, "body: %v", err)
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	if len(req.Rows) > 0 && len(req.Columns) > 0 {
 		err := errors.New("body sets both rows and columns")
 		ob.fail(w, http.StatusBadRequest, "%v", err)
-		return nil, nil, err
+		return nil, err
 	}
 	if len(req.Columns) > 0 {
-		cols := make([][]byte, len(req.Columns))
-		for j, col := range req.Columns {
-			cols[j] = make([]byte, len(col))
-			for i, v := range col {
-				if v < 1 || v > table.MaxK {
-					err := errors.New("column value outside 1..255")
-					ob.fail(w, http.StatusBadRequest, "columns[%d][%d]: value %d outside 1..%d", j, i, v, table.MaxK)
-					return nil, nil, err
-				}
-				cols[j][i] = byte(v)
-			}
-		}
-		return nil, cols, nil
+		return ob.transposeColumns(w, req.Columns)
 	}
-	// The rows are carved from one slab: the pooled ints are reused by
-	// the next request, and the append does not retain its rows.
 	cells := 0
 	for _, row := range req.Rows {
 		cells += len(row)
@@ -174,29 +159,82 @@ func (ob *reqObs) decodeAppendBody(w http.ResponseWriter, r *http.Request) ([][]
 		rows[i], slab = slab[:len(row):len(row)], slab[len(row):]
 		for j, v := range row {
 			if v < 1 || v > table.MaxK {
-				err := errors.New("row value outside 1..255")
-				ob.fail(w, http.StatusBadRequest, "rows[%d][%d]: value %d outside 1..%d", i, j, v, table.MaxK)
-				return nil, nil, err
+				return nil, ob.badValue(w, "rows", i, j, v)
 			}
 			rows[i][j] = table.Value(v)
 		}
 	}
-	return rows, nil, nil
+	return rows, nil
+}
+
+// transposeColumns turns a column-major body into rows. As in the rows
+// shape, a value outside 1..255 is refused before the model is looked
+// up; then there must be one column per attribute of the serving
+// model, all of one length, which holds for zero rows too.
+func (ob *reqObs) transposeColumns(w http.ResponseWriter, cols [][]int) ([][]table.Value, error) {
+	for j, col := range cols {
+		for i, v := range col {
+			if v < 1 || v > table.MaxK {
+				return nil, ob.badValue(w, "columns", j, i, v)
+			}
+		}
+	}
+	schm, _, err := ob.servingSchema(w)
+	if err != nil {
+		return nil, err
+	}
+	if len(cols) != schm.Len() {
+		err := errors.New("wrong column count")
+		ob.fail(w, http.StatusBadRequest, "columns: %d columns, want %d", len(cols), schm.Len())
+		return nil, err
+	}
+	width, n := len(cols), len(cols[0])
+	for j, col := range cols {
+		if len(col) != n {
+			err := errors.New("ragged columns")
+			ob.fail(w, http.StatusBadRequest, "columns[%d]: %d values, want %d", j, len(col), n)
+			return nil, err
+		}
+	}
+	slab := make([]table.Value, width*n)
+	rows := make([][]table.Value, n)
+	for i := range rows {
+		rows[i], slab = slab[:width:width], slab[width:]
+		for j, col := range cols {
+			rows[i][j] = table.Value(col[i])
+		}
+	}
+	return rows, nil
+}
+
+// badValue refuses the value v at shape[i][j], outside 1..255, with a
+// 400.
+func (ob *reqObs) badValue(w http.ResponseWriter, shape string, i, j, v int) error {
+	ob.fail(w, http.StatusBadRequest, "%s[%d][%d]: value %d outside 1..%d", shape, i, j, v, table.MaxK)
+	return errors.New(shape + " value outside 1..255")
+}
+
+// servingSchema returns the serving model's attribute schema and
+// cardinality, which a body that is not one row per observation is
+// checked against: an unknown model is a 404.
+func (ob *reqObs) servingSchema(w http.ResponseWriter) (*schema.Names, int, error) {
+	sv := ob.s.reg.Peek(ob.name)
+	if sv == nil {
+		ob.fail(w, http.StatusNotFound, "unknown model %q", ob.name)
+		return nil, 0, errors.New("unknown model")
+	}
+	defer sv.Release()
+	return sv.Model().Table.Schema(), sv.Model().Table.K(), nil
 }
 
 // readAppendCSV parses a text/csv :append body with
 // table.ReadRowsCSV against the serving model's schema: a header or
 // row mismatch is a 400.
 func (ob *reqObs) readAppendCSV(w http.ResponseWriter, r *http.Request, body io.Reader) ([][]table.Value, error) {
-	sv := ob.s.reg.Peek(ob.name)
-	if sv == nil {
-		err := errors.New("unknown model")
-		ob.fail(w, http.StatusNotFound, "unknown model %q", ob.name)
+	schm, k, err := ob.servingSchema(w)
+	if err != nil {
 		return nil, err
 	}
-	schm, k := sv.Model().Table.Schema(), sv.Model().Table.K()
-	sv.Release()
-
 	rows, err := table.ReadRowsCSV(body, schm, k)
 	if err != nil && !ob.failCtx(w, r.Context().Err()) {
 		ob.fail(w, http.StatusBadRequest, "csv: %v", err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hypermine/internal/benchfix"
+	"hypermine/internal/core"
 	"hypermine/internal/registry"
 )
 
@@ -148,8 +149,7 @@ func TestAppendCSV(t *testing.T) {
 	}
 }
 
-// TestAppendColumns: the column-major JSON shape appends through the
-// raw path.
+// TestAppendColumns: the column-major JSON shape appends.
 func TestAppendColumns(t *testing.T) {
 	ts, _, m := serving(t)
 	n := m.Table.NumAttrs()
@@ -215,32 +215,139 @@ func TestAppendRejections(t *testing.T) {
 	}
 }
 
+// tinyAppender serves a 4-attribute, 50-row model as "tiny" and
+// returns its handler and a reader of the served generation.
+func tinyAppender(tb testing.TB, m *core.Model) (http.Handler, func() int64) {
+	reg := registry.New(registry.Options{})
+	if _, err := reg.Load("tiny", m); err != nil {
+		tb.Fatal(err)
+	}
+	h := New(reg, WithLogger(slog.New(slog.DiscardHandler))).Handler()
+	return h, func() int64 {
+		sv := reg.Peek("tiny")
+		defer sv.Release()
+		return sv.Generation()
+	}
+}
+
+// serveAppend posts body to model's :append on h.
+func serveAppend(h http.Handler, model, contentType, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/models/"+model+":append", strings.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestAppendColumnsRejections: a columns body that is ragged, has a
+// column count other than the model's (zero rows included), or holds
+// a value outside 1..255 is a 400 and leaves the generation alone. A
+// value outside 1..255 is refused before the model is looked up, the
+// shape after: against an unknown model the first is a 400, the
+// others 404.
+func TestAppendColumnsRejections(t *testing.T) {
+	h, generation := tinyAppender(t, benchfix.ModelWorkload(4, 50))
+	for _, c := range []struct {
+		name, body string
+		ghost      int
+	}{
+		{"ragged", `{"columns":[[1,2],[2],[3,1],[1,1]]}`, http.StatusNotFound},
+		{"too few", `{"columns":[[1],[2],[3]]}`, http.StatusNotFound},
+		{"too many", `{"columns":[[1],[2],[3],[1],[2]]}`, http.StatusNotFound},
+		{"too few, zero rows", `{"columns":[[],[],[]]}`, http.StatusNotFound},
+		{"value 0", `{"columns":[[1,0],[2,2],[3,1],[1,1]]}`, http.StatusBadRequest},
+		{"value 256", `{"columns":[[1,2],[2,2],[3,256],[1,1]]}`, http.StatusBadRequest},
+		{"value above k", `{"columns":[[1,2],[2,2],[3,4],[1,1]]}`, http.StatusNotFound},
+	} {
+		before := generation()
+		if rec := serveAppend(h, "tiny", "application/json", c.body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", c.name, rec.Code, rec.Body)
+		}
+		if after := generation(); after != before {
+			t.Errorf("%s: generation moved %d -> %d", c.name, before, after)
+		}
+		if rec := serveAppend(h, "ghost", "application/json", c.body); rec.Code != c.ghost {
+			t.Errorf("%s on an unknown model: %d %s, want %d", c.name, rec.Code, rec.Body, c.ghost)
+		}
+	}
+	if rec := serveAppend(h, "tiny", "application/json", `{"columns":[[],[],[],[]]}`); rec.Code != http.StatusOK || generation() != 1 {
+		t.Errorf("zero-row columns: %d %s at generation %d, want a 200 no-op", rec.Code, rec.Body, generation())
+	}
+}
+
+// TestAppendShapesAgree: the same observations posted as JSON rows, as
+// JSON columns and as text/csv to three servers over one base model
+// publish models whose snapshots are byte-identical.
+func TestAppendShapesAgree(t *testing.T) {
+	m := benchfix.ModelWorkload(4, 50)
+	rows := [][]int{{1, 2, 3, 1}, {3, 3, 3, 3}, {2, 1, 1, 2}, {1, 1, 2, 3}, {3, 2, 1, 1}}
+	cols := make([][]int, 4)
+	var csvBody strings.Builder
+	csvBody.WriteString(strings.Join(m.Table.Attrs(), ",") + "\n")
+	for i, row := range rows {
+		cells := make([]string, len(row))
+		for j, v := range row {
+			cols[j] = append(cols[j], v)
+			cells[j] = strconv.Itoa(v)
+		}
+		csvBody.WriteString(strings.Join(cells, ","))
+		if i%2 == 0 {
+			csvBody.WriteString("\r\n")
+		} else {
+			csvBody.WriteString("\n")
+		}
+	}
+	rowsJSON, _ := json.Marshal(map[string]any{"rows": rows})
+	colsJSON, _ := json.Marshal(map[string]any{"columns": cols})
+	var snaps [][]byte
+	for _, b := range []struct{ contentType, body string }{
+		{"application/json", string(rowsJSON)},
+		{"application/json", string(colsJSON)},
+		{"text/csv", csvBody.String()},
+	} {
+		reg := registry.New(registry.Options{})
+		if _, err := reg.Load("tiny", m); err != nil {
+			t.Fatal(err)
+		}
+		h := New(reg, WithLogger(slog.New(slog.DiscardHandler))).Handler()
+		if rec := serveAppend(h, "tiny", b.contentType, b.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", b.contentType, b.body, rec.Code, rec.Body)
+		}
+		sv := reg.Peek("tiny")
+		var snap bytes.Buffer
+		if err := core.WriteSnapshot(&snap, sv.Model(), core.SaveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := sv.Model().Table.NumRows(); got != 50+len(rows) {
+			t.Fatalf("%s %s: %d rows after the append, want %d", b.contentType, b.body, got, 50+len(rows))
+		}
+		sv.Release()
+		snaps = append(snaps, snap.Bytes())
+	}
+	for i, name := range []string{"columns", "text/csv"} {
+		if !bytes.Equal(snaps[i+1], snaps[0]) {
+			t.Errorf("the %s append publishes a model whose snapshot differs from the rows append's", name)
+		}
+	}
+}
+
 // FuzzAppendBody posts arbitrary bytes to :append on a tiny served
 // model, once as JSON and once as text/csv. Every answer must be 200,
 // 400 or 413 (never a 5xx or a panic), and a rejected append must
 // leave the served generation unchanged: appends never half-apply.
 func FuzzAppendBody(f *testing.F) {
 	m := benchfix.ModelWorkload(4, 50)
-	reg := registry.New(registry.Options{})
-	if _, err := reg.Load("tiny", m); err != nil {
-		f.Fatal(err)
-	}
-	h := New(reg, WithLogger(slog.New(slog.DiscardHandler))).Handler()
-	generation := func() int64 {
-		sv := reg.Peek("tiny")
-		defer sv.Release()
-		return sv.Generation()
-	}
+	h, generation := tinyAppender(f, m)
 	f.Add([]byte(`{"rows":[[1,2,3,1],[3,3,3,3]]}`))
 	f.Add([]byte(`{"columns":[[1,2],[2,2],[3,1],[1,1]]}`))
 	f.Add([]byte(strings.Join(m.Table.Attrs(), ",") + "\n1,2,3,1\n2,2,2,2\n"))
+	f.Add([]byte(`{"columns":[[1,2],[2],[3,1],[1,1]]}`))
+	f.Add([]byte(`{"columns":[[1,2],[2,2],[3,1]]}`))
+	f.Add([]byte(`{"columns":[[],[],[]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, ct := range []string{"application/json", "text/csv"} {
 			before := generation()
-			req := httptest.NewRequest(http.MethodPost, "/v1/models/tiny:append", bytes.NewReader(body))
-			req.Header.Set("Content-Type", ct)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
+			rec := serveAppend(h, "tiny", ct, string(body))
 			switch rec.Code {
 			case http.StatusOK:
 				if ct == "application/json" && !json.Valid(body) {

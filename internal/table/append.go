@@ -1,10 +1,10 @@
 // Functional append: the live-dataset pipeline in internal/delta
 // republishes a model after every append while the previous generation
 // keeps serving queries, so appended tables must never mutate storage a
-// served model can still observe. AppendRows and AppendRaw therefore
-// return a NEW *Table (the receiver untouched) whose columns write the
+// served model can still observe. AppendRows, the one append, therefore
+// returns a NEW *Table (the receiver untouched) whose columns write the
 // appended rows past the receiver's, in shared backing arrays where no
-// other table has claimed them (see appendShell), and extend the
+// other table has claimed them (see appendShell), and extends the
 // receiver's TID-bitset index copy-on-extend: the new index copies the
 // old posting words and scans only the appended rows.
 package table
@@ -40,43 +40,9 @@ func (t *Table) AppendRows(rows [][]Value) (*Table, error) {
 			col[t.rows+i] = row[j]
 		}
 	}
-	nt.extendCachedIndex(t)
-	return nt, nil
-}
-
-// AppendRaw is AppendRows for column-major raw bytes (one byte per
-// cell, the wire format of snapshot bodies and the `:append` endpoint):
-// cols[j] holds the appended values of attribute j. All columns must
-// have equal length and values in 1..K. The byte slices are not
-// retained.
-func (t *Table) AppendRaw(cols [][]byte) (*Table, error) {
-	if len(cols) != len(t.cols) {
-		return nil, fmt.Errorf("table: append has %d columns, want %d", len(cols), len(t.cols))
+	if old := t.IndexIfBuilt(); old != nil {
+		nt.idx = extendIndex(old, nt)
 	}
-	add := -1
-	for j, c := range cols {
-		if add == -1 {
-			add = len(c)
-		} else if len(c) != add {
-			return nil, fmt.Errorf("table: append column %q has %d rows, want %d", t.schema.Name(j), len(c), add)
-		}
-		for i, b := range c {
-			if b < 1 || int(b) > t.k {
-				return nil, fmt.Errorf("table: append column %q row %d: value %d outside 1..%d", t.schema.Name(j), i, b, t.k)
-			}
-		}
-	}
-	if add == -1 {
-		add = 0
-	}
-	nt := t.appendShell(add)
-	for j, c := range cols {
-		col := nt.cols[j]
-		for i, b := range c {
-			col[t.rows+i] = Value(b)
-		}
-	}
-	nt.extendCachedIndex(t)
 	return nt, nil
 }
 
@@ -109,12 +75,4 @@ func (t *Table) appendShell(add int) *Table {
 	nt.frontier = new(atomic.Int64)
 	nt.frontier.Store(int64(n))
 	return nt
-}
-
-// extendCachedIndex seeds nt's index cache from t's, if t has a fresh
-// one, by extending it over nt's appended rows.
-func (nt *Table) extendCachedIndex(t *Table) {
-	if old := t.IndexIfBuilt(); old != nil {
-		nt.idx = extendIndex(old, nt)
-	}
 }

@@ -182,39 +182,8 @@ func TestAppendChainsShareSafely(t *testing.T) {
 	}
 }
 
-// TestAppendRawMatchesAppendRows pins that the raw column-major path
-// and the row-major path build identical tables.
-func TestAppendRawMatchesAppendRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tb, err := FromRows([]string{"p", "q"}, 4, randomRows(rng, 30, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := randomRows(rng, 9, 2, 4)
-	cols := make([][]byte, 2)
-	for j := range cols {
-		cols[j] = make([]byte, len(rows))
-		for i, row := range rows {
-			cols[j][i] = byte(row[j])
-		}
-	}
-	byRows, err := tb.AppendRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byRaw, err := tb.AppendRaw(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 2; j++ {
-		if !reflect.DeepEqual(byRows.Column(j), byRaw.Column(j)) {
-			t.Fatalf("column %d: AppendRaw differs from AppendRows", j)
-		}
-	}
-}
-
-// TestAppendValidatesBeforeAllocating pins atomicity: a bad row or
-// column yields an error and no new table.
+// TestAppendValidatesBeforeAllocating pins atomicity: a bad row yields
+// an error and no new table.
 func TestAppendValidatesBeforeAllocating(t *testing.T) {
 	tb, err := FromRows([]string{"a", "b"}, 2, [][]Value{{1, 2}})
 	if err != nil {
@@ -226,13 +195,7 @@ func TestAppendValidatesBeforeAllocating(t *testing.T) {
 	if _, err := tb.AppendRows([][]Value{{1, 2}, {1, 3}}); err == nil {
 		t.Fatal("out-of-range value accepted")
 	}
-	if _, err := tb.AppendRaw([][]byte{{1}}); err == nil {
-		t.Fatal("missing column accepted")
-	}
-	if _, err := tb.AppendRaw([][]byte{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged columns accepted")
-	}
-	if _, err := tb.AppendRaw([][]byte{{1}, {0}}); err == nil {
+	if _, err := tb.AppendRows([][]Value{{1, 0}}); err == nil {
 		t.Fatal("zero value accepted")
 	}
 	if tb.NumRows() != 1 {

@@ -33,8 +33,8 @@ type Table struct {
 	rows   int
 
 	// frontier, when non-nil, is the number of rows written so far into
-	// the backing arrays of cols, which tables made by AppendRows and
-	// AppendRaw share (see appendShell).
+	// the backing arrays of cols, which tables made by AppendRows share
+	// (see appendShell).
 	frontier *atomic.Int64
 
 	// idx is the lazily built TID-bitset index (see index.go). It is
